@@ -26,7 +26,6 @@ mod eln;
 mod mlc;
 mod partial_tree;
 mod recovery;
-mod session;
 
 pub use buffer::{SeqRangeSet, StreamClock};
 pub use correlation::{group_correlation, loss_correlation};
@@ -34,4 +33,3 @@ pub use eln::{ElnScope, GapDetector, LossNotification};
 pub use mlc::{find_mlc_group, partial_group_correlation, random_group, MlcOptions};
 pub use partial_tree::{AncestorRecord, PartialTree};
 pub use recovery::{RecoveryGroup, RepairService, StripePlan, StripeSegment, STRIPE_MODULO};
-pub use session::{RepairSession, RepairState};

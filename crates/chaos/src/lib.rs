@@ -3,13 +3,12 @@
 //! The paper's subject is fault *resilience*, so the simulators in this
 //! workspace must be exercised by more than the two failure shapes the
 //! figures need (lognormal churn and single upstream death). This crate
-//! supplies the adversarial side of that bargain, in two halves:
+//! supplies the adversarial side of that bargain, in three layers:
 //!
 //! - a **scenario layer** ([`Scenario`], [`ChaosAction`], [`Injection`]):
 //!   composable, seed-driven injectors for correlated/clustered node
 //!   failures, flash-crowd join bursts, flapping membership, bandwidth
-//!   degradation over time, and wire-level message loss/delay/reordering
-//!   ([`LinkChaos`]);
+//!   degradation over time, and per-member link-pathology episodes;
 //! - a **link-pathology layer** ([`GilbertElliott`], [`CapacityTrace`],
 //!   [`DelaySpikes`], [`MobileProfile`]): bursty loss with a
 //!   matched-average-rate parameterization, time-varying capacity
@@ -56,7 +55,6 @@
 //! ```
 
 mod invariant;
-mod link;
 mod pathology;
 mod scenario;
 
@@ -64,7 +62,6 @@ pub use invariant::{
     BtpMonotonic, CausalScheduling, DegreeBudget, ElnNoDuplicateRecovery, Invariant,
     InvariantRegistry, RecoveryGroupConsistent, RejoinCause, Signal, TreeStructure, Violation,
 };
-pub use link::{LinkChaos, LinkChaosConfig, LinkFate};
 pub use pathology::{
     CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, MobileProfile,
 };

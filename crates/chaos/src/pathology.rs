@@ -20,9 +20,9 @@
 //!
 //! None of the models owns randomness: [`GilbertElliott::classify`]
 //! consumes a caller-supplied uniform draw and everything else is a pure
-//! function of sim time. The callers (the wire harness's `LinkChaos`,
-//! the engine's streaming layer) draw from their dedicated chaos RNG
-//! forks, so pathology stays seed-deterministic and jobs-invariant.
+//! function of sim time. The caller (the engine's streaming layer) draws
+//! from its dedicated `"chaos-link"` RNG fork, so pathology stays
+//! seed-deterministic and jobs-invariant.
 
 /// A two-state Gilbert–Elliott bursty-loss chain.
 ///
@@ -104,7 +104,7 @@ impl GilbertElliott {
     /// At `burst_factor = 1` both probabilities equal `avg_loss`
     /// **exactly** (bit-for-bit, by construction of the formula), so the
     /// degenerate chain reproduces independent uniform loss draw for
-    /// draw — the differential guarantee the `LinkChaos` baseline
+    /// draw — the differential guarantee `fig_burst`'s β = 1 column
     /// depends on.
     ///
     /// # Panics
@@ -412,7 +412,7 @@ impl CapacityTrace {
 /// queue bloats for `span` units, adding `extra` units of latency to
 /// everything crossing it. Pure function of the offset since armed; the
 /// unit is whatever clock the caller advances on (seconds in the
-/// engine, delivery steps in the wire harness).
+/// engine).
 ///
 /// # Examples
 ///
@@ -549,6 +549,7 @@ impl MobileProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rom_sim::SimRng;
 
     #[test]
     fn matched_is_stationary_at_the_requested_rate() {
@@ -570,6 +571,9 @@ mod tests {
         }
     }
 
+    /// The β = 1 differential wall: fed the streaming engine's
+    /// `"chaos-link"` uniforms, the degenerate chain decides every frame
+    /// exactly as independent uniform loss (`u < r`) would.
     #[test]
     fn burst_factor_one_is_exactly_uniform() {
         for &r in &[0.02, 0.1, 0.37] {
@@ -577,6 +581,20 @@ mod tests {
             assert_eq!(ge.loss_threshold(), r);
             ge.classify(0.0); // force a loss
             assert_eq!(ge.loss_threshold(), r, "bad state must not change p");
+        }
+        for &seed in &[1u64, 7, 42, 9_999] {
+            for &r in &[0.02, 0.1, 0.3] {
+                let mut ge = GilbertElliott::matched(r, 1.0);
+                let mut rng = SimRng::seed_from(seed).fork("chaos-link");
+                let mut uniform_losses = 0u64;
+                for frame in 0..20_000 {
+                    let u = rng.uniform();
+                    let lost = u < r;
+                    uniform_losses += u64::from(lost);
+                    assert_eq!(ge.classify(u), lost, "seed {seed} r {r} frame {frame}");
+                }
+                assert_eq!(ge.losses(), uniform_losses, "seed {seed} r {r}");
+            }
         }
     }
 

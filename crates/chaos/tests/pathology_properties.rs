@@ -6,10 +6,7 @@
 //! changing a model or the RNG fork discipline is *supposed* to trip
 //! them.
 
-use rom_chaos::{
-    CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, LinkChaos, LinkChaosConfig,
-    LinkFate, MobileProfile,
-};
+use rom_chaos::{CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, MobileProfile};
 use rom_sim::SimRng;
 
 /// Drives `chain` with `frames` uniforms from the `"chaos-link"` fork of
@@ -183,63 +180,4 @@ fn mobile_profile_composes_all_three_pathologies() {
     assert_eq!(profile.spikes.extra, 1.5);
     // The spike schedule is phase-aligned with the first handover.
     assert_eq!(profile.spike_offset_secs(), 20.0);
-}
-
-/// The differential wall: a burst factor of exactly 1 must reproduce the
-/// uniform oracle's decisions **bit for bit** — same fork, same draw
-/// sequence, same fate for every one of 20k frames — across seeds and
-/// across light/heavy/loss-only configs.
-#[test]
-fn burst_factor_one_is_bitwise_identical_to_uniform_loss() {
-    let configs = [
-        LinkChaosConfig::light(),
-        LinkChaosConfig::heavy(),
-        LinkChaosConfig {
-            drop_prob: 0.3,
-            delay_prob: 0.0,
-            max_delay_steps: 1,
-            reorder_prob: 0.0,
-        },
-    ];
-    for cfg in configs {
-        for &seed in &[1u64, 7, 42, 9_999] {
-            let mut uniform = LinkChaos::new(cfg, seed);
-            let mut degenerate = LinkChaos::with_burst(cfg, 1.0, seed);
-            let fates: Vec<LinkFate> = (0..20_000).map(|_| uniform.classify()).collect();
-            let bursty: Vec<LinkFate> = (0..20_000).map(|_| degenerate.classify()).collect();
-            assert_eq!(
-                fates, bursty,
-                "β=1 diverged from uniform (seed {seed}, cfg {cfg:?})"
-            );
-            assert_eq!(uniform.dropped(), degenerate.dropped());
-            assert_eq!(uniform.delayed(), degenerate.delayed());
-            assert_eq!(uniform.reordered(), degenerate.reordered());
-        }
-    }
-}
-
-#[test]
-fn burst_factor_above_one_changes_clustering_not_the_average() {
-    // Sanity companion to the differential test: β > 1 must actually
-    // change the fate sequence (else the knob is dead) while holding the
-    // long-run loss rate at the uniform oracle's.
-    let cfg = LinkChaosConfig {
-        drop_prob: 0.1,
-        delay_prob: 0.0,
-        max_delay_steps: 1,
-        reorder_prob: 0.0,
-    };
-    let n = 200_000u32;
-    let mut uniform = LinkChaos::new(cfg, 42);
-    let mut bursty = LinkChaos::with_burst(cfg, 8.0, 42);
-    let a: Vec<LinkFate> = (0..n).map(|_| uniform.classify()).collect();
-    let b: Vec<LinkFate> = (0..n).map(|_| bursty.classify()).collect();
-    assert_ne!(a, b, "β=8 must reshuffle the fate sequence");
-    let rate = |o: &LinkChaos| o.dropped() as f64 / f64::from(n);
-    assert!(
-        (rate(&uniform) - rate(&bursty)).abs() < 0.01,
-        "matched averages: uniform {:.4} vs bursty {:.4}",
-        rate(&uniform),
-        rate(&bursty)
-    );
 }

@@ -8,12 +8,13 @@
 //! project-specific rules:
 //!
 //! - **R1 `unordered-collections`** — no `HashMap`/`HashSet` in the
-//!   deterministic crates (`sim`, `engine`, `rost`, `cer`, `overlay`).
+//!   deterministic crates (`sim`, `obs`, `engine`, `rost`, `cer`,
+//!   `overlay`, `chaos`).
 //! - **R2 `ambient-entropy`** — no `Instant::now`/`SystemTime`/
 //!   `thread_rng`/`rand::rng` outside `bench`.
 //! - **R3 `panic-sites`** — no `unwrap()`/`expect()`/`panic!`/
 //!   `unreachable!` in non-test code of the protocol crates
-//!   (`rost`, `cer`, `wire`).
+//!   (`rost`, `cer`).
 //! - **R4 `float-compare`** — no `==`/`!=` against float expressions and
 //!   no `partial_cmp(..).unwrap()`; use `total_cmp`/`to_bits`.
 //! - **R5 `stale-arena-index`** — no use of an arena `NodeIndex` binding

@@ -47,7 +47,6 @@ pub mod algorithms;
 mod error;
 mod id;
 mod member;
-mod multitree;
 mod proximity;
 mod stats;
 mod tree;
@@ -56,7 +55,6 @@ mod view;
 pub use error::{InvariantViolation, TreeError};
 pub use id::{Location, NodeId};
 pub use member::MemberProfile;
-pub use multitree::MultiTreeSession;
 pub use proximity::{IndexProximity, Proximity, ZeroProximity};
 pub use stats::TreeStats;
 pub use tree::{paper_source, MulticastTree, NodeIndex, RemovedMember, ReplaceOutcome, SwitchRecord};
