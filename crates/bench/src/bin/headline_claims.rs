@@ -9,27 +9,14 @@
 //!    centralized depth-optimal approach";
 //! 3. "introduces a very low protocol overhead".
 //!
-//! Each algorithm's replicate sweep is one timed *phase*; the machine-
-//! readable perf baseline — wall time per phase, events/second, and the
-//! exact peak event-queue depth (`ChurnReport::queue_high_water`) — is
-//! written to `BENCH_headline.json` in the working directory. Timing
-//! never touches stdout, so the printed table stays byte-identical
-//! across runs and `--jobs` values.
+//! The printed table is byte-identical across runs and `--jobs` values.
+//! Performance is measured by the `perfbench` package, not here.
 
 use rom_bench::{
-    banner, calibration_spin_ns, churn_config, fmt, instrumented_churn_cell, mean_over, row,
-    truncation_warning, write_sidecars, CellOut, Scale,
+    banner, churn_config, fmt, instrumented_churn_cell, mean_over, row, truncation_warning,
+    write_sidecars, CellOut, Scale,
 };
 use rom_engine::{AlgorithmKind, ChurnReport};
-use std::time::Instant;
-
-/// The perf-baseline record of one algorithm's replicate sweep.
-struct Phase {
-    name: &'static str,
-    wall_secs: f64,
-    events: u64,
-    peak_queue: f64,
-}
 
 fn main() {
     let scale = Scale::from_args();
@@ -41,12 +28,10 @@ fn main() {
     let size = scale.focus_size();
     println!("# focus size: {size} members\n");
 
-    // One timed phase per algorithm. The exact queue peak rides on every
-    // report; --trace/--profile capture the seed-1 ROST run (the
-    // algorithm the claims are about).
-    let run = |alg: AlgorithmKind| -> (Vec<ChurnReport>, Phase) {
+    // One replicate sweep per algorithm; --trace/--profile capture the
+    // seed-1 ROST run (the algorithm the claims are about).
+    let run = |alg: AlgorithmKind| -> Vec<ChurnReport> {
         let sidecars = scale.sidecars().when(alg == AlgorithmKind::Rost);
-        let started = Instant::now();
         let out = scale.sweep().run(1, scale.seeds, |cell| {
             let cfg = churn_config(alg, size, cell.seed);
             let (report, trace, profile) = instrumented_churn_cell(
@@ -64,21 +49,8 @@ fn main() {
                 profile,
             }
         });
-        let wall_secs = started.elapsed().as_secs_f64();
         write_sidecars(&out, "headline_claims_rost", sidecars);
-        let reports: Vec<ChurnReport> = out.into_single_point();
-        let events = reports.iter().map(|r| r.events_processed).sum();
-        let peak_queue = reports
-            .iter()
-            .map(|r| r.queue_high_water as f64)
-            .fold(0.0, f64::max);
-        let phase = Phase {
-            name: alg.name(),
-            wall_secs,
-            events,
-            peak_queue,
-        };
-        (reports, phase)
+        out.into_single_point()
     };
     let metrics = |reports: &[ChurnReport]| {
         (
@@ -100,10 +72,8 @@ fn main() {
         ])
     );
     let mut by_alg = Vec::new();
-    let mut phases = Vec::new();
     for alg in AlgorithmKind::ALL {
-        let (reports, phase) = run(alg);
-        let m = metrics(&reports);
+        let m = metrics(&run(alg));
         println!(
             "{}",
             row([
@@ -115,7 +85,6 @@ fn main() {
             ])
         );
         by_alg.push((alg, m));
-        phases.push(phase);
     }
 
     let get = |alg: AlgorithmKind| by_alg.iter().find(|(a, _)| *a == alg).unwrap().1;
@@ -142,53 +111,4 @@ fn main() {
     println!("# claim 3 — overhead (paper: far below one reconnection/lifetime):");
     println!("claim3,rost_overhead,{}", fmt(rost.3));
     println!("claim3,far_below_one,{}", rost.3 < 0.5);
-
-    write_baseline(&phases, scale, calibration_spin_ns());
-    println!("\n# perf baseline written to BENCH_headline.json");
-}
-
-/// Writes the machine-readable perf baseline. Wall-clock timing is
-/// inherently run-dependent, so it lives only in this file — never on
-/// stdout.
-fn write_baseline(phases: &[Phase], scale: Scale, spin_ns: f64) {
-    let per_sec = |events: u64, wall: f64| {
-        if wall > 0.0 {
-            events as f64 / wall
-        } else {
-            0.0
-        }
-    };
-    let mut json = String::with_capacity(1024);
-    json.push_str("{\"name\":\"headline_claims\"");
-    json.push_str(&format!(
-        ",\"paper\":{},\"seeds\":{},\"jobs\":{},\"calibration_spin_ns\":{},\"phases\":[",
-        scale.paper, scale.seeds, scale.jobs, spin_ns
-    ));
-    let mut total_wall = 0.0;
-    let mut total_events = 0u64;
-    for (i, p) in phases.iter().enumerate() {
-        total_wall += p.wall_secs;
-        total_events += p.events;
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"phase\":{:?},\"wall_secs\":{},\"events\":{},\"events_per_sec\":{},\"peak_queue_high_water\":{}}}",
-            p.name,
-            p.wall_secs,
-            p.events,
-            per_sec(p.events, p.wall_secs),
-            p.peak_queue,
-        ));
-    }
-    json.push_str(&format!(
-        "],\"total\":{{\"wall_secs\":{},\"events\":{},\"events_per_sec\":{}}}}}\n",
-        total_wall,
-        total_events,
-        per_sec(total_events, total_wall),
-    ));
-    if let Err(err) = std::fs::write("BENCH_headline.json", json) {
-        eprintln!("error: cannot write BENCH_headline.json: {err}");
-        std::process::exit(2)
-    }
 }

@@ -7,7 +7,6 @@
 //! rom_prof report <run.profile.json> [--top N]
 //! rom_prof health <trace.health.jsonl>
 //! rom_prof diff <old.profile.json> <new.profile.json> [--fail-above PCT]
-//! rom_prof diff <run.profile.json> <BENCH_headline.json> [--fail-above PCT]
 //! ```
 //!
 //! `report` prints the span hotspots: top-k spans by self time (the
@@ -16,10 +15,9 @@
 //! per-member protocol timelines: time-to-first-packet, starving-ratio
 //! distribution (Fig 12 semantics), recovery latency and control
 //! overhead. `diff` compares run throughput and per-span self time
-//! between two profiles, or a profile against the committed
-//! `BENCH_headline.json` perf baseline (recognized by its `phases`
-//! array); it is report-only unless `--fail-above` is given, in which
-//! case a throughput regression beyond the threshold exits non-zero.
+//! between two profiles; it is report-only unless `--fail-above` is
+//! given, in which case a throughput regression beyond the threshold
+//! exits non-zero.
 //!
 //! Everything printed from wall-clock numbers is explicitly
 //! run-dependent; this binary is an analysis tool, not a deterministic
@@ -29,7 +27,7 @@ use rom_bench::Json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rom_prof report <run.profile.json> [--top N]\n       rom_prof health <trace.health.jsonl>\n       rom_prof diff <old.profile.json> <new.profile.json|BENCH_headline.json> [--fail-above PCT]"
+        "usage: rom_prof report <run.profile.json> [--top N]\n       rom_prof health <trace.health.jsonl>\n       rom_prof diff <old.profile.json> <new.profile.json> [--fail-above PCT]"
     );
     std::process::exit(2)
 }
@@ -264,23 +262,11 @@ fn health(path: &str) {
     dist_row("recovery_latency_secs", &mut recovery_latency);
 }
 
-/// Throughput of a parsed baseline: a rom-profile (events/run_wall_ns)
-/// or a BENCH_headline.json (total.events_per_sec).
-fn throughput_of(doc: &Json, path: &str) -> (f64, &'static str) {
-    if doc.get("phases").is_some() {
-        let per_sec = doc
-            .get("total")
-            .and_then(|t| t.f64_field("events_per_sec"))
-            .unwrap_or_else(|| {
-                eprintln!("error: {path} has phases but no total.events_per_sec");
-                std::process::exit(2)
-            });
-        (per_sec, "headline")
-    } else {
-        let events = doc.u64_field("events_processed").unwrap_or(0);
-        let wall_ns = doc.u64_field("run_wall_ns").unwrap_or(0);
-        (events_per_sec(events, wall_ns), "profile")
-    }
+/// Run throughput of a parsed profile (events over `run_wall_ns`).
+fn throughput_of(doc: &Json) -> f64 {
+    let events = doc.u64_field("events_processed").unwrap_or(0);
+    let wall_ns = doc.u64_field("run_wall_ns").unwrap_or(0);
+    events_per_sec(events, wall_ns)
 }
 
 fn pct_delta(old: f64, new: f64) -> f64 {
@@ -294,38 +280,35 @@ fn pct_delta(old: f64, new: f64) -> f64 {
 fn diff(old_path: &str, new_path: &str, fail_above: Option<f64>) {
     let old = load_profile(old_path);
     let new = load_profile(new_path);
-    let (old_tp, old_kind) = throughput_of(&old, old_path);
-    let (new_tp, new_kind) = throughput_of(&new, new_path);
-    println!("# rom-prof diff — {old_path} ({old_kind}) vs {new_path} ({new_kind})");
+    let old_tp = throughput_of(&old);
+    let new_tp = throughput_of(&new);
+    println!("# rom-prof diff — {old_path} vs {new_path}");
     println!(
         "throughput,events_per_sec,{old_tp:.0},{new_tp:.0},{:+.1}%",
         pct_delta(old_tp, new_tp)
     );
 
-    // Span-level deltas only make sense between two profiles.
-    if old_kind == "profile" && new_kind == "profile" {
-        let old_spans = spans_of(&old, old_path);
-        let new_spans = spans_of(&new, new_path);
-        println!("\nspan,old_self_ms,new_self_ms,self_delta_%,old_count,new_count");
-        for o in &old_spans {
-            let Some(n) = new_spans.iter().find(|n| n.path == o.path) else {
-                println!("{},{:.3},absent,,{},", o.path, ms(o.self_ns), o.count);
-                continue;
-            };
-            println!(
-                "{},{:.3},{:.3},{:+.1},{},{}",
-                o.path,
-                ms(o.self_ns),
-                ms(n.self_ns),
-                pct_delta(o.self_ns as f64, n.self_ns as f64),
-                o.count,
-                n.count,
-            );
-        }
-        for n in &new_spans {
-            if !old_spans.iter().any(|o| o.path == n.path) {
-                println!("{},absent,{:.3},,,{}", n.path, ms(n.self_ns), n.count);
-            }
+    let old_spans = spans_of(&old, old_path);
+    let new_spans = spans_of(&new, new_path);
+    println!("\nspan,old_self_ms,new_self_ms,self_delta_%,old_count,new_count");
+    for o in &old_spans {
+        let Some(n) = new_spans.iter().find(|n| n.path == o.path) else {
+            println!("{},{:.3},absent,,{},", o.path, ms(o.self_ns), o.count);
+            continue;
+        };
+        println!(
+            "{},{:.3},{:.3},{:+.1},{},{}",
+            o.path,
+            ms(o.self_ns),
+            ms(n.self_ns),
+            pct_delta(o.self_ns as f64, n.self_ns as f64),
+            o.count,
+            n.count,
+        );
+    }
+    for n in &new_spans {
+        if !old_spans.iter().any(|o| o.path == n.path) {
+            println!("{},absent,{:.3},,,{}", n.path, ms(n.self_ns), n.count);
         }
     }
 

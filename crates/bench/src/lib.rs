@@ -2,7 +2,9 @@
 //!
 //! One binary per evaluation figure of the paper (`fig04_disruptions` …
 //! `fig14_rost_cer`), each printing the same series the paper plots as
-//! CSV rows, plus criterion micro-benchmarks over the core operations.
+//! CSV rows, plus criterion micro-benchmarks. No binary or bench here
+//! writes files other than the ones its flags name; performance
+//! baselines live in the `perfbench` package.
 //!
 //! Every binary accepts:
 //!
@@ -166,11 +168,10 @@ pub fn default_jobs() -> usize {
 
 /// Times a fixed single-core integer spin, in ns per iteration.
 ///
-/// Recorded in every `BENCH_*.json` baseline so consumers (the perf
-/// smoke, the mega walls) can compare runs across machines:
+/// Recorded in every perfbench record and used by the mega walls'
+/// absolute backstops, so runs can be compared across machines:
 /// `events_per_sec × spin_ns` cancels raw CPU speed to first order,
-/// leaving only genuine changes in work per event. Only meaningful to
-/// compare between runs with the same `jobs` setting.
+/// leaving only genuine changes in work per event.
 #[must_use]
 pub fn calibration_spin_ns() -> f64 {
     const ITERS: u64 = 1 << 24;

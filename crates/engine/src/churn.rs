@@ -151,7 +151,7 @@ pub struct ChurnReport {
     pub queue_high_water: u64,
     /// Deterministic byte footprint of that peak: `queue_high_water`
     /// times the per-entry size of the scheduler queue. Unlike peak RSS
-    /// (allocator- and platform-dependent, quarantined to `BENCH_*.json`)
+    /// (allocator- and platform-dependent, quarantined to benchmark records)
     /// this is reproducible from the seed.
     pub queue_bytes_high_water: u64,
 }
@@ -1467,9 +1467,8 @@ impl ChurnSim {
 
     fn sample_tree_quality(&mut self, now: SimTime) {
         let mut population = 0u64;
-        let attached: Vec<NodeId> = self.tree.attached_by_depth().collect();
         let mut chain = Vec::new();
-        for id in attached {
+        for id in self.tree.attached_by_depth() {
             if id == self.tree.root() {
                 continue;
             }

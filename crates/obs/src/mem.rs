@@ -4,8 +4,9 @@
 //! 1M-member run is useless if it does not fit in RAM. Peak RSS is a
 //! wall-clock-adjacent quantity — it depends on the allocator, the
 //! platform and every run sharing the process — so, like the span
-//! profiler's nanosecond readings, it is quarantined to `BENCH_*.json`
-//! artifacts and never enters traces, metrics sidecars or manifests
+//! profiler's nanosecond readings, it is quarantined to benchmark
+//! records (perfbench's `peak_rss_mb`) and never enters traces, metrics
+//! sidecars or manifests
 //! (which must stay byte-identical for pinned seeds). The deterministic
 //! counterpart, suitable anywhere, is
 //! `EventQueue::bytes_high_water` in `rom-sim`.

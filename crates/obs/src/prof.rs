@@ -254,7 +254,7 @@ impl ProfReport {
     /// Serializes the report (plus run provenance) as the
     /// `.profile.json` sidecar body. `run_wall_ns` is the caller-measured
     /// wall time of the whole run; together with `events_processed` it
-    /// lets `rom-prof diff` compare against `BENCH_headline.json`.
+    /// lets `rom-prof diff` compare the throughput of two profiles.
     #[must_use]
     pub fn to_json(&self, name: &str, seed: u64, events_processed: u64, run_wall_ns: u64) -> String {
         let mut out = String::with_capacity(1024);

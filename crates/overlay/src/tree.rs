@@ -269,23 +269,20 @@ pub struct MulticastTree {
     /// The single sorted id→index map; every id-ordered iteration the
     /// public API exposes is defined through it.
     ids: BTreeMap<NodeId, NodeIndex>,
-    /// Attached members bucketed by depth, each layer sorted by id so
-    /// iteration order is exactly (depth, id).
-    depth_index: Vec<Vec<(NodeId, NodeIndex)>>,
-    /// Per-depth ordered eviction indices (same length as `depth_index`),
-    /// maintained alongside it so `find_eviction` probes the weakest
-    /// entry per layer instead of scanning every member.
+    /// Per-depth ordered eviction indices over the attached members, so
+    /// `find_eviction` probes the weakest entry per layer instead of
+    /// scanning every member. Every attached member has exactly one entry
+    /// per set, at its own depth, which also makes the deepest non-empty
+    /// layer the tree's [`max_depth`](Self::max_depth).
     evict_index: Vec<EvictLayer>,
     /// Per-depth attached members with at least one free forwarding slot
-    /// (same length as `depth_index`), keyed by id so iteration within a
+    /// (same length as `evict_index`), keyed by id so iteration within a
     /// layer is id-ordered. Lets the centralized minimum-depth fallback
     /// jump straight to the shallowest layer with spare capacity.
     free_index: Vec<BTreeMap<NodeId, NodeIndex>>,
-    orphan_roots: BTreeSet<NodeId>,
-    /// O(1) cache: total entries across `depth_index`.
+    /// O(1) cache: number of attached members (eviction-index entries
+    /// per order key).
     attached_total: usize,
-    /// O(1) cache: index of the deepest non-empty layer.
-    deepest: usize,
     /// Reusable frontier stack for `&self` walks (descendants,
     /// subtree_size); never held across a public call boundary.
     // rom-lint: allow(send-hostile-state) -- interior mutability is confined to &self walks within one call; the tree stays Send because RefCell<Vec<_>> is Send
@@ -338,12 +335,9 @@ impl MulticastTree {
             slots,
             free: Vec::new(),
             ids,
-            depth_index: vec![vec![(root, root_ix)]],
             evict_index: vec![root_evict],
             free_index: vec![root_free],
-            orphan_roots: BTreeSet::new(),
             attached_total: 1,
-            deepest: 0,
             scratch: RefCell::new(Vec::new()), // rom-lint: allow(send-hostile-state) -- constructor for the allowed scratch field above
             restamp_buf: Vec::new(),
             prof: Prof::disabled(),
@@ -646,9 +640,19 @@ impl MulticastTree {
         self.free_slots_ix(ix) > 0
     }
 
-    /// Current orphan subtree roots, in id order.
+    /// True if `ix` is an orphan subtree root: detached with no parent.
+    /// The slot's own fields are the whole record; no orphan set is kept.
+    fn is_orphan_root(&self, ix: NodeIndex) -> bool {
+        let slot = self.s(ix);
+        !slot.attached && slot.parent == NodeIndex::NIL
+    }
+
+    /// Current orphan subtree roots, in id order. A scan of the whole
+    /// membership, for tests and diagnostics rather than hot paths.
     pub fn orphan_roots(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.orphan_roots.iter().copied()
+        self.member_entries()
+            .filter(|&(_, ix)| self.is_orphan_root(ix))
+            .map(|(id, _)| id)
     }
 
     /// All member ids, attached and detached, in id order.
@@ -663,31 +667,39 @@ impl MulticastTree {
 
     /// Attached members in breadth-first (depth, then id) order — the
     /// "search from high to low layers" order of the relaxed ordered
-    /// algorithms.
-    pub fn attached_by_depth(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.depth_index
-            .iter()
-            .flat_map(|layer| layer.iter().map(|&(id, _)| id))
+    /// algorithms. Computed on demand by a counting sort into one buffer
+    /// sized by [`attached_count`](Self::attached_count): the eviction
+    /// layers' sizes give each depth's start offset, and one id-ordered
+    /// pass over the membership drops every attached member into its
+    /// depth's run. O(M) per call; the callers sample the tree once per
+    /// interval, so no index is kept for this order. The iterator owns
+    /// the buffer and does not borrow the tree.
+    pub fn attached_by_depth(&self) -> impl Iterator<Item = NodeId> {
+        let mut next = Vec::with_capacity(self.evict_index.len());
+        let mut start = 0;
+        for layer in &self.evict_index {
+            next.push(start);
+            start += layer.by_bandwidth.len();
+        }
+        let mut order = vec![self.root; self.attached_total];
+        for (&id, &ix) in &self.ids {
+            let slot = self.s(ix);
+            if slot.attached {
+                order[next[slot.depth]] = id;
+                next[slot.depth] += 1;
+            }
+        }
+        order.into_iter()
     }
 
-    /// The attached members at exactly `depth`, in id order.
-    pub fn layer(&self, depth: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.layer_entries(depth).map(|(id, _)| id)
-    }
-
-    /// The attached members at exactly `depth` with their arena indices,
-    /// in id order.
-    pub fn layer_entries(&self, depth: usize) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.depth_index
-            .get(depth)
-            .into_iter()
-            .flat_map(|layer| layer.iter().copied())
-    }
-
-    /// The deepest attached layer index. O(1): maintained incrementally.
+    /// The deepest attached layer index: the deepest non-empty eviction
+    /// layer. O(layers).
     #[must_use]
     pub fn max_depth(&self) -> usize {
-        self.deepest
+        self.evict_index
+            .iter()
+            .rposition(|layer| !layer.by_bandwidth.is_empty())
+            .unwrap_or(0)
     }
 
     /// The attached member at `depth` with the minimum (bandwidth, id) —
@@ -738,7 +750,7 @@ impl MulticastTree {
     /// maps instead of a scan over the whole membership.
     #[must_use]
     pub fn shallowest_free_depth(&self) -> Option<usize> {
-        (0..=self.deepest).find(|&d| self.free_index.get(d).is_some_and(|m| !m.is_empty()))
+        self.free_index.iter().position(|layer| !layer.is_empty())
     }
 
     /// The attached members at `depth` with at least one free forwarding
@@ -893,46 +905,33 @@ impl MulticastTree {
         let bw_key = bw_order_key(slot.profile.bandwidth);
         let join_key = join_order_key(slot.profile.join_time);
         let has_free = slot.capacity > slot.children.len();
-        if self.depth_index.len() <= depth {
-            self.depth_index.resize_with(depth + 1, Vec::new);
+        if self.evict_index.len() <= depth {
             self.evict_index.resize_with(depth + 1, EvictLayer::default);
             self.free_index.resize_with(depth + 1, BTreeMap::new);
         }
-        let layer = &mut self.depth_index[depth];
-        match layer.binary_search_by_key(&id, |e| e.0) {
-            Ok(_) => debug_assert!(false, "duplicate depth-index entry for {id}"),
-            Err(pos) => {
-                layer.insert(pos, (id, ix));
-                self.attached_total += 1;
-                if depth > self.deepest {
-                    self.deepest = depth;
-                }
-                let evict = &mut self.evict_index[depth];
-                evict.by_bandwidth.insert((bw_key, id));
-                evict.by_join.insert((join_key, id));
-                if has_free {
-                    self.free_index[depth].insert(id, ix);
-                }
-            }
+        let evict = &mut self.evict_index[depth];
+        if !evict.by_bandwidth.insert((bw_key, id)) {
+            debug_assert!(false, "duplicate eviction-index entry for {id}");
+            return;
         }
+        evict.by_join.insert((join_key, id));
+        if has_free {
+            self.free_index[depth].insert(id, ix);
+        }
+        self.attached_total += 1;
     }
 
     fn index_remove(&mut self, id: NodeId, ix: NodeIndex, depth: usize) {
         let slot = &self.slots[ix.index()];
         let bw_key = bw_order_key(slot.profile.bandwidth);
         let join_key = join_order_key(slot.profile.join_time);
-        if let Some(layer) = self.depth_index.get_mut(depth) {
-            if let Ok(pos) = layer.binary_search_by_key(&id, |e| e.0) {
-                layer.remove(pos);
-                self.attached_total -= 1;
-                let evict = &mut self.evict_index[depth];
-                evict.by_bandwidth.remove(&(bw_key, id));
-                evict.by_join.remove(&(join_key, id));
-                self.free_index[depth].remove(&id);
-                while self.deepest > 0 && self.depth_index[self.deepest].is_empty() {
-                    self.deepest -= 1;
-                }
-            }
+        let Some(evict) = self.evict_index.get_mut(depth) else {
+            return;
+        };
+        if evict.by_bandwidth.remove(&(bw_key, id)) {
+            evict.by_join.remove(&(join_key, id));
+            self.free_index[depth].remove(&id);
+            self.attached_total -= 1;
         }
     }
 
@@ -1048,9 +1047,9 @@ impl MulticastTree {
     /// [`attach`](Self::attach).
     pub fn reattach(&mut self, orphan: NodeId, parent: NodeId) -> Result<(), TreeError> {
         let _span = self.prof.span("overlay.reattach");
-        if !self.orphan_roots.contains(&orphan) {
+        let Some(oix) = self.index_of(orphan).filter(|&ix| self.is_orphan_root(ix)) else {
             return Err(TreeError::NotAnOrphan(orphan));
-        }
+        };
         let pix = self
             .index_of(parent)
             .ok_or(TreeError::UnknownMember(parent))?;
@@ -1067,11 +1066,9 @@ impl MulticastTree {
             return Err(TreeError::ParentFull(parent));
         }
         let base_depth = pslot.depth + 1;
-        let oix = self.index_of(orphan).expect("orphan exists");
         self.sm(pix).children.push(oix);
         self.refresh_free_slot(pix);
         self.sm(oix).parent = pix;
-        self.orphan_roots.remove(&orphan);
         self.restamp_subtree(oix, base_depth, true);
         Ok(())
     }
@@ -1108,13 +1105,11 @@ impl MulticastTree {
         if attached {
             self.index_remove(id, ix, depth);
         }
-        self.orphan_roots.remove(&id);
 
         // Children become orphan roots; their subtrees go detached.
         let orphaned_children: Vec<NodeId> = child_ixs.iter().map(|&c| self.s(c).id).collect();
-        for (i, &c) in child_ixs.iter().enumerate() {
+        for &c in &child_ixs {
             self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(orphaned_children[i]);
             self.restamp_subtree(c, 0, false);
         }
 
@@ -1202,12 +1197,10 @@ impl MulticastTree {
         eslot.children.clear();
         eslot.attached = false;
         self.index_remove(evict, eix, depth);
-        self.orphan_roots.insert(evict);
 
         // Overflow children become orphan subtree roots.
-        for &(cid, c) in overflow_pairs {
+        for &(_, c) in overflow_pairs {
             self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(cid);
             self.restamp_subtree(c, 0, false);
         }
 
@@ -1238,9 +1231,9 @@ impl MulticastTree {
         if evict == self.root {
             return Err(TreeError::RootImmovable);
         }
-        if !self.orphan_roots.contains(&usurper) {
+        let Some(uix) = self.index_of(usurper).filter(|&ix| self.is_orphan_root(ix)) else {
             return Err(TreeError::NotAnOrphan(usurper));
-        }
+        };
         let eix = self
             .index_of(evict)
             .ok_or(TreeError::UnknownMember(evict))?;
@@ -1260,7 +1253,6 @@ impl MulticastTree {
             .map(|&c| (self.s(c).id, c))
             .collect();
 
-        let uix = self.index_of(usurper).expect("orphan exists");
         let spare = self.free_slots_ix(uix);
 
         // Swap the parent's child pointer.
@@ -1282,7 +1274,6 @@ impl MulticastTree {
             u.parent = pix;
             u.children.extend(adopted_ix.iter().copied());
         }
-        self.orphan_roots.remove(&usurper);
         for &c in &adopted_ix {
             self.sm(c).parent = uix;
         }
@@ -1295,11 +1286,9 @@ impl MulticastTree {
             e.attached = false;
         }
         self.index_remove(evict, eix, depth);
-        self.orphan_roots.insert(evict);
 
-        for &(cid, c) in overflow_pairs {
+        for &(_, c) in overflow_pairs {
             self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(cid);
             self.restamp_subtree(c, 0, false);
         }
 
@@ -1458,9 +1447,8 @@ impl MulticastTree {
         for &(_, t) in to_promoted {
             self.sm(t).parent = cix;
         }
-        for &(did, d) in &displaced {
+        for &(_, d) in &displaced {
             self.sm(d).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(did);
             self.restamp_subtree(d, 0, false);
         }
 
@@ -1542,9 +1530,8 @@ impl MulticastTree {
             evict.by_bandwidth.insert((bw_order_key(bandwidth), id));
         }
         let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).id).collect();
-        for (i, &c) in shed_ix.iter().enumerate() {
+        for &c in &shed_ix {
             self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(shed[i]);
             self.restamp_subtree(c, 0, false);
         }
         if attached {
@@ -1584,7 +1571,6 @@ impl MulticastTree {
         self.sm(pix).children.retain(|&c| c != ix);
         self.refresh_free_slot(pix);
         self.sm(ix).parent = NodeIndex::NIL;
-        self.orphan_roots.insert(id);
         self.restamp_subtree(ix, 0, false);
     }
 
@@ -1617,6 +1603,7 @@ impl MulticastTree {
         }
 
         let mut reachable = 0usize;
+        let mut free_expected = 0usize;
         for (&id, &ix) in &self.ids {
             let slot = self.s(ix);
             // Interning consistency.
@@ -1649,8 +1636,8 @@ impl MulticastTree {
                         ));
                     }
                 }
-            } else if id != self.root && !self.orphan_roots.contains(&id) {
-                return fail(format!("{id} has no parent but is not an orphan root"));
+            } else if id != self.root && slot.attached {
+                return fail(format!("attached {id} has no parent"));
             }
             for &c in &slot.children {
                 let cslot = self.s(c);
@@ -1661,64 +1648,18 @@ impl MulticastTree {
                     return fail(format!("{} does not point back at parent {id}", cslot.id));
                 }
             }
-            // Depth-index agreement.
+            // Eviction/free-slot index agreement: every attached member
+            // appears in both ordered eviction sets at its depth under its
+            // documented keys, and in the free-slot map exactly when it
+            // has spare capacity.
             if slot.attached {
                 reachable += 1;
-                let in_index = self.depth_index.get(slot.depth).is_some_and(|l| {
-                    l.binary_search_by_key(&id, |e| e.0)
-                        .is_ok_and(|pos| l[pos].1 == ix)
-                });
-                if !in_index {
-                    return fail(format!("{id} missing from depth index at {}", slot.depth));
-                }
-            }
-        }
-
-        // Index contains nothing extra, layers are id-sorted, and the O(1)
-        // caches agree with a recount.
-        let indexed: usize = self.depth_index.iter().map(Vec::len).sum();
-        if indexed != reachable {
-            return fail(format!(
-                "depth index holds {indexed} ids but {reachable} attached members exist"
-            ));
-        }
-        if self.attached_total != reachable {
-            return fail(format!(
-                "attached_count cache {} but {reachable} attached members exist",
-                self.attached_total
-            ));
-        }
-        let deepest = self
-            .depth_index
-            .iter()
-            .rposition(|layer| !layer.is_empty())
-            .unwrap_or(0);
-        if self.deepest != deepest {
-            return fail(format!(
-                "max_depth cache {} but deepest non-empty layer is {deepest}",
-                self.deepest
-            ));
-        }
-        for layer in &self.depth_index {
-            if !layer.windows(2).all(|w| w[0].0 < w[1].0) {
-                return fail("depth-index layer is not id-sorted".into());
-            }
-        }
-
-        // Eviction/free-slot index agreement: every layer member appears
-        // in both ordered eviction sets under its documented keys, the
-        // free-slot map holds exactly the members with spare capacity,
-        // and the totals rule out stale extras.
-        let mut free_expected = 0usize;
-        for (depth, layer) in self.depth_index.iter().enumerate() {
-            let Some(evict) = self.evict_index.get(depth) else {
-                return fail(format!("no eviction index layer at depth {depth}"));
-            };
-            let Some(free) = self.free_index.get(depth) else {
-                return fail(format!("no free-slot index layer at depth {depth}"));
-            };
-            for &(id, ix) in layer {
-                let slot = self.s(ix);
+                let depth = slot.depth;
+                let (Some(evict), Some(free)) =
+                    (self.evict_index.get(depth), self.free_index.get(depth))
+                else {
+                    return fail(format!("no index layer at depth {depth} for {id}"));
+                };
                 if !evict
                     .by_bandwidth
                     .contains(&(bw_order_key(slot.profile.bandwidth), id))
@@ -1739,6 +1680,15 @@ impl MulticastTree {
                     return fail(format!("{id} free-slot index entry wrong at {depth}"));
                 }
             }
+        }
+
+        // The totals rule out stale index extras, and the O(1) cache
+        // agrees with a recount.
+        if self.attached_total != reachable {
+            return fail(format!(
+                "attached_count cache {} but {reachable} attached members exist",
+                self.attached_total
+            ));
         }
         let evict_bw_total: usize = self.evict_index.iter().map(|l| l.by_bandwidth.len()).sum();
         let evict_join_total: usize = self.evict_index.iter().map(|l| l.by_join.len()).sum();
@@ -1772,19 +1722,6 @@ impl MulticastTree {
             return fail(format!(
                 "{seen} members reachable from root but {reachable} marked attached"
             ));
-        }
-
-        // Orphan roots really are detached roots.
-        for &o in &self.orphan_roots {
-            match self.index_of(o) {
-                Some(ix) => {
-                    let s = self.s(ix);
-                    if s.parent != NodeIndex::NIL || s.attached {
-                        return fail(format!("{o} is not a valid orphan root"));
-                    }
-                }
-                None => return fail(format!("{o} is not a valid orphan root")),
-            }
         }
 
         // Freed slots carry no live state. (Direct slot access: free-list
@@ -1843,6 +1780,14 @@ mod tests {
         t.children(NodeId(id)).collect()
     }
 
+    /// The attached members at exactly `depth`, in id order.
+    fn layer(t: &MulticastTree, depth: usize) -> Vec<NodeId> {
+        t.member_entries()
+            .filter(|&(_, ix)| t.depth_ix(ix) == Some(depth))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     #[test]
     fn new_tree_has_only_root() {
         let t = tree_with_capacity(100.0);
@@ -1863,7 +1808,7 @@ mod tests {
         t.attach(profile(3, 0.5), NodeId(1)).unwrap();
         assert_eq!(t.depth(NodeId(3)), Some(2));
         assert_eq!(t.max_depth(), 2);
-        assert_eq!(t.layer(1).collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(layer(&t, 1), vec![NodeId(1), NodeId(2)]);
         assert_eq!(t.parent(NodeId(3)), Some(NodeId(1)));
         assert_eq!(children_of(&t, 1), vec![NodeId(3)]);
         assert_eq!(
@@ -2303,16 +2248,8 @@ mod tests {
             let via_ix: Vec<NodeId> = t.children_ix(ix).iter().map(|&c| t.id_of(c)).collect();
             assert_eq!(via_ix, t.children(id).collect::<Vec<_>>());
         }
-        for depth in 0..=t.max_depth() {
-            let entries: Vec<_> = t.layer_entries(depth).collect();
-            assert_eq!(
-                entries.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                t.layer(depth).collect::<Vec<_>>()
-            );
-            for (id, ix) in entries {
-                assert_eq!(t.index_of(id), Some(ix));
-            }
-        }
+        let by_layers: Vec<NodeId> = (0..=t.max_depth()).flat_map(|d| layer(&t, d)).collect();
+        assert_eq!(by_layers, t.attached_by_depth().collect::<Vec<_>>());
     }
 
     #[test]

@@ -182,9 +182,9 @@ proptest! {
         }
     }
 
-    /// The O(1) cached counters (`attached_count`, `max_depth`) always
-    /// match a from-scratch recomputation over the membership, no matter
-    /// how mutations interleave. Guards the PR-5 arena bookkeeping: the
+    /// The O(1) cached `attached_count` and the index-derived `max_depth`
+    /// always match a from-scratch recomputation over the membership, no
+    /// matter how mutations interleave. Guards the PR-5 arena bookkeeping: the
     /// pre-arena `attached_count` re-summed every depth layer per call, so
     /// a stale increment here would silently skew every report that reads
     /// the population size.
@@ -363,13 +363,18 @@ proptest! {
                     );
                 }
             }
-            let scan_free_depth = (0..=tree.max_depth())
-                .find(|&d| tree.layer(d).any(|id| tree.has_free_slot(id)));
+            // One pass over the membership, in id order, buckets each
+            // attached member with a free slot by depth.
+            let mut scanned_free: Vec<Vec<NodeId>> = vec![Vec::new(); tree.max_depth() + 1];
+            for (id, ix) in tree.member_entries() {
+                if let Some(depth) = tree.depth_ix(ix).filter(|_| tree.has_free_slot_ix(ix)) {
+                    scanned_free[depth].push(id);
+                }
+            }
+            let scan_free_depth = scanned_free.iter().position(|layer| !layer.is_empty());
             prop_assert_eq!(tree.shallowest_free_depth(), scan_free_depth);
-            for depth in 0..=tree.max_depth() {
+            for (depth, scanned) in scanned_free.into_iter().enumerate() {
                 let indexed: Vec<NodeId> = tree.free_slot_entries(depth).map(|(id, _)| id).collect();
-                let scanned: Vec<NodeId> =
-                    tree.layer(depth).filter(|&id| tree.has_free_slot(id)).collect();
                 prop_assert_eq!(indexed, scanned, "free-slot entries at depth {}", depth);
             }
         }
@@ -385,7 +390,10 @@ fn scan_weakest(
     key: impl Fn(&MemberProfile) -> f64,
 ) -> Option<(f64, NodeId)> {
     let mut weakest: Option<(f64, NodeId)> = None;
-    for (cand, ix) in tree.layer_entries(depth) {
+    let layer = tree
+        .member_entries()
+        .filter(|&(_, ix)| tree.depth_ix(ix) == Some(depth));
+    for (cand, ix) in layer {
         let k = key(tree.profile_ix(ix));
         let better = match weakest {
             None => true,

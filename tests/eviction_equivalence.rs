@@ -43,7 +43,10 @@ mod old_model {
         let joiner_key = key(joiner, now);
         for depth in 1..=tree.max_depth() {
             let mut weakest: Option<(f64, NodeId)> = None;
-            for (cand, ix) in tree.layer_entries(depth) {
+            let layer = tree
+                .member_entries()
+                .filter(|&(_, ix)| tree.depth_ix(ix) == Some(depth));
+            for (cand, ix) in layer {
                 let k = key(tree.profile_ix(ix), now);
                 if k < joiner_key {
                     let better = match weakest {
@@ -337,7 +340,7 @@ fn rejoin(
 /// Restamp equivalence: every attached member's incrementally maintained
 /// depth must equal a from-scratch recomputation (its distance to the
 /// root along parent links). `check_invariants` separately re-derives the
-/// layer, eviction, and free-slot indices from those depths.
+/// eviction and free-slot indices from those depths.
 fn assert_restamp_equivalence(tree: &MulticastTree) {
     for id in tree.attached_by_depth() {
         assert_eq!(

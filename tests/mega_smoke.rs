@@ -13,18 +13,18 @@
 //! - the headline bound is a *ratio* (100k cost over 1k cost, measured
 //!   back to back in one process), which cancels CPU speed exactly;
 //! - the absolute backstops are denominated in `calibration_spin_ns`
-//!   units — the same fixed integer spin `headline_claims` records into
-//!   `BENCH_headline.json` for the perf smoke — so they track single-core
-//!   speed to first order instead of assuming this machine's nanoseconds.
+//!   units — the same fixed integer spin every perfbench record carries —
+//!   so they track single-core speed to first order instead of assuming
+//!   one machine's nanoseconds.
 //!
 //! Timing in unoptimized builds measures the compiler, not the algorithm,
 //! so the scale test is ignored under `debug_assertions` and CI runs it in
 //! a dedicated release job (`mega-smoke`). The builder-equivalence test
 //! runs everywhere.
 
-// The fixed single-core integer spin every `BENCH_*.json` baseline
-// records as `calibration_spin_ns`; the absolute backstops below are
-// denominated in these machine-relative units.
+// The fixed single-core integer spin every perfbench record carries as
+// `calibration_spin_ns`; the absolute backstops below are denominated in
+// these machine-relative units.
 use rom_bench::calibration_spin_ns;
 use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId};
 use rom_sim::{EventQueue, SimRng, SimTime};
@@ -32,9 +32,8 @@ use rom_stats::BoundedPareto;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The paper-bandwidth member population used by `benches/tree.rs`,
-/// reproduced byte-for-byte (same seed discipline) so this wall guards the
-/// same trees the committed `BENCH_tree.json` numbers came from.
+/// The paper-bandwidth member population of the scale wall, drawn from
+/// the §5 bandwidth distribution with a fixed seed discipline.
 fn profile_for(id: u64, bw: f64) -> MemberProfile {
     // Clamp below at one slot: with the capped source, a run of
     // free-riders could otherwise exhaust the capacity pool mid-build.
@@ -47,8 +46,8 @@ fn profile_for(id: u64, bw: f64) -> MemberProfile {
     )
 }
 
-/// Frontier-cursor builder — the amortized-O(1)-per-attach construction
-/// `benches/tree.rs` uses. Attach order coincides with breadth-first
+/// Frontier-cursor builder — an amortized-O(1)-per-attach construction
+/// for the 100k-member trees. Attach order coincides with breadth-first
 /// (depth, id) order (depths are assigned non-decreasing in id) and a
 /// filled node never regains capacity during the build, so the shallowest
 /// free parent only ever moves forward through the attach order.
@@ -90,8 +89,8 @@ fn build_scan(n: u64, seed: u64) -> MulticastTree {
 }
 
 /// The cursor builder must produce the identical tree, not merely a valid
-/// one: `BENCH_tree.json` rows are only comparable across PRs if the
-/// benched tree shape is unchanged. Checked at a size where the O(M²)
+/// one: the scale wall's bounds are only comparable across changes if the
+/// timed tree shape is unchanged. Checked at a size where the O(M²)
 /// reference is still affordable.
 #[test]
 fn cursor_builder_matches_scan_builder() {
@@ -158,8 +157,7 @@ fn churn(tree: &mut MulticastTree) {
     tree.check_invariants().expect("churned tree is coherent");
 }
 
-/// Best of 5 timed batches of `iters` calls, in ns per call (same harness
-/// as `benches/tree.rs`).
+/// Best of 5 timed batches of `iters` calls, in ns per call.
 fn measure<F: FnMut()>(iters: u64, mut f: F) -> f64 {
     f(); // warm-up
     let mut best = f64::INFINITY;

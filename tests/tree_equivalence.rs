@@ -1027,25 +1027,53 @@ impl MulticastTree {
 /// One randomized mutation; picks are resolved against the current state
 /// (identical in both trees by induction, so both see the same concrete
 /// operation).
+///
+/// `Reattach`/`Usurp` normally draw their orphan from the orphan roots;
+/// with `any_member` they draw from every non-root member instead, so
+/// the `NotAnOrphan` guard also meets attached members and members
+/// inside an orphaned subtree.
 #[derive(Debug, Clone)]
 enum Op {
-    Attach { bw_tenths: u8, pick: u16 },
-    Remove { pick: u16 },
-    Reattach { pick: u16, parent_pick: u16 },
-    Swap { pick: u16 },
-    Replace { bw_tenths: u8, pick: u16 },
-    Usurp { pick: u16, evict_pick: u16 },
-    SetBandwidth { bw_tenths: u8, pick: u16 },
+    Attach {
+        bw_tenths: u8,
+        pick: u16,
+    },
+    Remove {
+        pick: u16,
+    },
+    Reattach {
+        pick: u16,
+        parent_pick: u16,
+        any_member: bool,
+    },
+    Swap {
+        pick: u16,
+    },
+    Replace {
+        bw_tenths: u8,
+        pick: u16,
+    },
+    Usurp {
+        pick: u16,
+        evict_pick: u16,
+        any_member: bool,
+    },
+    SetBandwidth {
+        bw_tenths: u8,
+        pick: u16,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (any::<u8>(), any::<u16>()).prop_map(|(bw_tenths, pick)| Op::Attach { bw_tenths, pick }),
         2 => any::<u16>().prop_map(|pick| Op::Remove { pick }),
-        2 => (any::<u16>(), any::<u16>()).prop_map(|(pick, parent_pick)| Op::Reattach { pick, parent_pick }),
+        2 => (any::<u16>(), any::<u16>()).prop_map(|(pick, parent_pick)| Op::Reattach { pick, parent_pick, any_member: false }),
+        1 => (any::<u16>(), any::<u16>()).prop_map(|(pick, parent_pick)| Op::Reattach { pick, parent_pick, any_member: true }),
         2 => any::<u16>().prop_map(|pick| Op::Swap { pick }),
         1 => (any::<u8>(), any::<u16>()).prop_map(|(bw_tenths, pick)| Op::Replace { bw_tenths, pick }),
-        1 => (any::<u16>(), any::<u16>()).prop_map(|(pick, evict_pick)| Op::Usurp { pick, evict_pick }),
+        1 => (any::<u16>(), any::<u16>()).prop_map(|(pick, evict_pick)| Op::Usurp { pick, evict_pick, any_member: false }),
+        1 => (any::<u16>(), any::<u16>()).prop_map(|(pick, evict_pick)| Op::Usurp { pick, evict_pick, any_member: true }),
         1 => (any::<u8>(), any::<u16>()).prop_map(|(bw_tenths, pick)| Op::SetBandwidth { bw_tenths, pick }),
     ]
 }
@@ -1085,7 +1113,11 @@ fn assert_equivalent(new: &MulticastTree, old: &old_model::MulticastTree) {
     assert_eq!(bfs_new, bfs_old, "attached_by_depth diverged");
 
     for depth in 0..=new.max_depth() {
-        let layer_new: Vec<NodeId> = new.layer(depth).collect();
+        let layer_new: Vec<NodeId> = new
+            .member_entries()
+            .filter(|&(_, ix)| new.depth_ix(ix) == Some(depth))
+            .map(|(id, _)| id)
+            .collect();
         let layer_old: Vec<NodeId> = old.layer(depth).collect();
         assert_eq!(layer_new, layer_old, "layer {depth} diverged");
     }
@@ -1138,6 +1170,7 @@ fn apply_both(
         .filter(|&n| n != new.root())
         .collect();
     let orphans: Vec<NodeId> = new.orphan_roots().collect();
+    let members: Vec<NodeId> = new.member_ids().filter(|&n| n != new.root()).collect();
     match *op {
         Op::Attach { bw_tenths, pick } => {
             if let Some(parent) = pick_from(&free_parents, pick) {
@@ -1149,10 +1182,7 @@ fn apply_both(
             }
         }
         Op::Remove { pick } => {
-            let mut victims: Vec<NodeId> =
-                new.member_ids().filter(|&n| n != new.root()).collect();
-            victims.sort();
-            if let Some(v) = pick_from(&victims, pick) {
+            if let Some(v) = pick_from(&members, pick) {
                 let a = new.remove(v).expect("known non-root member");
                 let b = old.remove(v).expect("known non-root member");
                 assert_eq!(a.profile, b.profile);
@@ -1160,11 +1190,15 @@ fn apply_both(
                 assert_eq!(a.affected_descendants, b.affected_descendants);
             }
         }
-        Op::Reattach { pick, parent_pick } => {
-            if let (Some(o), Some(p)) = (
-                pick_from(&orphans, pick),
-                pick_from(&free_parents, parent_pick),
-            ) {
+        Op::Reattach {
+            pick,
+            parent_pick,
+            any_member,
+        } => {
+            let pool = if any_member { &members } else { &orphans };
+            if let (Some(o), Some(p)) =
+                (pick_from(pool, pick), pick_from(&free_parents, parent_pick))
+            {
                 let a = new.reattach(o, p);
                 let b = old.reattach(o, p);
                 assert_eq!(a, b, "reattach outcome diverged");
@@ -1197,8 +1231,13 @@ fn apply_both(
                 *next_id += 1;
             }
         }
-        Op::Usurp { pick, evict_pick } => {
-            if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&non_root, evict_pick)) {
+        Op::Usurp {
+            pick,
+            evict_pick,
+            any_member,
+        } => {
+            let pool = if any_member { &members } else { &orphans };
+            if let (Some(o), Some(t)) = (pick_from(pool, pick), pick_from(&non_root, evict_pick)) {
                 let a = new.usurp(t, o, |p| p.bandwidth);
                 let b = old.usurp(t, o, |p| p.bandwidth);
                 compare_replace(a, b);
