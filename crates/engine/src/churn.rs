@@ -419,21 +419,8 @@ impl ChurnSim {
     /// and simulation end time before returning — for tooling that wants
     /// to examine the converged structure.
     pub fn run_inspect(mut self, inspect: impl FnOnce(&MulticastTree, SimTime)) -> ChurnReport {
-        let mut sim: Simulation<Event> = Simulation::new();
-        if let Some(budget) = self.cfg.max_events {
-            sim = sim.with_max_events(budget);
-        }
-        self.arm_instrumentation(&mut sim);
-        self.seed(&mut sim);
-        let horizon = self.window_end;
-        let outcome = sim.run_until(horizon, |now, event, sched| {
-            self.handle(now, event, sched);
-        });
-        self.report.outcome = outcome;
-        self.report.events_processed = sim.processed();
-        self.report.queue_high_water = sim.queue_high_water_mark() as u64;
-        self.report.queue_bytes_high_water = sim.queue_bytes_high_water();
-        inspect(&self.tree, horizon);
+        self.simulate();
+        inspect(&self.tree, self.window_end);
         self.finish()
     }
 
@@ -482,20 +469,7 @@ impl ChurnSim {
         Obs,
         Option<InvariantRegistry>,
     ) {
-        let mut sim: Simulation<Event> = Simulation::new();
-        if let Some(budget) = self.cfg.max_events {
-            sim = sim.with_max_events(budget);
-        }
-        self.arm_instrumentation(&mut sim);
-        self.seed(&mut sim);
-        let horizon = self.window_end;
-        let outcome = sim.run_until(horizon, |now, event, sched| {
-            self.handle(now, event, sched);
-        });
-        self.report.outcome = outcome;
-        self.report.events_processed = sim.processed();
-        self.report.queue_high_water = sim.queue_high_water_mark() as u64;
-        self.report.queue_bytes_high_water = sim.queue_bytes_high_water();
+        self.simulate();
         if self.obs.is_active() {
             self.fold_protocol_metrics();
         }
@@ -504,6 +478,26 @@ impl ChurnSim {
         let obs = std::mem::take(&mut self.obs);
         let invariants = self.invariants.take();
         (self.finish(), streaming, obs, invariants)
+    }
+
+    /// The one event loop every run variant shares: seeds the population,
+    /// runs to the measurement window's end (or the event budget), and
+    /// records the kernel's outcome, event count and queue peaks in the
+    /// report.
+    fn simulate(&mut self) {
+        let mut sim: Simulation<Event> = Simulation::new();
+        if let Some(budget) = self.cfg.max_events {
+            sim = sim.with_max_events(budget);
+        }
+        self.arm_instrumentation(&mut sim);
+        self.seed(&mut sim);
+        let outcome = sim.run_until(self.window_end, |now, event, sched| {
+            self.handle(now, event, sched);
+        });
+        self.report.outcome = outcome;
+        self.report.events_processed = sim.processed();
+        self.report.queue_high_water = sim.queue_high_water_mark() as u64;
+        self.report.queue_bytes_high_water = sim.queue_bytes_high_water();
     }
 
     /// Pre-run instrumentation hookup: shares the run's span profiler with
@@ -1612,6 +1606,11 @@ mod tests {
             "Event grew to {} bytes; box the wide variant instead",
             std::mem::size_of::<Event>()
         );
+        // A queue entry is (time, seq, Event): 32 bytes, the per-entry
+        // size every pinned `queue_bytes_high_water` encodes.
+        let mut sim: Simulation<Event> = Simulation::new();
+        sim.schedule(SimTime::ZERO, Event::Arrival);
+        assert_eq!(sim.queue_bytes_high_water(), 32);
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub struct Simulation<E> {
     now: SimTime,
     processed: u64,
     max_events: Option<u64>,
-    event_hook: Option<Box<dyn FnMut(SimTime, usize)>>,
     prof: Option<Prof>,
 }
 
@@ -117,7 +116,6 @@ impl<E: std::fmt::Debug> std::fmt::Debug for Simulation<E> {
             .field("now", &self.now)
             .field("processed", &self.processed)
             .field("max_events", &self.max_events)
-            .field("event_hook", &self.event_hook.as_ref().map(|_| ".."))
             .field("prof", &self.prof.is_some())
             .finish()
     }
@@ -132,7 +130,6 @@ impl<E> Simulation<E> {
             now: SimTime::ZERO,
             processed: 0,
             max_events: None,
-            event_hook: None,
             prof: None,
         }
     }
@@ -144,21 +141,6 @@ impl<E> Simulation<E> {
     pub fn with_max_events(mut self, max: u64) -> Self {
         self.max_events = Some(max);
         self
-    }
-
-    /// Installs an observability hook called after every handled event
-    /// with the current time and the number of events left pending.
-    ///
-    /// Intended for queue-depth gauges and event counters; the hook must
-    /// not schedule events (it has no [`Schedule`] handle) and is only
-    /// invoked from [`Simulation::run_until`].
-    pub fn set_event_hook(&mut self, hook: impl FnMut(SimTime, usize) + 'static) {
-        self.event_hook = Some(Box::new(hook));
-    }
-
-    /// Removes the observability hook, if any.
-    pub fn clear_event_hook(&mut self) {
-        self.event_hook = None;
     }
 
     /// Attaches a span profiler. Each queue interaction (peek + pop) in
@@ -226,9 +208,6 @@ impl<E> Simulation<E> {
                 queue: &mut self.queue,
             };
             handler(time, event, &mut sched);
-            if let Some(hook) = self.event_hook.as_mut() {
-                hook(self.now, self.queue.len());
-            }
         }
     }
 
@@ -340,31 +319,6 @@ mod tests {
             }
         });
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn event_hook_sees_every_event_and_queue_depth() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let observed: Rc<RefCell<Vec<(f64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&observed);
-        let mut sim: Simulation<u32> = Simulation::new();
-        sim.set_event_hook(move |now, pending| sink.borrow_mut().push((now.as_secs(), pending)));
-        sim.schedule(SimTime::from_secs(1.0), 0);
-        sim.schedule(SimTime::from_secs(2.0), 1);
-        sim.run_until(SimTime::from_secs(10.0), |_, n, sched| {
-            if n == 0 {
-                sched.after(0.5, 2);
-            }
-        });
-        // Three events handled; pending count reflects the chained event.
-        assert_eq!(*observed.borrow(), vec![(1.0, 2), (1.5, 1), (2.0, 0)]);
-        assert_eq!(sim.queue_high_water_mark(), 2);
-        sim.clear_event_hook();
-        sim.schedule(SimTime::from_secs(20.0), 9);
-        sim.run_until(SimTime::from_secs(30.0), |_, _, _| {});
-        assert_eq!(observed.borrow().len(), 3, "cleared hook no longer fires");
     }
 
     #[test]

@@ -3,145 +3,46 @@
 //! Events that share a timestamp are delivered in insertion order, which
 //! keeps simulations deterministic regardless of queue internals.
 //!
-//! # Implementation: a ladder queue
-//!
-//! The queue is a ladder/calendar queue (Tang, Goh & Thng, ACM TOMACS 2005)
-//! rather than a binary heap. A discrete-event simulation schedules mostly
-//! into the near future of a monotonically advancing clock, and a ladder
-//! queue turns that bias into amortized O(1) push/pop where a heap pays
-//! O(log n) per operation — the difference dominates once millions of
-//! events are pending (the `--mega` scale).
-//!
-//! Entries are keyed by `(time, seq)` where `seq` is a global insertion
-//! counter, so every key is unique and totally ordered. Because of that,
-//! *any* correct priority queue pops the exact same sequence — the ladder
-//! rewrite is bitwise-equivalent to the old `BinaryHeap`, which the
-//! differential wall in `tests/queue_equivalence.rs` proves by driving an
-//! embedded copy of the old implementation through identical randomized
-//! schedules.
-//!
-//! Structure (earliest keys at the bottom):
-//!
-//! - **Bottom** — a `Vec` sorted descending by `(key, seq)`; `pop` is
-//!   `Vec::pop` from the tail. Pushes below the current rung boundary are
-//!   sorted-inserted here (rare once the ladder is warm, and the bottom is
-//!   at most one bucket — small — so the insert shift is cheap).
-//! - **Rungs** — a stack of bucket arrays. Each rung divides a key span
-//!   into fixed-width buckets; `rungs[i + 1]` refines one bucket of
-//!   `rungs[i]`. Buckets are unsorted until consumed.
-//! - **Top** — an unsorted staging `Vec` for keys at or beyond `top_start`
-//!   (the monotone common case: one comparison and a `Vec::push`).
-//!
-//! When the bottom drains, the innermost rung's next non-empty bucket is
-//! sorted by `(key, seq)` and becomes the new bottom (or, if it is large,
-//! it is split into an inner rung first). When the rungs drain, the top is
-//! spilled into a fresh rung and `top_start` advances past the largest key
-//! spilled. Region boundaries only ever move upward, and every entry lives
-//! in exactly one region determined by its key, so sorting at consumption
-//! recovers the global `(key, seq)` order — including FIFO within
-//! timestamp ties, even when ties straddle a spill (see
-//! `DESIGN.md § Event kernel at mega scale`).
+//! The queue is a [`BinaryHeap`] of entries keyed by `(time, seq)`, where
+//! `seq` is a global insertion counter. Every key is unique and totally
+//! ordered, so *any* correct priority queue pops the exact same sequence;
+//! `tests/queue_equivalence.rs` pins that sequence against a frozen
+//! reference model over randomized schedules.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
 
-/// Bucket population above which a consumed bucket is split into an inner
-/// rung instead of being sorted directly into the bottom.
-const THRESH: usize = 64;
-
-/// Upper bound on bucket-array width; caps per-rung overhead at
-/// `MAX_BUCKETS * size_of::<Vec<_>>()` regardless of pending-event count.
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// Ladder depth cap. At the cap a bucket is sorted wholesale (an
-/// O(n log n) fallback) instead of being refined further, which bounds
-/// both recursion and pathological key-cluster behaviour.
-const MAX_RUNGS: usize = 64;
-
-/// Cap on the recycled-bucket pool retained across rung drops and
-/// [`EventQueue::clear`] (capacity reuse without unbounded hoarding).
-const MAX_SPARE: usize = 4096;
-
-/// Maps a [`SimTime`] to a `u64` whose unsigned order equals
-/// `f64::total_cmp` order (the order `SimTime: Ord` is defined by).
-///
-/// Same sign-fold as `join_order_key` in `rom-overlay`: negative floats
-/// flip every bit, non-negative floats set the sign bit. The map is a
-/// bijection, so [`key_time`] recovers the original time bitwise.
-fn time_key(time: SimTime) -> u64 {
-    let bits = time.as_secs().to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
-
-/// Exact inverse of [`time_key`].
-fn key_time(key: u64) -> SimTime {
-    let bits = if key >> 63 == 1 {
-        key & !(1 << 63)
-    } else {
-        !key
-    };
-    SimTime::from_secs(f64::from_bits(bits))
-}
-
-/// A scheduled event. `key` encodes the firing time ([`time_key`]); `seq`
-/// is the global insertion counter that pins FIFO order within ties.
+/// A scheduled event. `seq` is the global insertion counter that pins FIFO
+/// order within timestamp ties.
 #[derive(Debug)]
 struct Entry<E> {
-    key: u64,
+    time: SimTime,
     seq: u64,
     event: E,
 }
 
-/// Sorts descending by `(key, seq)` so the earliest entry is at the tail.
-/// `(key, seq)` pairs are unique, so an unstable sort is total — and FIFO
-/// within equal keys falls out of the `seq` order.
-fn sort_bottom<E>(v: &mut [Entry<E>]) {
-    v.sort_unstable_by(|a, b| (b.key, b.seq).cmp(&(a.key, a.seq)));
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
-/// One ladder rung: a span of keys starting at `start`, divided into
-/// `buckets.len()` buckets of `width` keys each. Buckets before `cur` have
-/// been consumed; `cur_start()` is the lower bound of keys still admitted.
-#[derive(Debug)]
-struct Rung<E> {
-    start: u64,
-    width: u64,
-    cur: usize,
-    count: usize,
-    buckets: Vec<Vec<Entry<E>>>,
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-impl<E> Rung<E> {
-    /// Lower bound (inclusive) of keys this rung still accepts. Keys below
-    /// it belong to an inner rung or the bottom.
-    fn cur_start(&self) -> u64 {
-        self.start
-            .saturating_add(self.width.saturating_mul(self.cur as u64))
-    }
-
-    /// True if this rung may accept `key`: the key is at or beyond the
-    /// consumption cursor and the cursor has not run off the bucket array
-    /// (an exhausted rung must not capture keys in the rounding gap
-    /// between its span end and the enclosing region's boundary).
-    fn admits(&self, key: u64) -> bool {
-        self.cur < self.buckets.len() && key >= self.cur_start()
-    }
-
-    /// Bucket index for `key`, clamped to the last bucket. The clamp
-    /// handles keys in the rounding gap beyond the spawned span; it cannot
-    /// misorder pops because this rung drains completely before the
-    /// enclosing region resumes, and buckets are sorted when consumed.
-    fn bucket_index(&self, key: u64) -> usize {
-        debug_assert!(key >= self.cur_start(), "key below consumed boundary");
-        let idx = ((key - self.start) / self.width) as usize;
-        let idx = idx.min(self.buckets.len() - 1);
-        debug_assert!(idx >= self.cur, "clamped into a consumed bucket");
-        idx
+impl<E> Ord for Entry<E> {
+    /// Reversed `(time, seq)` order: `BinaryHeap` is a max-heap, so the
+    /// earliest entry, first-pushed among ties, sits at the top.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -166,21 +67,8 @@ impl<E> Rung<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Sorted descending by `(key, seq)`; the earliest entry is last.
-    bottom: Vec<Entry<E>>,
-    /// Outermost rung first; `rungs[i + 1]` refines a bucket of `rungs[i]`,
-    /// so `cur_start` strictly decreases from outer to inner.
-    rungs: Vec<Rung<E>>,
-    /// Unsorted staging area for keys `>= top_start`.
-    top: Vec<Entry<E>>,
-    top_start: u64,
-    /// Running min/max key in `top` (valid while `top` is non-empty).
-    top_min: u64,
-    top_max: u64,
-    /// Recycled bucket storage, reused across rung drops and `clear`.
-    spare: Vec<Vec<Entry<E>>>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    len: usize,
     high_water: usize,
 }
 
@@ -189,111 +77,51 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            bottom: Vec::new(),
-            rungs: Vec::new(),
-            top: Vec::new(),
-            top_start: 0,
-            top_min: u64::MAX,
-            top_max: 0,
-            spare: Vec::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            len: 0,
             high_water: 0,
         }
     }
 
-    /// Creates an empty queue with the staging area pre-sized for
-    /// `capacity` pending events, so a flash-crowd burst of that size does
-    /// not reallocate mid-run.
+    /// Creates an empty queue pre-sized for `capacity` pending events, so
+    /// a flash-crowd burst of that size does not reallocate mid-run.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = EventQueue::new();
-        q.top = Vec::with_capacity(capacity);
-        q
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            ..EventQueue::new()
+        }
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = time_key(time);
-        if self.len == 0 {
-            // Empty queue: reset the boundary so the entry (and any
-            // monotone successors) land in the O(1) top path.
-            self.top_start = 0;
-        }
-        let entry = Entry { key, seq, event };
-        if key >= self.top_start {
-            self.top_min = self.top_min.min(key);
-            self.top_max = self.top_max.max(key);
-            self.top.push(entry);
-        } else if let Some(rung) = self.rungs.iter_mut().find(|r| r.admits(key)) {
-            // Outermost rung that still admits the key. Inner rungs span
-            // strictly lower keys, so the first match is the right region.
-            let idx = rung.bucket_index(key);
-            rung.buckets[idx].push(entry);
-            rung.count += 1;
-        } else {
-            // Below every boundary: sorted insert into the bottom. Keys
-            // near the current clock land near the tail, so the shift is
-            // short; the bottom is at most one bucket anyway.
-            let at = self.bottom.partition_point(|e| (e.key, e.seq) > (key, seq));
-            self.bottom.insert(at, entry);
-        }
-        self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
+        self.heap.push(Entry { time, seq, event });
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.bottom.is_empty() {
-            self.settle();
-        }
-        let entry = self.bottom.pop()?;
-        self.len -= 1;
-        if self.bottom.is_empty() {
-            // Eagerly restore the settled invariant so the next
-            // `peek_time` stays O(1).
-            self.settle();
-        }
-        Some((key_time(entry.key), entry.event))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// The firing time of the earliest event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.bottom.last() {
-            return Some(key_time(e.key));
-        }
-        // The queue settles after every pop, so with the bottom empty the
-        // rungs are empty too and only the top (pushes into a drained
-        // queue) can hold events; the rung scan below is defensive.
-        if let Some(rung) = self.rungs.last() {
-            for bucket in &rung.buckets[rung.cur..] {
-                if let Some(min) = bucket.iter().map(|e| e.key).min() {
-                    return Some(key_time(min));
-                }
-            }
-        }
-        if self.top.is_empty() {
-            None
-        } else {
-            Some(key_time(self.top_min))
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Maximum number of events ever pending at once over this queue's
@@ -308,9 +136,10 @@ impl<E> EventQueue<E> {
 
     /// Peak payload bytes held by the queue over its lifetime:
     /// [`EventQueue::high_water_mark`] times the per-entry footprint
-    /// (key + sequence + event). Deterministic — a pure function of the
+    /// (time + sequence + event). Deterministic — a pure function of the
     /// schedule, unlike RSS — so it can appear in benchmark artifacts
-    /// without breaking byte-identity. Excludes bucket-array overhead.
+    /// without breaking byte-identity. Excludes reserved but unfilled heap
+    /// capacity.
     #[must_use]
     pub fn bytes_high_water(&self) -> u64 {
         self.high_water as u64 * std::mem::size_of::<Entry<E>>() as u64
@@ -318,149 +147,11 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     ///
-    /// Allocations are retained: the staging areas keep their capacity and
-    /// rung bucket storage moves to the recycled pool, so a queue that is
-    /// cleared and refilled (flash-crowd restarts) does not reallocate.
+    /// The heap keeps its allocation, so a queue that is cleared and
+    /// refilled (flash-crowd restarts) does not reallocate.
     pub fn clear(&mut self) {
-        self.bottom.clear();
-        for mut rung in self.rungs.drain(..) {
-            for mut bucket in rung.buckets.drain(..) {
-                bucket.clear();
-                if self.spare.len() < MAX_SPARE {
-                    self.spare.push(bucket);
-                }
-            }
-        }
-        self.top.clear();
-        self.top_start = 0;
-        self.top_min = u64::MAX;
-        self.top_max = 0;
-        self.len = 0;
+        self.heap.clear();
     }
-
-    /// Refills the bottom from the regions above it, restoring the settled
-    /// invariant: the bottom is non-empty whenever any rung holds events.
-    fn settle(&mut self) {
-        debug_assert!(self.bottom.is_empty());
-        loop {
-            // Retire exhausted rungs (innermost first).
-            while self.rungs.last().is_some_and(|r| r.count == 0) {
-                self.drop_innermost_rung();
-            }
-            if self.rungs.is_empty() {
-                if self.top.is_empty() {
-                    return;
-                }
-                // Spill the top. Advance the boundary past everything
-                // spilled so later pushes with spilled-range keys route
-                // inward and keep FIFO with entries already staged below.
-                let mut top = std::mem::take(&mut self.top);
-                self.top_start = self.top_max.saturating_add(1);
-                let degenerate = self.top_min == self.top_max;
-                self.top_min = u64::MAX;
-                self.top_max = 0;
-                if degenerate || top.len() <= THRESH || !self.spawn_rung(&mut top) {
-                    // Tie flood (single key), small population, or ladder
-                    // at capacity: sort wholesale into the bottom.
-                    sort_bottom(&mut top);
-                    let old = std::mem::replace(&mut self.bottom, top);
-                    self.top = recycled(old);
-                    return;
-                }
-                self.top = recycled(top);
-                continue;
-            }
-            // Consume the innermost rung's next non-empty bucket.
-            let depth = self.rungs.len();
-            let spare_bucket = self.spare.pop().unwrap_or_default();
-            let rung = self.rungs.last_mut().expect("rungs checked non-empty");
-            while rung.buckets[rung.cur].is_empty() {
-                rung.cur += 1;
-            }
-            let split = rung.buckets[rung.cur].len() > THRESH && depth < MAX_RUNGS;
-            let mut bucket = std::mem::replace(&mut rung.buckets[rung.cur], spare_bucket);
-            rung.count -= bucket.len();
-            rung.cur += 1;
-            if rung.count == 0 {
-                // Retire eagerly: an exhausted innermost rung must never
-                // survive to the next push (its cursor may sit past the
-                // last bucket, where `admits` would be meaningless).
-                self.drop_innermost_rung();
-            }
-            if split && self.spawn_rung(&mut bucket) {
-                if self.spare.len() < MAX_SPARE {
-                    self.spare.push(bucket);
-                }
-                continue;
-            }
-            sort_bottom(&mut bucket);
-            self.recycle_bottom(bucket);
-            return;
-        }
-    }
-
-    /// Distributes `source` into a new innermost rung. Returns `false`
-    /// (leaving `source` untouched) if the ladder is at [`MAX_RUNGS`] or
-    /// the key span is degenerate; callers then sort `source` wholesale.
-    fn spawn_rung(&mut self, source: &mut Vec<Entry<E>>) -> bool {
-        if self.rungs.len() >= MAX_RUNGS || source.is_empty() {
-            return false;
-        }
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for e in source.iter() {
-            lo = lo.min(e.key);
-            hi = hi.max(e.key);
-        }
-        if lo == hi {
-            return false;
-        }
-        let nbuckets = source.len().clamp(2, MAX_BUCKETS);
-        let width = (hi - lo) / nbuckets as u64 + 1;
-        let mut buckets: Vec<Vec<Entry<E>>> = Vec::with_capacity(nbuckets);
-        for _ in 0..nbuckets {
-            buckets.push(self.spare.pop().unwrap_or_default());
-        }
-        let mut rung = Rung {
-            start: lo,
-            width,
-            cur: 0,
-            count: source.len(),
-            buckets,
-        };
-        for entry in source.drain(..) {
-            let idx = rung.bucket_index(entry.key);
-            rung.buckets[idx].push(entry);
-        }
-        self.rungs.push(rung);
-        true
-    }
-
-    /// Retires the (empty) innermost rung, recycling its bucket storage.
-    fn drop_innermost_rung(&mut self) {
-        let rung = self.rungs.pop().expect("caller checked a rung exists");
-        debug_assert_eq!(rung.count, 0);
-        for bucket in rung.buckets {
-            debug_assert!(bucket.is_empty());
-            if self.spare.len() < MAX_SPARE {
-                self.spare.push(bucket);
-            }
-        }
-    }
-
-    /// Installs `bucket` as the new bottom, recycling the old storage.
-    fn recycle_bottom(&mut self, bucket: Vec<Entry<E>>) {
-        let old = std::mem::replace(&mut self.bottom, bucket);
-        if self.spare.len() < MAX_SPARE {
-            self.spare.push(recycled(old));
-        }
-    }
-}
-
-/// Clears a vector for reuse, keeping its capacity.
-fn recycled<T>(mut v: Vec<T>) -> Vec<T> {
-    v.clear();
-    v
 }
 
 impl<E> Default for EventQueue<E> {
@@ -472,12 +163,9 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
+            .field("len", &self.heap.len())
             .field("high_water", &self.high_water)
             .field("next_seq", &self.next_seq)
-            .field("rungs", &self.rungs.len())
-            .field("bottom", &self.bottom.len())
-            .field("top", &self.top.len())
             .finish_non_exhaustive()
     }
 }
@@ -510,8 +198,8 @@ mod tests {
     fn tie_break_order_is_pinned_across_runs() {
         // Two identically-driven queues drain tied events in the same
         // order — insertion order, independent of queue internals. The
-        // workload mixes tied and untied pushes with interleaved pops so
-        // the sequence numbers wrap through realistic ladder shapes.
+        // workload mixes tied and untied pushes with interleaved pops, so
+        // ties are pushed both before and after their peers are popped.
         let drain = || {
             let mut q = EventQueue::new();
             let mut order = Vec::new();
@@ -586,9 +274,9 @@ mod tests {
 
     #[test]
     fn clear_retains_capacity_and_with_capacity_presizes() {
-        // with_capacity pre-sizes the staging area for the requested burst.
+        // with_capacity pre-sizes the heap for the requested burst.
         let mut q: EventQueue<u64> = EventQueue::with_capacity(1000);
-        assert!(q.top.capacity() >= 1000);
+        assert!(q.heap.capacity() >= 1000);
         for i in 0..1000u64 {
             q.push(SimTime::from_secs(i as f64), i);
         }
@@ -596,12 +284,12 @@ mod tests {
         // clear() keeps the allocation, so an identical refill fits in the
         // retained storage without growing it.
         q.clear();
-        let cap_after_clear = q.top.capacity();
+        let cap_after_clear = q.heap.capacity();
         assert!(cap_after_clear >= 1000);
         for i in 0..1000u64 {
             q.push(SimTime::from_secs(i as f64), i);
         }
-        assert_eq!(q.top.capacity(), cap_after_clear);
+        assert_eq!(q.heap.capacity(), cap_after_clear);
         // High-water semantics are unchanged by capacity reuse: the mark
         // is about pending entries, never about reserved storage.
         assert_eq!(q.high_water_mark(), 1000);
@@ -622,39 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn key_mapping_is_monotone_and_exact() {
-        let times = [
-            f64::NEG_INFINITY,
-            -1e18,
-            -2.5,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            1.0 + f64::EPSILON,
-            3600.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in times.windows(2) {
-            let (a, b) = (SimTime::from_secs(w[0]), SimTime::from_secs(w[1]));
-            assert!(
-                time_key(a) < time_key(b),
-                "key order broken between {a} and {b}"
-            );
-        }
-        for t in times {
-            let t = SimTime::from_secs(t);
-            let rt = key_time(time_key(t));
-            assert_eq!(
-                rt.as_secs().to_bits(),
-                t.as_secs().to_bits(),
-                "round-trip must be bitwise exact"
-            );
-        }
-    }
-
-    #[test]
     fn far_future_and_negative_times_pop_in_order() {
         let mut q = EventQueue::new();
         q.push(SimTime::FAR_FUTURE, "inf");
@@ -669,10 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn large_monotone_burst_spills_through_rungs() {
-        // Enough entries to force top -> rung -> inner-rung spills, with
-        // ties sprinkled in, then refined with out-of-order pushes into
-        // the already-staged span.
+    fn large_monotone_burst_with_late_inserts_pops_in_order() {
+        // A long monotone run with ties sprinkled in, then out-of-order
+        // pushes into the already-queued span.
         let mut q = EventQueue::new();
         let mut expect = Vec::new();
         for i in 0..10_000u64 {

@@ -25,13 +25,13 @@ proptest! {
         }
     }
 
-    /// The ladder queue's guarantee holds for arbitrary *interleaved*
-    /// push/pop schedules, not just push-then-drain: the concatenation of
+    /// The queue's guarantee holds for arbitrary *interleaved* push/pop
+    /// schedules, not just push-then-drain: the concatenation of
     /// everything popped is globally nondecreasing in time whenever the
     /// queue was popped to empty in between, FIFO within ties throughout,
     /// and no payload is lost or duplicated. Times are drawn from a small
-    /// pool spanning negative, tied and huge values so spills, tie floods
-    /// and epoch boundaries all occur.
+    /// pool spanning negative, tied and huge values so tie floods, pushes
+    /// behind already-queued times and epoch boundaries all occur.
     #[test]
     fn interleaved_drains_stay_sorted_and_fifo(
         ops in prop::collection::vec((any::<bool>(), 0usize..12), 1..400),

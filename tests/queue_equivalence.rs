@@ -1,24 +1,25 @@
-//! Old-vs-new event queue equivalence wall.
+//! Event queue equivalence wall against a frozen reference model.
 //!
-//! The ladder-queue rewrite of `rom_sim::EventQueue` must preserve the
-//! pinned `(time, seq)` pop order **bitwise**: every trace, manifest and
-//! figure artifact in this workspace is a function of the exact event
-//! sequence, so "almost the same order" is a determinism break, not a
-//! tolerable drift. The pre-rewrite `BinaryHeap` implementation is
-//! embedded below, verbatim from the last commit before the swap, and
-//! both queues are driven through identical randomized schedules — DES-shaped
-//! mostly-monotone pushes, tie floods, wide scatters across epoch-boundary
-//! times (negative, ±0.0, subnormal, huge, `FAR_FUTURE`), interleaved
-//! pops, burst drains and mid-run clears — on several fixed seeds. After
-//! every operation the two must agree on length, high-water mark and peek
-//! time; every pop must return the same `(time, payload)` down to the bit
-//! pattern of the timestamp.
+//! `rom_sim::EventQueue` must preserve the pinned `(time, seq)` pop order
+//! **bitwise**: every trace, manifest and figure artifact in this
+//! workspace is a function of the exact event sequence, so "almost the
+//! same order" is a determinism break, not a tolerable drift. The
+//! `BinaryHeap` queue the pinned artifacts were first produced with is
+//! embedded below as the reference, and both queues are driven through
+//! identical randomized schedules — DES-shaped mostly-monotone pushes,
+//! tie floods, wide scatters across epoch-boundary times (negative,
+//! ±0.0, subnormal, huge, `FAR_FUTURE`), interleaved pops, burst drains
+//! and mid-run clears — on several fixed seeds. After every operation the
+//! two must agree on length, high-water mark and peek time; every pop
+//! must return the same `(time, payload)` down to the bit pattern of the
+//! timestamp.
 
 use rom_sim::{EventQueue, SimTime};
 
-/// The pre-ladder `EventQueue`, extracted from `crates/sim/src/queue.rs`
-/// before the rewrite with only naming adjusted. Kept as a reference
-/// model: do not "fix" or optimize this copy.
+/// The reference `EventQueue`, an independent copy of the heap-backed
+/// queue with only naming adjusted. Kept as a frozen model: do not "fix",
+/// optimize or share code with this copy, so a change to
+/// `crates/sim/src/queue.rs` is always checked against it.
 mod old_model {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -57,7 +58,7 @@ mod old_model {
         }
     }
 
-    /// The old heap-backed queue, API-compatible with the ladder rewrite.
+    /// The frozen heap-backed queue, API-compatible with `rom_sim::EventQueue`.
     #[derive(Debug)]
     pub struct HeapQueue<E> {
         heap: BinaryHeap<Scheduled<E>>,
@@ -127,8 +128,8 @@ impl Rng {
 }
 
 /// Times sitting on representation boundaries: signs, zeros, subnormals,
-/// exponent edges, infinity. The ladder's `u64` key fold must keep all of
-/// them in `total_cmp` order, FIFO within exact-bit ties.
+/// exponent edges, infinity. The queue must keep all of them in
+/// `total_cmp` order, FIFO within exact-bit ties.
 const EPOCH_BOUNDARY_TIMES: [f64; 10] = [
     f64::NEG_INFINITY,
     -1.0e18,
@@ -152,8 +153,9 @@ enum Workload {
     Scatter,
 }
 
-/// Drives the ladder queue and the embedded heap model through one
-/// identical randomized schedule, checking bitwise agreement throughout.
+/// Drives `rom_sim::EventQueue` and the embedded reference model through
+/// one identical randomized schedule, checking bitwise agreement
+/// throughout.
 fn run_wall(seed: u64, workload: Workload, ops: usize) {
     let mut new_q: EventQueue<u64> = EventQueue::new();
     let mut old_q: old_model::HeapQueue<u64> = old_model::HeapQueue::new();
@@ -163,11 +165,11 @@ fn run_wall(seed: u64, workload: Workload, ops: usize) {
     let mut recent: Vec<f64> = Vec::new();
     let (mut pushes, mut ties, mut pops, mut clears, mut boundary) = (0u64, 0u64, 0u64, 0u64, 0u64);
 
-    let mut push_both = |new_q: &mut EventQueue<u64>,
-                         old_q: &mut old_model::HeapQueue<u64>,
-                         recent: &mut Vec<f64>,
-                         t: f64,
-                         payload: &mut u64| {
+    let push_both = |new_q: &mut EventQueue<u64>,
+                     old_q: &mut old_model::HeapQueue<u64>,
+                     recent: &mut Vec<f64>,
+                     t: f64,
+                     payload: &mut u64| {
         let time = SimTime::from_secs(t);
         new_q.push(time, *payload);
         old_q.push(time, *payload);
