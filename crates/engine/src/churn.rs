@@ -24,7 +24,9 @@ use rom_overlay::algorithms::{
     RelaxedTimeOrdered, TreeAlgorithm,
 };
 use rom_obs::{Level, Obs, Subsystem, TraceEvent};
-use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId, ViewSampler};
+use rom_overlay::{
+    paper_source, IdMap, Location, MemberProfile, MulticastTree, NodeId, ViewSampler,
+};
 use rom_rost::{OpId, RostJoin, SwitchOutcome, SwitchingProtocol};
 use rom_sim::{RunOutcome, Schedule, SimRng, SimTime, Simulation};
 use rom_stats::{Summary, TimeSeries};
@@ -184,7 +186,8 @@ pub struct ChurnSim {
 
     /// All current members (attached or orphaned), for view sampling.
     live: Vec<NodeId>,
-    live_pos: BTreeMap<NodeId, usize>,
+    /// Each live member's position in `live`.
+    live_pos: IdMap<usize>,
     /// Members that were rejected at join and are waiting to retry.
     pending: BTreeMap<NodeId, MemberProfile>,
     /// Members displaced by an eviction inside the current event, awaiting
@@ -195,9 +198,9 @@ pub struct ChurnSim {
     window_end: SimTime,
 
     /// Per-member lifetime disruption/reconnection counts, merged into a
-    /// single map (one tree walk and one allocation per member instead of
-    /// two — the dominant per-member state at the `--mega` scale).
-    tallies: BTreeMap<NodeId, MemberTally>,
+    /// single id table (one lookup per booking instead of two — the
+    /// dominant per-member state at the `--mega` scale).
+    tallies: IdMap<MemberTally>,
     observer_id: Option<NodeId>,
     observer_join: SimTime,
     observer_disruptions: TimeSeries,
@@ -353,12 +356,12 @@ impl ChurnSim {
             rng,
             rost,
             live: Vec::new(),
-            live_pos: BTreeMap::new(),
+            live_pos: IdMap::new(),
             pending: BTreeMap::new(),
             rejoin_backlog: Vec::new(),
             window_start,
             window_end,
-            tallies: BTreeMap::new(),
+            tallies: IdMap::new(),
             observer_id: None,
             observer_join: SimTime::ZERO,
             observer_disruptions: TimeSeries::new(60.0),
@@ -618,7 +621,7 @@ impl ChurnSim {
     }
 
     fn untrack_live(&mut self, id: NodeId) {
-        if let Some(pos) = self.live_pos.remove(&id) {
+        if let Some(pos) = self.live_pos.remove(id) {
             self.live.swap_remove(pos);
             if let Some(&moved) = self.live.get(pos) {
                 self.live_pos.insert(moved, pos);
@@ -626,26 +629,25 @@ impl ChurnSim {
         }
     }
 
-    /// Candidate parents for a join/rejoin decision: a bounded random
-    /// view for distributed algorithms, with detached members filtered
-    /// out (they cannot serve data), which also keeps a rejoining subtree
-    /// from selecting its own descendants. Centralized algorithms consult
-    /// the whole attached membership directly through the tree's indices,
-    /// so no candidate list is materialized for them — the former O(M)
-    /// collect per join was the dominant cost of the ordered baselines.
+    /// Candidate parents for a join/rejoin decision: the joiner's bounded
+    /// random view for distributed algorithms, passed on as sampled. The
+    /// view may hold detached members (the joiner's own subtree among
+    /// them) and pending joiners not yet in the tree; the distributed
+    /// algorithms skip those themselves (see [`JoinContext::candidates`]),
+    /// so each view member is looked up once, by the algorithm.
+    /// Centralized algorithms consult the whole attached membership
+    /// directly through the tree's indices, so no candidate list is
+    /// materialized for them — the former O(M) collect per join was the
+    /// dominant cost of the ordered baselines.
     fn candidates_for(&mut self, joiner: NodeId) -> Vec<NodeId> {
         if self.algorithm.as_dyn().is_centralized() {
             Vec::new()
         } else {
             // `live_pos` hands the sampler the joiner's slot so the view
             // costs O(view size), not an O(live) filter-and-copy.
-            let pos = self.live_pos.get(&joiner).copied();
-            let view = self
-                .sampler
-                .sample_excluding_at(&self.live, pos, &mut self.rng);
-            view.into_iter()
-                .filter(|&m| self.tree.is_attached(m))
-                .collect()
+            let pos = self.live_pos.get(joiner).copied();
+            self.sampler
+                .sample_excluding_at(&self.live, pos, &mut self.rng)
         }
     }
 
@@ -773,7 +775,7 @@ impl ChurnSim {
             );
         }
         for &m in displaced.iter().chain(adopted) {
-            self.tallies.entry(m).or_default().reconnections += 1;
+            self.tallies.get_or_default(m).reconnections += 1;
         }
         // The displaced must rejoin; the caller drains this backlog into
         // the event queue.
@@ -922,7 +924,7 @@ impl ChurnSim {
                 self.untrack_live(id);
                 if self.pending.remove(&id).is_some() {
                     // Never made it into the tree.
-                    self.tallies.remove(&id);
+                    self.tallies.remove(id);
                     return;
                 }
                 let graceful =
@@ -939,7 +941,7 @@ impl ChurnSim {
                 }
                 self.untrack_live(id);
                 if self.pending.remove(&id).is_some() {
-                    self.tallies.remove(&id);
+                    self.tallies.remove(id);
                     return;
                 }
                 self.depart(id, false, now, sched);
@@ -1010,7 +1012,7 @@ impl ChurnSim {
                             );
                         }
                         for &m in record.reparented.iter().chain(&record.displaced) {
-                            self.tallies.entry(m).or_default().reconnections += 1;
+                            self.tallies.get_or_default(m).reconnections += 1;
                         }
                         self.schedule_rejoins(&record.displaced, RejoinCause::Switch, sched);
                         sched.after(self.cfg.rost.lock_hold_secs, Event::ReleaseLocks(op));
@@ -1117,7 +1119,7 @@ impl ChurnSim {
             for &orphan in &removed.orphaned_children {
                 sched.now_next(Event::Rejoin(orphan));
             }
-            let tally = self.tallies.remove(&id).unwrap_or_default();
+            let tally = self.tallies.remove(id).unwrap_or_default();
             if self.in_window(now) {
                 let d = f64::from(tally.disruptions);
                 self.report.disruptions_per_lifetime.add(d);
@@ -1141,7 +1143,7 @@ impl ChurnSim {
             self.report.disruption_events += removed.affected_descendants.len() as u64;
         }
         for &m in &removed.affected_descendants {
-            self.tallies.entry(m).or_default().disruptions += 1;
+            self.tallies.get_or_default(m).disruptions += 1;
             if Some(m) == self.observer_id {
                 self.observer_disruptions.record(now, 1.0);
             }
@@ -1171,7 +1173,7 @@ impl ChurnSim {
         self.schedule_rejoins(&removed.orphaned_children, RejoinCause::Failure, sched);
         // Book the member's lifetime totals if it completed inside
         // the window.
-        let tally = self.tallies.remove(&id).unwrap_or_default();
+        let tally = self.tallies.remove(id).unwrap_or_default();
         if self.in_window(now) {
             let d = f64::from(tally.disruptions);
             self.report.disruptions_per_lifetime.add(d);
@@ -1450,7 +1452,7 @@ impl ChurnSim {
                 self.tree.descendants_into(child, &mut affected);
             }
             for &m in &shed {
-                self.tallies.entry(m).or_default().reconnections += 1;
+                self.tallies.get_or_default(m).reconnections += 1;
             }
             if let Some(st) = self.streaming.as_mut() {
                 st.on_failure(&affected, now, &mut self.obs);

@@ -111,6 +111,30 @@ mod tests {
     }
 
     #[test]
+    fn skips_detached_and_unknown_candidates() {
+        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        tree.attach(profile(1, 2.0, 50.0), NodeId(0)).unwrap();
+        tree.attach(profile(3, 3.0, 1.0), NodeId(0)).unwrap();
+        tree.attach(profile(4, 3.0, 2.0), NodeId(3)).unwrap();
+        // Orphan node 4: the oldest candidate with free slots, but detached.
+        tree.remove(NodeId(3)).unwrap();
+        assert!(tree.has_free_slot(NodeId(4)) && !tree.is_attached(NodeId(4)));
+        let joiner = profile(9, 1.0, 100.0);
+        // Node 77 is not in the tree (a joiner still waiting to retry).
+        let candidates = vec![NodeId(4), NodeId(77), NodeId(1)];
+        let ctx = JoinContext {
+            tree: &tree,
+            joiner: &joiner,
+            candidates: &candidates,
+            now: SimTime::from_secs(100.0),
+        };
+        assert_eq!(
+            LongestFirst.select(&ctx, &ZeroProximity),
+            JoinDecision::Attach { parent: NodeId(1) }
+        );
+    }
+
+    #[test]
     fn rejects_without_capacity() {
         let tree = MulticastTree::new(profile(0, 0.0, 0.0), 1.0);
         let joiner = profile(9, 1.0, 1.0);

@@ -36,11 +36,13 @@ pub struct JoinContext<'a> {
     /// profile — its age is preserved.
     pub joiner: &'a MemberProfile,
     /// Candidate parents. For distributed algorithms this is the joiner's
-    /// partial view; the engine guarantees candidates are attached and
-    /// outside the joiner's own subtree. Centralized algorithms ignore
-    /// this field entirely — they read the whole attached membership
-    /// through the tree's indices — so the engine passes an empty slice
-    /// for them.
+    /// partial view exactly as sampled. It may hold detached members,
+    /// including the joiner's own orphaned subtree, and ids that are not
+    /// in the tree at all (joiners waiting to retry). A distributed
+    /// algorithm must skip both, as [`min_depth_parent`] and
+    /// [`LongestFirst`] do. Centralized algorithms ignore this field
+    /// entirely — they read the whole attached membership through the
+    /// tree's indices — so the engine passes an empty slice for them.
     pub candidates: &'a [NodeId],
     /// Current simulation time (for age/BTP computations).
     pub now: SimTime,
@@ -75,7 +77,8 @@ pub trait TreeAlgorithm: std::fmt::Debug {
 
     /// True if the algorithm needs global topology information (§5 notes
     /// the relaxed ordered baselines "assume a central administrator").
-    /// The engine then passes all attached members as candidates.
+    /// The engine then passes no candidates: the algorithm reads the
+    /// attached membership through the tree's indices.
     fn is_centralized(&self) -> bool {
         false
     }
@@ -87,7 +90,7 @@ pub trait TreeAlgorithm: std::fmt::Debug {
 /// Shared helper: the minimum-depth parent choice used by both
 /// [`MinimumDepth`] itself and ROST's join rule — the shallowest candidate
 /// with a free slot, breaking layer ties by network delay and then by id
-/// (§3.3).
+/// (§3.3). Candidates that are detached or not in the tree are skipped.
 #[must_use]
 pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Option<NodeId> {
     let mut best: Option<(usize, f64, NodeId)> = None;
@@ -131,7 +134,7 @@ pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Opt
 /// win the depth-first ordering), and within it the id-ordered free-slot
 /// entries reproduce the candidate scan's (delay, id) tie-break exactly.
 /// Detached members — including the joiner's own orphaned subtree — are
-/// never in the index, matching the engine's candidate filtering.
+/// never in the index, just as the candidate scan skips them.
 #[must_use]
 pub fn min_depth_parent_indexed(
     tree: &MulticastTree,
@@ -193,11 +196,19 @@ mod tests {
 
     #[test]
     fn min_depth_parent_skips_full_and_detached() {
-        let mut tree = MulticastTree::new(profile(0, 1.0, 0.0, 0), 1.0);
-        tree.attach(profile(1, 1.0, 0.0, 1), NodeId(0)).unwrap(); // root now full
-        tree.attach(profile(2, 0.0, 0.0, 2), NodeId(1)).unwrap(); // free-rider
+        let mut tree = MulticastTree::new(profile(0, 2.0, 0.0, 0), 1.0);
+        tree.attach(profile(1, 1.0, 0.0, 1), NodeId(0)).unwrap();
+        tree.attach(profile(2, 0.0, 0.0, 2), NodeId(1)).unwrap(); // free-rider; 1 now full
+        tree.attach(profile(3, 3.0, 0.0, 3), NodeId(0)).unwrap();
+        tree.attach(profile(4, 3.0, 0.0, 4), NodeId(3)).unwrap();
+        tree.attach(profile(5, 3.0, 0.0, 5), NodeId(4)).unwrap();
+        // Orphan the subtree 4 → 5; both keep free slots while detached.
+        tree.remove(NodeId(3)).unwrap();
+        tree.attach(profile(6, 0.0, 0.0, 6), NodeId(0)).unwrap(); // root now full
+        assert!(tree.has_free_slot(NodeId(5)) && !tree.is_attached(NodeId(5)));
         let joiner = profile(9, 1.0, 5.0, 5);
-        let candidates = vec![NodeId(0), NodeId(2)];
+        // Node 77 is not in the tree (a joiner still waiting to retry).
+        let candidates = vec![NodeId(0), NodeId(2), NodeId(5), NodeId(77)];
         let ctx = JoinContext {
             tree: &tree,
             joiner: &joiner,

@@ -9,6 +9,8 @@
 //!   restructuring primitives the algorithms need (attach, abrupt removal
 //!   with orphaned subtrees, eviction-style replacement, and ROST's
 //!   parent-child switch),
+//! - [`IdMap`] — the id-keyed table behind the tree's id→slot map and the
+//!   engine's per-member state, paged by id and iterated in id order,
 //! - [`ViewSampler`] — bounded partial membership views (gossip in steady
 //!   state),
 //! - [`Proximity`] — the underlay-distance hook (wired to `rom-net` by the
@@ -46,6 +48,7 @@
 pub mod algorithms;
 mod error;
 mod id;
+mod id_map;
 mod member;
 mod proximity;
 mod stats;
@@ -54,6 +57,7 @@ mod view;
 
 pub use error::{InvariantViolation, TreeError};
 pub use id::{Location, NodeId};
+pub use id_map::IdMap;
 pub use member::MemberProfile;
 pub use proximity::{IndexProximity, Proximity, ZeroProximity};
 pub use stats::TreeStats;

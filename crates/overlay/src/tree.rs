@@ -26,17 +26,19 @@
 //! Internally the tree is a dense slab arena, not an id-keyed map: each
 //! member's [`NodeId`] is interned to a [`NodeIndex`] (a `u32` slot
 //! number) exactly once at insert, slots live in a flat `Vec`, and all
-//! parent/child links are index-typed. A single sorted id→index map
-//! remains for the operations whose *output* is id-ordered (member
-//! iteration, invariant checks); everything else — walks, depth restamps,
-//! the per-event hot paths of the construction algorithms — follows raw
-//! indices with no map lookups and no per-call allocation. Removed slots
-//! go on a free list and are reused (their child `Vec` allocation
-//! included). The index assignment itself is deterministic for a given
-//! operation sequence but deliberately unobservable: every public
-//! iteration order is defined in terms of ids and depths, so the arena
-//! produces byte-identical output to the id-keyed representation it
-//! replaced.
+//! parent/child links are index-typed. The id→index map is an [`IdMap`]:
+//! an id-keyed lookup is a binary search over a short directory of id
+//! pages plus one array read, and iterating the map yields ids in
+//! ascending order, which defines every id-ordered output (member
+//! iteration, `attached_by_depth`, invariant checks). Everything else —
+//! walks, depth restamps, the per-event hot paths of the construction
+//! algorithms — follows raw indices with no map lookups and no per-call
+//! allocation. Removed slots go on a free list and are reused (their
+//! child `Vec` allocation included). The index assignment itself is
+//! deterministic for a given operation sequence but deliberately
+//! unobservable: every public iteration order is defined in terms of ids
+//! and depths, so the arena produces byte-identical output to the
+//! id-keyed representation it replaced.
 
 // rom-lint: allow(send-hostile-state) -- RefCell is Send (only !Sync); the sweep engine moves each sim whole onto one worker, pinned by the Send assertion in rom-bench's sweep tests
 use std::cell::RefCell;
@@ -47,6 +49,7 @@ use rom_sim::SimTime;
 
 use crate::error::{InvariantViolation, TreeError};
 use crate::id::NodeId;
+use crate::id_map::IdMap;
 use crate::member::MemberProfile;
 
 /// A member's slot number in the tree's internal arena.
@@ -123,15 +126,15 @@ impl NodeIndex {
 
 /// One arena slot. Size is audited: at `--mega` scale the arena holds a
 /// million of these, so each slot byte is a megabyte of resident set.
-/// Release layout is 96 bytes — `profile` 40 (id 8, bandwidth 8,
-/// join\_time 8, lifetime 8, location 4+pad), `id` 8, `capacity` 8,
-/// `parent` 4, `children` 24 (Vec header), `depth` 8, `attached` 1,
-/// rounded up to 8-byte alignment. A regression test pins the total;
-/// widen it only with an updated audit here.
+/// Release layout is 88 bytes — `profile` 40 (id 8, bandwidth 8,
+/// join\_time 8, lifetime 8, location 4+pad), `capacity` 8, `parent` 4,
+/// `children` 24 (Vec header), `depth` 8, `attached` 1, rounded up to
+/// 8-byte alignment. A regression test pins the total; widen it only
+/// with an updated audit here.
 #[derive(Debug, Clone)]
 struct TreeSlot {
-    /// The id this slot currently belongs to (stale once freed).
-    id: NodeId,
+    /// The member's profile; `profile.id` is the id this slot belongs to
+    /// (stale once freed).
     profile: MemberProfile,
     capacity: usize,
     /// `NodeIndex::NIL` for the root, orphan roots, and freed slots.
@@ -266,9 +269,9 @@ pub struct MulticastTree {
     /// The slab arena. Freed slots are recycled through `free`.
     slots: Vec<TreeSlot>,
     free: Vec<NodeIndex>,
-    /// The single sorted id→index map; every id-ordered iteration the
-    /// public API exposes is defined through it.
-    ids: BTreeMap<NodeId, NodeIndex>,
+    /// The id→index map; every id-ordered iteration the public API
+    /// exposes is defined through it.
+    ids: IdMap<NodeIndex>,
     /// Per-depth ordered eviction indices over the attached members, so
     /// `find_eviction` probes the weakest entry per layer instead of
     /// scanning every member. Every attached member has exactly one entry
@@ -316,7 +319,6 @@ impl MulticastTree {
             root_free.insert(root, root_ix);
         }
         let slots = vec![TreeSlot {
-            id: root,
             profile: source,
             capacity,
             parent: NodeIndex::NIL,
@@ -326,7 +328,7 @@ impl MulticastTree {
             #[cfg(debug_assertions)]
             generation: 0,
         }];
-        let mut ids = BTreeMap::new();
+        let mut ids = IdMap::new();
         ids.insert(root, root_ix);
         MulticastTree {
             stream_rate,
@@ -402,7 +404,6 @@ impl MulticastTree {
     /// `Vec` allocation) when available.
     fn alloc(
         &mut self,
-        id: NodeId,
         profile: MemberProfile,
         capacity: usize,
         parent: NodeIndex,
@@ -414,7 +415,6 @@ impl MulticastTree {
             // must not escape: access the slot by raw index and mint a
             // fresh index at the slot's current generation.
             let slot = &mut self.slots[freed.index()];
-            slot.id = id;
             slot.profile = profile;
             slot.capacity = capacity;
             slot.parent = parent;
@@ -433,7 +433,6 @@ impl MulticastTree {
             );
             let ix = NodeIndex::mint(self.slots.len() as u32, 0);
             self.slots.push(TreeSlot {
-                id,
                 profile,
                 capacity,
                 parent,
@@ -499,14 +498,14 @@ impl MulticastTree {
     /// True if `id` is present (attached or orphaned).
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.ids.contains_key(&id)
+        self.ids.contains_key(id)
     }
 
     /// The member's arena index, if present. Intern once, then use the
     /// `*_ix` accessors to skip the id→index map on every later access.
     #[must_use]
     pub fn index_of(&self, id: NodeId) -> Option<NodeIndex> {
-        self.ids.get(&id).copied()
+        self.ids.get(id).copied()
     }
 
     /// The id occupying arena slot `ix`.
@@ -519,7 +518,7 @@ impl MulticastTree {
     /// indices obtained from this tree's current state.
     #[must_use]
     pub fn id_of(&self, ix: NodeIndex) -> NodeId {
-        self.s(ix).id
+        self.s(ix).profile.id
     }
 
     /// True if `id` is present and connected to the source.
@@ -552,7 +551,7 @@ impl MulticastTree {
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
         let ix = self.index_of(id)?;
         let p = self.s(ix).parent;
-        (p != NodeIndex::NIL).then(|| self.s(p).id)
+        (p != NodeIndex::NIL).then(|| self.s(p).profile.id)
     }
 
     /// Index-typed [`parent`](Self::parent).
@@ -567,7 +566,7 @@ impl MulticastTree {
         let slice: &[NodeIndex] = self
             .index_of(id)
             .map_or(&[][..], |ix| &self.s(ix).children);
-        slice.iter().map(move |&c| self.s(c).id)
+        slice.iter().map(move |&c| self.s(c).profile.id)
     }
 
     /// The member's children as arena indices, in adoption order.
@@ -657,12 +656,12 @@ impl MulticastTree {
 
     /// All member ids, attached and detached, in id order.
     pub fn member_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.keys().copied()
+        self.ids.keys()
     }
 
     /// All members with their arena indices, in id order.
     pub fn member_entries(&self) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.ids.iter().map(|(&id, &ix)| (id, ix))
+        self.ids.iter().map(|(id, &ix)| (id, ix))
     }
 
     /// Attached members in breadth-first (depth, then id) order — the
@@ -682,7 +681,7 @@ impl MulticastTree {
             start += layer.by_bandwidth.len();
         }
         let mut order = vec![self.root; self.attached_total];
-        for (&id, &ix) in &self.ids {
+        for (id, &ix) in self.ids.iter() {
             let slot = self.s(ix);
             if slot.attached {
                 order[next[slot.depth]] = id;
@@ -781,7 +780,7 @@ impl MulticastTree {
             }
             let slot = self.s(cur);
             cur = slot.parent;
-            Some(slot.id)
+            Some(slot.profile.id)
         })
     }
 
@@ -794,7 +793,7 @@ impl MulticastTree {
         let mut cur = self.s(ix).parent;
         while cur != NodeIndex::NIL {
             let slot = self.s(cur);
-            if slot.id == ancestor {
+            if slot.profile.id == ancestor {
                 return true;
             }
             cur = slot.parent;
@@ -852,7 +851,7 @@ impl MulticastTree {
         frontier.push(ix);
         while let Some(n) = frontier.pop() {
             for &c in &self.s(n).children {
-                out.push(self.s(c).id);
+                out.push(self.s(c).profile.id);
                 frontier.push(c);
             }
         }
@@ -892,7 +891,7 @@ impl MulticastTree {
         while cur != NodeIndex::NIL {
             i -= 1;
             let s = self.s(cur);
-            path[i] = s.id;
+            path[i] = s.profile.id;
             cur = s.parent;
         }
         Some(path)
@@ -943,7 +942,7 @@ impl MulticastTree {
         if !slot.attached {
             return;
         }
-        let id = slot.id;
+        let id = slot.profile.id;
         let depth = slot.depth;
         if slot.capacity > slot.children.len() {
             self.free_index[depth].insert(id, ix);
@@ -962,7 +961,7 @@ impl MulticastTree {
         frontier.push((ix, 0));
         while let Some((n, _)) = frontier.pop() {
             let slot = &self.slots[n.index()];
-            let id = slot.id;
+            let id = slot.profile.id;
             let old_depth = slot.depth;
             self.index_remove(id, n, old_depth);
             self.slots[n.index()].depth = old_depth - 1;
@@ -987,7 +986,7 @@ impl MulticastTree {
             let slot = &mut self.slots[n.index()];
             let was_attached = slot.attached;
             let old_depth = slot.depth;
-            let id = slot.id;
+            let id = slot.profile.id;
             slot.attached = attached;
             slot.depth = d;
             if was_attached {
@@ -1029,7 +1028,7 @@ impl MulticastTree {
         }
         let depth = pslot.depth + 1;
         let capacity = profile.out_capacity(self.stream_rate);
-        let ix = self.alloc(id, profile, capacity, pix, depth, true);
+        let ix = self.alloc(profile, capacity, pix, depth, true);
         self.sm(pix).children.push(ix);
         self.refresh_free_slot(pix);
         self.ids.insert(id, ix);
@@ -1107,13 +1106,14 @@ impl MulticastTree {
         }
 
         // Children become orphan roots; their subtrees go detached.
-        let orphaned_children: Vec<NodeId> = child_ixs.iter().map(|&c| self.s(c).id).collect();
+        let orphaned_children: Vec<NodeId> =
+            child_ixs.iter().map(|&c| self.s(c).profile.id).collect();
         for &c in &child_ixs {
             self.sm(c).parent = NodeIndex::NIL;
             self.restamp_subtree(c, 0, false);
         }
 
-        self.ids.remove(&id);
+        self.ids.remove(id);
         self.free_slot(ix);
         Ok(RemovedMember {
             profile,
@@ -1162,7 +1162,7 @@ impl MulticastTree {
         let mut former: Vec<(NodeId, NodeIndex)> = eslot
             .children
             .iter()
-            .map(|&c| (self.s(c).id, c))
+            .map(|&c| (self.s(c).profile.id, c))
             .collect();
 
         let new_id = newcomer.id;
@@ -1178,7 +1178,7 @@ impl MulticastTree {
         let (adopted_pairs, overflow_pairs) = former.split_at(keep);
 
         // Install the newcomer and swap the parent's child pointer.
-        let nix = self.alloc(new_id, newcomer, new_capacity, pix, depth, true);
+        let nix = self.alloc(newcomer, new_capacity, pix, depth, true);
         let siblings = &mut self.sm(pix).children;
         let pos = siblings.iter().position(|&c| c == eix).expect("linked");
         siblings[pos] = nix;
@@ -1250,7 +1250,7 @@ impl MulticastTree {
         let mut former: Vec<(NodeId, NodeIndex)> = eslot
             .children
             .iter()
-            .map(|&c| (self.s(c).id, c))
+            .map(|&c| (self.s(c).profile.id, c))
             .collect();
 
         let spare = self.free_slots_ix(uix);
@@ -1342,10 +1342,10 @@ impl MulticastTree {
         let child_children: Vec<(NodeId, NodeIndex)> = cslot
             .children
             .iter()
-            .map(|&c| (self.s(c).id, c))
+            .map(|&c| (self.s(c).profile.id, c))
             .collect();
         let pslot = self.s(pix);
-        let parent = pslot.id;
+        let parent = pslot.profile.id;
         debug_assert!(
             pslot.parent != NodeIndex::NIL,
             "attached non-root parent has a parent"
@@ -1358,7 +1358,7 @@ impl MulticastTree {
             .children
             .iter()
             .filter(|&&c| c != cix)
-            .map(|&c| (self.s(c).id, c))
+            .map(|&c| (self.s(c).profile.id, c))
             .collect();
 
         if child_capacity == 0 {
@@ -1529,7 +1529,7 @@ impl MulticastTree {
             evict.by_bandwidth.remove(&(old_bw_key, id));
             evict.by_bandwidth.insert((bw_order_key(bandwidth), id));
         }
-        let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).id).collect();
+        let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).profile.id).collect();
         for &c in &shed_ix {
             self.sm(c).parent = NodeIndex::NIL;
             self.restamp_subtree(c, 0, false);
@@ -1604,11 +1604,19 @@ impl MulticastTree {
 
         let mut reachable = 0usize;
         let mut free_expected = 0usize;
-        for (&id, &ix) in &self.ids {
+        let mut interned = 0usize;
+        let mut previous: Option<NodeId> = None;
+        for (id, &ix) in self.ids.iter() {
+            // The id table iterates every entry once, in ascending order.
+            if let Some(p) = previous.filter(|&p| p >= id) {
+                return fail(format!("id table yields {id} after {p}"));
+            }
+            previous = Some(id);
+            interned += 1;
             let slot = self.s(ix);
             // Interning consistency.
-            if slot.id != id {
-                return fail(format!("{id} interned to slot holding {}", slot.id));
+            if slot.profile.id != id {
+                return fail(format!("{id} interned to slot holding {}", slot.profile.id));
             }
             // Degree constraint.
             if slot.children.len() > slot.capacity {
@@ -1620,7 +1628,7 @@ impl MulticastTree {
             }
             // Parent/child pointer symmetry.
             if slot.parent != NodeIndex::NIL {
-                let p = self.s(slot.parent).id;
+                let p = self.s(slot.parent).profile.id;
                 let pslot = self.s(slot.parent);
                 if !pslot.children.contains(&ix) {
                     return fail(format!("{p} does not list child {id}"));
@@ -1641,11 +1649,14 @@ impl MulticastTree {
             }
             for &c in &slot.children {
                 let cslot = self.s(c);
-                if self.index_of(cslot.id) != Some(c) {
+                if self.index_of(cslot.profile.id) != Some(c) {
                     return fail(format!("{id} lists missing child slot {}", c.index()));
                 }
                 if cslot.parent != ix {
-                    return fail(format!("{} does not point back at parent {id}", cslot.id));
+                    return fail(format!(
+                        "{} does not point back at parent {id}",
+                        cslot.profile.id
+                    ));
                 }
             }
             // Eviction/free-slot index agreement: every attached member
@@ -1682,6 +1693,13 @@ impl MulticastTree {
             }
         }
 
+        if interned != self.ids.len() {
+            return fail(format!(
+                "id table iterates {interned} entries but counts {}",
+                self.ids.len()
+            ));
+        }
+
         // The totals rule out stale index extras, and the O(1) cache
         // agrees with a recount.
         if self.attached_total != reachable {
@@ -1713,7 +1731,7 @@ impl MulticastTree {
         let mut visited = BTreeSet::new();
         while let Some(n) = frontier.pop() {
             if !visited.insert(n) {
-                return fail(format!("cycle through {}", self.s(n).id));
+                return fail(format!("cycle through {}", self.s(n).profile.id));
             }
             seen += 1;
             frontier.extend(self.s(n).children.iter().copied());
@@ -1729,7 +1747,7 @@ impl MulticastTree {
         // must not go through the checked `s()` accessor.)
         for &f in &self.free {
             let s = &self.slots[f.index()];
-            if s.attached || !s.children.is_empty() || self.index_of(s.id) == Some(f) {
+            if s.attached || !s.children.is_empty() || self.index_of(s.profile.id) == Some(f) {
                 return fail(format!("freed slot {} still holds live state", f.index()));
             }
         }
@@ -1762,12 +1780,12 @@ mod tests {
         let size = std::mem::size_of::<TreeSlot>();
         #[cfg(not(debug_assertions))]
         assert!(
-            size <= 96,
+            size <= 88,
             "TreeSlot grew to {size} bytes; re-audit the layout comment"
         );
         #[cfg(debug_assertions)]
         assert!(
-            size <= 112,
+            size <= 96,
             "TreeSlot (debug) grew to {size} bytes; re-audit the layout comment"
         );
     }

@@ -72,9 +72,10 @@ impl ViewSampler {
     }
 
     /// Samples a view excluding one member (a joiner never discovers
-    /// itself; a rejoining member must not pick its own descendants —
-    /// callers filter those separately). `membership` must be
-    /// duplicate-free, as a live-member list is.
+    /// itself; a rejoining member's own descendants may still appear —
+    /// they are detached, and the join algorithms skip detached
+    /// candidates). `membership` must be duplicate-free, as a live-member
+    /// list is.
     ///
     /// This scans for the excluded member's position; callers that
     /// already track positions should use
