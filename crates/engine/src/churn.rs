@@ -309,9 +309,15 @@ impl ChurnSim {
             &net,
             root_rng.fork("workload"),
         );
-        let source_location = workload.random_location();
-        let tree = MulticastTree::new(paper_source(source_location), cfg.stream_rate);
+        let source = paper_source(workload.random_location());
         let algorithm = Algorithm::of(cfg.algorithm);
+        // Only the centralized algorithms query the order index; every
+        // other run moves subtrees without re-keying it.
+        let tree = if algorithm.as_dyn().is_centralized() {
+            MulticastTree::with_order_index(source, cfg.stream_rate)
+        } else {
+            MulticastTree::new(source, cfg.stream_rate)
+        };
         let sampler = ViewSampler::new(cfg.view_size);
         let rng = root_rng.fork("decisions");
         let chaos = cfg.chaos.clone().map(|scenario| ChaosState {
@@ -1670,6 +1676,28 @@ mod tests {
         let bo = ChurnSim::new(quick(AlgorithmKind::RelaxedBandwidthOrdered, 200, 6)).run();
         assert!(bo.evictions > 0, "relaxed BO should evict");
         assert_eq!(bo.switches, 0);
+    }
+
+    /// Only the centralized algorithms query the order index, so only
+    /// their runs carry one; every run's final tree stays coherent.
+    #[test]
+    fn only_centralized_runs_keep_the_order_index() {
+        for kind in AlgorithmKind::ALL {
+            let indexed = match kind {
+                AlgorithmKind::Rost | AlgorithmKind::MinimumDepth | AlgorithmKind::LongestFirst => {
+                    false
+                }
+                AlgorithmKind::RelaxedBandwidthOrdered | AlgorithmKind::RelaxedTimeOrdered => true,
+            };
+            let mut cfg = quick(kind, 80, 3);
+            cfg.measure_secs = 120.0;
+            let mut seen = None;
+            let _ = ChurnSim::new(cfg).run_inspect(|tree, _| {
+                tree.check_invariants().expect("final tree is coherent");
+                seen = Some(tree.has_order_index());
+            });
+            assert_eq!(seen, Some(indexed), "{kind}");
+        }
     }
 
     #[test]

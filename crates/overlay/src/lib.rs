@@ -8,7 +8,8 @@
 //! - [`MulticastTree`] — the degree-constrained delivery tree with the
 //!   restructuring primitives the algorithms need (attach, abrupt removal
 //!   with orphaned subtrees, eviction-style replacement, and ROST's
-//!   parent-child switch),
+//!   parent-child switch); [`MulticastTree::with_order_index`] builds one
+//!   that also answers the centralized baselines' order queries,
 //! - [`IdMap`] — the id-keyed table behind the tree's id→slot map and the
 //!   engine's per-member state, paged by id and iterated in id order,
 //! - [`ViewSampler`] — bounded partial membership views (gossip in steady
@@ -50,6 +51,7 @@ mod error;
 mod id;
 mod id_map;
 mod member;
+mod order_index;
 mod proximity;
 mod stats;
 mod tree;

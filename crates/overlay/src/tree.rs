@@ -39,10 +39,27 @@
 //! unobservable: every public iteration order is defined in terms of ids
 //! and depths, so the arena produces byte-identical output to the
 //! id-keyed representation it replaced.
+//!
+//! # Plain and indexed trees
+//!
+//! Both kinds of tree keep each attached member's depth in its slot and
+//! a count of attached members per depth, which is all that
+//! [`max_depth`](MulticastTree::max_depth) and
+//! [`attached_by_depth`](MulticastTree::attached_by_depth) read. Only a
+//! tree built with [`with_order_index`](MulticastTree::with_order_index)
+//! also keeps the per-depth eviction and free-slot indices that the
+//! centralized algorithms query (`weakest_by_bandwidth`,
+//! `weakest_by_age`, `shallowest_free_depth`, `free_slot_entries`). A
+//! plain tree, built with [`new`](MulticastTree::new) for every
+//! distributed algorithm, moves a subtree by rewriting each moved node's
+//! depth and attachment and two per-depth counters, with no B-tree work,
+//! and panics on an order query rather than answer it wrongly. Both kinds
+//! share one mutation path: the order index is updated from the same
+//! hooks that keep the counts.
 
 // rom-lint: allow(send-hostile-state) -- RefCell is Send (only !Sync); the sweep engine moves each sim whole onto one worker, pinned by the Send assertion in rom-bench's sweep tests
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rom_obs::Prof;
 use rom_sim::SimTime;
@@ -51,6 +68,7 @@ use crate::error::{InvariantViolation, TreeError};
 use crate::id::NodeId;
 use crate::id_map::IdMap;
 use crate::member::MemberProfile;
+use crate::order_index::OrderIndex;
 
 /// A member's slot number in the tree's internal arena.
 ///
@@ -148,57 +166,6 @@ struct TreeSlot {
     generation: u32,
 }
 
-/// Encodes a non-negative bandwidth as an order-preserving `u64` key:
-/// for non-negative finite doubles the raw bit pattern already sorts
-/// numerically, and adding `0.0` first collapses `-0.0` onto `0.0` so
-/// bitwise key equality coincides with `==` (the comparison the layer
-/// scan this index replaces used).
-fn bw_order_key(bw: f64) -> u64 {
-    (bw + 0.0).to_bits()
-}
-
-/// Encodes a join time as a `u64` that sorts *descending* in time (and
-/// therefore ascending in age at any fixed `now`): the standard
-/// sign-aware total-order bit trick, complemented. `SimTime` may be
-/// negative, so both halves of the mapping are exercised.
-fn join_order_key(t: SimTime) -> u64 {
-    let bits = t.as_secs().to_bits();
-    let ascending = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    };
-    !ascending
-}
-
-/// Recovers the exact join time a [`join_order_key`] was computed from,
-/// so age probes can reproduce `MemberProfile::age` bit for bit without
-/// a slot lookup.
-fn join_order_key_decode(key: u64) -> f64 {
-    let ascending = !key;
-    if ascending >> 63 == 1 {
-        f64::from_bits(ascending & !(1 << 63))
-    } else {
-        f64::from_bits(!ascending)
-    }
-}
-
-/// One depth layer's ordered eviction indices: the attached occupants
-/// keyed by the two order criteria the relaxed ordered algorithms evict
-/// under (§5 algorithms 3–4). Both sets iterate weakest-first with ties
-/// to the smallest id, so the eviction search probes the first entry
-/// instead of scanning the layer.
-#[derive(Debug, Clone, Default)]
-struct EvictLayer {
-    /// `(bw_order_key(bandwidth), id)` — ascending bandwidth, then id.
-    by_bandwidth: BTreeSet<(u64, NodeId)>,
-    /// `(join_order_key(join_time), id)` — descending join time (i.e.
-    /// ascending age at any `now`), then id. Time-invariant: age order
-    /// at every `now` is exactly reverse join-time order, so the index
-    /// never needs restamping as the clock advances.
-    by_join: BTreeSet<(u64, NodeId)>,
-}
-
 /// What [`MulticastTree::remove`] hands back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemovedMember {
@@ -246,6 +213,11 @@ pub struct SwitchRecord {
 
 /// A single-source overlay multicast tree with degree constraints.
 ///
+/// [`new`](Self::new) builds the plain tree the distributed algorithms
+/// use; [`with_order_index`](Self::with_order_index) builds one that also
+/// answers the centralized algorithms' order queries (see the module
+/// docs).
+///
 /// # Examples
 ///
 /// ```
@@ -272,20 +244,16 @@ pub struct MulticastTree {
     /// The id→index map; every id-ordered iteration the public API
     /// exposes is defined through it.
     ids: IdMap<NodeIndex>,
-    /// Per-depth ordered eviction indices over the attached members, so
-    /// `find_eviction` probes the weakest entry per layer instead of
-    /// scanning every member. Every attached member has exactly one entry
-    /// per set, at its own depth, which also makes the deepest non-empty
-    /// layer the tree's [`max_depth`](Self::max_depth).
-    evict_index: Vec<EvictLayer>,
-    /// Per-depth attached members with at least one free forwarding slot
-    /// (same length as `evict_index`), keyed by id so iteration within a
-    /// layer is id-ordered. Lets the centralized minimum-depth fallback
-    /// jump straight to the shallowest layer with spare capacity.
-    free_index: Vec<BTreeMap<NodeId, NodeIndex>>,
-    /// O(1) cache: number of attached members (eviction-index entries
-    /// per order key).
+    /// Number of attached members at each depth. The deepest non-zero
+    /// entry is the tree's [`max_depth`](Self::max_depth), and the counts
+    /// give each depth's run in the `attached_by_depth` counting sort.
+    depth_counts: Vec<usize>,
+    /// O(1) cache: number of attached members (the sum of
+    /// `depth_counts`).
     attached_total: usize,
+    /// The eviction and free-slot indices; `Some` only on a tree built
+    /// with [`with_order_index`](Self::with_order_index).
+    order: Option<OrderIndex>,
     /// Reusable frontier stack for `&self` walks (descendants,
     /// subtree_size); never held across a public call boundary.
     // rom-lint: allow(send-hostile-state) -- interior mutability is confined to &self walks within one call; the tree stays Send because RefCell<Vec<_>> is Send
@@ -298,26 +266,42 @@ pub struct MulticastTree {
     prof: Prof,
 }
 
+/// The panic message of an order query on a plain tree.
+const NO_ORDER_INDEX: &str =
+    "order query on a plain tree: build it with MulticastTree::with_order_index";
+
 impl MulticastTree {
-    /// Creates a tree containing only the multicast source.
+    /// Creates a plain tree containing only the multicast source: the
+    /// tree every distributed algorithm uses. It keeps no order index, so
+    /// the order queries ([`weakest_by_bandwidth`](Self::weakest_by_bandwidth)
+    /// and the rest) panic on it.
     ///
     /// # Panics
     ///
     /// Panics if `stream_rate` is not positive.
     #[must_use]
     pub fn new(source: MemberProfile, stream_rate: f64) -> Self {
+        Self::build(source, stream_rate, None)
+    }
+
+    /// Creates a tree containing only the multicast source that also
+    /// keeps the per-depth eviction and free-slot indices the centralized
+    /// algorithms query. Every attach, detach and subtree move then
+    /// re-keys those indices for each node it touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream_rate` is not positive.
+    #[must_use]
+    pub fn with_order_index(source: MemberProfile, stream_rate: f64) -> Self {
+        Self::build(source, stream_rate, Some(OrderIndex::default()))
+    }
+
+    fn build(source: MemberProfile, stream_rate: f64, order: Option<OrderIndex>) -> Self {
         assert!(stream_rate > 0.0, "stream rate must be positive");
         let root = source.id;
         let capacity = source.out_capacity(stream_rate);
         let root_ix = NodeIndex::mint(0, 0);
-        let root_evict = EvictLayer {
-            by_bandwidth: BTreeSet::from([(bw_order_key(source.bandwidth), root)]),
-            by_join: BTreeSet::from([(join_order_key(source.join_time), root)]),
-        };
-        let mut root_free = BTreeMap::new();
-        if capacity > 0 {
-            root_free.insert(root, root_ix);
-        }
         let slots = vec![TreeSlot {
             profile: source,
             capacity,
@@ -330,20 +314,35 @@ impl MulticastTree {
         }];
         let mut ids = IdMap::new();
         ids.insert(root, root_ix);
-        MulticastTree {
+        let mut tree = MulticastTree {
             stream_rate,
             root,
             root_ix,
             slots,
             free: Vec::new(),
             ids,
-            evict_index: vec![root_evict],
-            free_index: vec![root_free],
-            attached_total: 1,
+            depth_counts: Vec::new(),
+            attached_total: 0,
+            order,
             scratch: RefCell::new(Vec::new()), // rom-lint: allow(send-hostile-state) -- constructor for the allowed scratch field above
             restamp_buf: Vec::new(),
             prof: Prof::disabled(),
-        }
+        };
+        tree.index_insert(root_ix, 0);
+        tree
+    }
+
+    /// True if the tree keeps the order index, i.e. was built with
+    /// [`with_order_index`](Self::with_order_index).
+    #[must_use]
+    pub fn has_order_index(&self) -> bool {
+        self.order.is_some()
+    }
+
+    /// The order index behind the centralized algorithms' queries.
+    #[track_caller]
+    fn order_index(&self) -> &OrderIndex {
+        self.order.as_ref().expect(NO_ORDER_INDEX)
     }
 
     /// Installs a span-profiler handle. Structural operations
@@ -667,18 +666,18 @@ impl MulticastTree {
     /// Attached members in breadth-first (depth, then id) order — the
     /// "search from high to low layers" order of the relaxed ordered
     /// algorithms. Computed on demand by a counting sort into one buffer
-    /// sized by [`attached_count`](Self::attached_count): the eviction
-    /// layers' sizes give each depth's start offset, and one id-ordered
+    /// sized by [`attached_count`](Self::attached_count): the per-depth
+    /// attached counts give each depth's start offset, and one id-ordered
     /// pass over the membership drops every attached member into its
     /// depth's run. O(M) per call; the callers sample the tree once per
     /// interval, so no index is kept for this order. The iterator owns
     /// the buffer and does not borrow the tree.
     pub fn attached_by_depth(&self) -> impl Iterator<Item = NodeId> {
-        let mut next = Vec::with_capacity(self.evict_index.len());
+        let mut next = Vec::with_capacity(self.depth_counts.len());
         let mut start = 0;
-        for layer in &self.evict_index {
+        for &count in &self.depth_counts {
             next.push(start);
-            start += layer.by_bandwidth.len();
+            start += count;
         }
         let mut order = vec![self.root; self.attached_total];
         for (id, &ix) in self.ids.iter() {
@@ -691,13 +690,13 @@ impl MulticastTree {
         order.into_iter()
     }
 
-    /// The deepest attached layer index: the deepest non-empty eviction
-    /// layer. O(layers).
+    /// The deepest attached layer index: the deepest depth with a
+    /// non-zero attached count. O(layers).
     #[must_use]
     pub fn max_depth(&self) -> usize {
-        self.evict_index
+        self.depth_counts
             .iter()
-            .rposition(|layer| !layer.by_bandwidth.is_empty())
+            .rposition(|&count| count > 0)
             .unwrap_or(0)
     }
 
@@ -706,14 +705,14 @@ impl MulticastTree {
     /// that layer. Answered from the per-depth ordered index in
     /// O(log layer) instead of a layer scan. The returned bandwidth is
     /// numerically equal to the member's (`-0.0` reads back as `0.0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plain tree (see [`with_order_index`](Self::with_order_index)).
     #[must_use]
+    #[track_caller]
     pub fn weakest_by_bandwidth(&self, depth: usize) -> Option<(f64, NodeId)> {
-        let layer = self.evict_index.get(depth)?;
-        layer
-            .by_bandwidth
-            .iter()
-            .next()
-            .map(|&(key, id)| (f64::from_bits(key), id))
+        self.order_index().weakest_by_bandwidth(depth)
     }
 
     /// The attached member at `depth` with the minimum (age at `now`, id)
@@ -724,41 +723,39 @@ impl MulticastTree {
     /// rounding), so the id tie-break walks the equal-age prefix. Ages
     /// are recomputed exactly as [`MemberProfile::age`] computes them,
     /// from join times recovered bit-for-bit out of the index keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plain tree (see [`with_order_index`](Self::with_order_index)).
     #[must_use]
+    #[track_caller]
     pub fn weakest_by_age(&self, depth: usize, now: SimTime) -> Option<(f64, NodeId)> {
-        let layer = self.evict_index.get(depth)?;
-        let age_of = |key: u64| (now.as_secs() - join_order_key_decode(key)).max(0.0);
-        let mut entries = layer.by_join.iter();
-        let &(first_key, first_id) = entries.next()?;
-        let age = age_of(first_key);
-        let mut best = first_id;
-        for &(key, id) in entries {
-            if age_of(key) != age {
-                break;
-            }
-            if id < best {
-                best = id;
-            }
-        }
-        Some((age, best))
+        self.order_index().weakest_by_age(depth, now)
     }
 
     /// The shallowest depth holding an attached member with at least one
     /// free forwarding slot — where the minimum-depth join rule will
     /// place the next leaf. O(max_depth) probes of per-depth free-slot
     /// maps instead of a scan over the whole membership.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plain tree (see [`with_order_index`](Self::with_order_index)).
     #[must_use]
+    #[track_caller]
     pub fn shallowest_free_depth(&self) -> Option<usize> {
-        self.free_index.iter().position(|layer| !layer.is_empty())
+        self.order_index().shallowest_free_depth()
     }
 
     /// The attached members at `depth` with at least one free forwarding
     /// slot, with their arena indices, in id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plain tree (see [`with_order_index`](Self::with_order_index)).
+    #[track_caller]
     pub fn free_slot_entries(&self, depth: usize) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.free_index
-            .get(depth)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(&id, &ix)| (id, ix)))
+        self.order_index().free_slot_entries(depth)
     }
 
     /// Ancestors of `id` from its parent up to the subtree root (the source
@@ -897,110 +894,75 @@ impl MulticastTree {
         Some(path)
     }
 
-    fn index_insert(&mut self, id: NodeId, ix: NodeIndex, depth: usize) {
-        // Key material is read from the slot at insert time, so callers
-        // must finalize the slot's profile/capacity/children first.
-        let slot = &self.slots[ix.index()];
-        let bw_key = bw_order_key(slot.profile.bandwidth);
-        let join_key = join_order_key(slot.profile.join_time);
-        let has_free = slot.capacity > slot.children.len();
-        if self.evict_index.len() <= depth {
-            self.evict_index.resize_with(depth + 1, EvictLayer::default);
-            self.free_index.resize_with(depth + 1, BTreeMap::new);
+    /// Counts the attached member at `ix` at `depth` and, on an indexed
+    /// tree, adds its order-index entries. Key material is read from the
+    /// slot, so callers must finalize the slot's profile, capacity and
+    /// children first.
+    fn index_insert(&mut self, ix: NodeIndex, depth: usize) {
+        if self.depth_counts.len() <= depth {
+            self.depth_counts.resize(depth + 1, 0);
         }
-        let evict = &mut self.evict_index[depth];
-        if !evict.by_bandwidth.insert((bw_key, id)) {
-            debug_assert!(false, "duplicate eviction-index entry for {id}");
-            return;
-        }
-        evict.by_join.insert((join_key, id));
-        if has_free {
-            self.free_index[depth].insert(id, ix);
-        }
+        self.depth_counts[depth] += 1;
         self.attached_total += 1;
+        if let Some(order) = &mut self.order {
+            let slot = &self.slots[ix.index()];
+            order.insert(
+                &slot.profile,
+                ix,
+                depth,
+                slot.capacity > slot.children.len(),
+            );
+        }
     }
 
-    fn index_remove(&mut self, id: NodeId, ix: NodeIndex, depth: usize) {
-        let slot = &self.slots[ix.index()];
-        let bw_key = bw_order_key(slot.profile.bandwidth);
-        let join_key = join_order_key(slot.profile.join_time);
-        let Some(evict) = self.evict_index.get_mut(depth) else {
-            return;
-        };
-        if evict.by_bandwidth.remove(&(bw_key, id)) {
-            evict.by_join.remove(&(join_key, id));
-            self.free_index[depth].remove(&id);
-            self.attached_total -= 1;
+    /// Undoes [`index_insert`](Self::index_insert) for an attached member
+    /// leaving `depth`.
+    fn index_remove(&mut self, ix: NodeIndex, depth: usize) {
+        self.depth_counts[depth] -= 1;
+        self.attached_total -= 1;
+        if let Some(order) = &mut self.order {
+            order.remove(&self.slots[ix.index()].profile, depth);
         }
     }
 
     /// Re-evaluates `ix`'s membership in the free-slot index after a
-    /// child-count or capacity change. Detached slots are never indexed,
-    /// so the call is a no-op for them.
+    /// child-count or capacity change. A no-op on a plain tree and for
+    /// detached slots, which are never indexed.
     fn refresh_free_slot(&mut self, ix: NodeIndex) {
-        let slot = &self.slots[ix.index()];
-        if !slot.attached {
+        let Some(order) = &mut self.order else {
             return;
+        };
+        let slot = &self.slots[ix.index()];
+        if slot.attached {
+            let has_free = slot.capacity > slot.children.len();
+            order.set_free(slot.profile.id, ix, slot.depth, has_free);
         }
-        let id = slot.profile.id;
-        let depth = slot.depth;
-        if slot.capacity > slot.children.len() {
-            self.free_index[depth].insert(id, ix);
-        } else {
-            self.free_index[depth].remove(&id);
-        }
-    }
-
-    /// Moves the attached subtree rooted at `ix` one level shallower,
-    /// re-homing each node's index entries. Used by the switch path for
-    /// the grandchild subtrees that spill into the promoted node: their
-    /// shape, attachment, and keys are unchanged — only depths shift.
-    fn shift_subtree_up(&mut self, ix: NodeIndex) {
-        let mut frontier = std::mem::take(&mut self.restamp_buf);
-        frontier.clear();
-        frontier.push((ix, 0));
-        while let Some((n, _)) = frontier.pop() {
-            let slot = &self.slots[n.index()];
-            let id = slot.profile.id;
-            let old_depth = slot.depth;
-            self.index_remove(id, n, old_depth);
-            self.slots[n.index()].depth = old_depth - 1;
-            self.index_insert(id, n, old_depth - 1);
-            for &c in &self.slots[n.index()].children {
-                frontier.push((c, 0));
-            }
-        }
-        self.restamp_buf = frontier;
     }
 
     /// Marks the subtree rooted at `ix` attached/detached and rebuilds its
-    /// depths starting from `base_depth`. Returns the subtree size. Uses
-    /// the tree's reusable restamp stack — no per-call allocation.
-    fn restamp_subtree(&mut self, ix: NodeIndex, base_depth: usize, attached: bool) -> usize {
-        let mut count = 0;
+    /// depths starting from `base_depth`. Uses the tree's reusable restamp
+    /// stack — no per-call allocation.
+    fn restamp_subtree(&mut self, ix: NodeIndex, base_depth: usize, attached: bool) {
         let mut frontier = std::mem::take(&mut self.restamp_buf);
         frontier.clear();
         frontier.push((ix, base_depth));
         while let Some((n, d)) = frontier.pop() {
-            count += 1;
             let slot = &mut self.slots[n.index()];
             let was_attached = slot.attached;
             let old_depth = slot.depth;
-            let id = slot.profile.id;
             slot.attached = attached;
             slot.depth = d;
             if was_attached {
-                self.index_remove(id, n, old_depth);
+                self.index_remove(n, old_depth);
             }
             if attached {
-                self.index_insert(id, n, d);
+                self.index_insert(n, d);
             }
             for &c in &self.slots[n.index()].children {
                 frontier.push((c, d + 1));
             }
         }
         self.restamp_buf = frontier;
-        count
     }
 
     /// Attaches a brand-new member as a leaf under `parent`.
@@ -1032,7 +994,7 @@ impl MulticastTree {
         self.sm(pix).children.push(ix);
         self.refresh_free_slot(pix);
         self.ids.insert(id, ix);
-        self.index_insert(id, ix, depth);
+        self.index_insert(ix, depth);
         Ok(())
     }
 
@@ -1102,7 +1064,7 @@ impl MulticastTree {
             self.refresh_free_slot(parent);
         }
         if attached {
-            self.index_remove(id, ix, depth);
+            self.index_remove(ix, depth);
         }
 
         // Children become orphan roots; their subtrees go detached.
@@ -1185,7 +1147,7 @@ impl MulticastTree {
         let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
         self.sm(nix).children.extend(adopted_ix.iter().copied());
         self.ids.insert(new_id, nix);
-        self.index_insert(new_id, nix, depth);
+        self.index_insert(nix, depth);
         for &c in &adopted_ix {
             self.sm(c).parent = nix;
         }
@@ -1196,7 +1158,7 @@ impl MulticastTree {
         eslot.parent = NodeIndex::NIL;
         eslot.children.clear();
         eslot.attached = false;
-        self.index_remove(evict, eix, depth);
+        self.index_remove(eix, depth);
 
         // Overflow children become orphan subtree roots.
         for &(_, c) in overflow_pairs {
@@ -1285,7 +1247,7 @@ impl MulticastTree {
             e.children.clear();
             e.attached = false;
         }
-        self.index_remove(evict, eix, depth);
+        self.index_remove(eix, depth);
 
         for &(_, c) in overflow_pairs {
             self.sm(c).parent = NodeIndex::NIL;
@@ -1453,25 +1415,24 @@ impl MulticastTree {
         }
 
         // Depths: a switch only perturbs depths by ±1 inside known
-        // partitions, so the former full-subtree restamp reduces to
-        // incremental index maintenance. The promoted child rises one
-        // level and the demoted parent sinks one; followed siblings and
-        // kept grandchildren keep their depths (only their parent pointer
-        // changed, which no index keys on); each subtree spilled to the
-        // promoted node rises one level wholesale, shape intact. Nothing
-        // here changes attachment, and index entries move only after the
-        // children lists above are final so free-slot membership is
-        // computed on the post-switch shape.
+        // partitions. The promoted child rises one level and the demoted
+        // parent sinks one; followed siblings and kept grandchildren keep
+        // their depths (only their parent pointer changed, which nothing
+        // keys on); each subtree spilled to the promoted node rises one
+        // level wholesale, shape intact. Nothing here changes attachment,
+        // and counts and index entries move only after the children lists
+        // above are final, so free-slot membership is computed on the
+        // post-switch shape.
         {
             let _restamp = self.prof.span("overlay.switch_restamp");
-            self.index_remove(child, cix, parent_depth + 1);
-            self.index_remove(parent, pix, parent_depth);
+            self.index_remove(cix, parent_depth + 1);
+            self.index_remove(pix, parent_depth);
             self.slots[cix.index()].depth = parent_depth;
             self.slots[pix.index()].depth = parent_depth + 1;
-            self.index_insert(child, cix, parent_depth);
-            self.index_insert(parent, pix, parent_depth + 1);
+            self.index_insert(cix, parent_depth);
+            self.index_insert(pix, parent_depth + 1);
             for &(_, t) in to_promoted {
-                self.shift_subtree_up(t);
+                self.restamp_subtree(t, parent_depth + 1, true);
             }
         }
 
@@ -1509,7 +1470,7 @@ impl MulticastTree {
         let slot = &mut self.slots[ix.index()];
         let attached = slot.attached;
         let depth = slot.depth;
-        let old_bw_key = bw_order_key(slot.profile.bandwidth);
+        let old_bandwidth = slot.profile.bandwidth;
         slot.profile.bandwidth = bandwidth;
         slot.capacity = slot.profile.out_capacity(rate);
         let mut shed_ix = Vec::new();
@@ -1520,14 +1481,11 @@ impl MulticastTree {
                 break;
             }
         }
-        // Re-key the member's eviction-index entry under its new
-        // bandwidth (join time is untouched, so `by_join` stands), and
-        // re-evaluate its free-slot membership once shedding settles the
-        // child count. Detached members carry no index entries.
-        if attached {
-            let evict = &mut self.evict_index[depth];
-            evict.by_bandwidth.remove(&(old_bw_key, id));
-            evict.by_bandwidth.insert((bw_order_key(bandwidth), id));
+        // Re-key the member's order-index entry under its new bandwidth,
+        // and re-evaluate its free-slot membership once shedding settles
+        // the child count. Detached members carry no index entries.
+        if let (true, Some(order)) = (attached, &mut self.order) {
+            order.rekey_bandwidth(id, depth, old_bandwidth, bandwidth);
         }
         let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).profile.id).collect();
         for &c in &shed_ix {
@@ -1603,6 +1561,7 @@ impl MulticastTree {
         }
 
         let mut reachable = 0usize;
+        let mut recount = vec![0usize; self.depth_counts.len()];
         let mut free_expected = 0usize;
         let mut interned = 0usize;
         let mut previous: Option<NodeId> = None;
@@ -1659,36 +1618,25 @@ impl MulticastTree {
                     ));
                 }
             }
-            // Eviction/free-slot index agreement: every attached member
-            // appears in both ordered eviction sets at its depth under its
-            // documented keys, and in the free-slot map exactly when it
-            // has spare capacity.
+            // Per-depth counts, and on an indexed tree order-index
+            // agreement: every attached member appears in both ordered
+            // eviction sets at its depth under its documented keys, and in
+            // the free-slot map exactly when it has spare capacity.
             if slot.attached {
                 reachable += 1;
                 let depth = slot.depth;
-                let (Some(evict), Some(free)) =
-                    (self.evict_index.get(depth), self.free_index.get(depth))
-                else {
-                    return fail(format!("no index layer at depth {depth} for {id}"));
+                let Some(count) = recount.get_mut(depth) else {
+                    return fail(format!(
+                        "{id} attached at depth {depth} past the depth counts"
+                    ));
                 };
-                if !evict
-                    .by_bandwidth
-                    .contains(&(bw_order_key(slot.profile.bandwidth), id))
-                {
-                    return fail(format!("{id} missing from bandwidth index at {depth}"));
-                }
-                if !evict
-                    .by_join
-                    .contains(&(join_order_key(slot.profile.join_time), id))
-                {
-                    return fail(format!("{id} missing from join-time index at {depth}"));
-                }
-                let has_free = slot.capacity > slot.children.len();
-                if has_free {
-                    free_expected += 1;
-                }
-                if free.get(&id).copied() != has_free.then_some(ix) {
-                    return fail(format!("{id} free-slot index entry wrong at {depth}"));
+                *count += 1;
+                if let Some(order) = &self.order {
+                    let has_free = slot.capacity > slot.children.len();
+                    free_expected += usize::from(has_free);
+                    if let Err(msg) = order.check_member(&slot.profile, ix, depth, has_free) {
+                        return fail(msg);
+                    }
                 }
             }
         }
@@ -1700,28 +1648,24 @@ impl MulticastTree {
             ));
         }
 
-        // The totals rule out stale index extras, and the O(1) cache
-        // agrees with a recount.
+        // The cached counts agree with a recount, and the index totals
+        // rule out stale index extras.
         if self.attached_total != reachable {
             return fail(format!(
                 "attached_count cache {} but {reachable} attached members exist",
                 self.attached_total
             ));
         }
-        let evict_bw_total: usize = self.evict_index.iter().map(|l| l.by_bandwidth.len()).sum();
-        let evict_join_total: usize = self.evict_index.iter().map(|l| l.by_join.len()).sum();
-        if evict_bw_total != reachable || evict_join_total != reachable {
+        if recount != self.depth_counts {
             return fail(format!(
-                "eviction index holds {evict_bw_total}/{evict_join_total} entries but \
-                 {reachable} attached members exist"
+                "per-depth attached counts {:?} but a recount gives {recount:?}",
+                self.depth_counts
             ));
         }
-        let free_total: usize = self.free_index.iter().map(BTreeMap::len).sum();
-        if free_total != free_expected {
-            return fail(format!(
-                "free-slot index holds {free_total} entries but {free_expected} attached \
-                 members have spare capacity"
-            ));
+        if let Some(order) = &self.order {
+            if let Err(msg) = order.check_totals(reachable, free_expected) {
+                return fail(msg);
+            }
         }
 
         // Attached members are exactly those reachable from the root
@@ -1804,6 +1748,45 @@ mod tests {
             .filter(|&(_, ix)| t.depth_ix(ix) == Some(depth))
             .map(|(id, _)| id)
             .collect()
+    }
+
+    /// Every order query on a plain tree fails loudly, naming the
+    /// constructor that builds the index, where `None` would read as "no
+    /// member at this depth".
+    #[test]
+    fn order_queries_on_a_plain_tree_panic_naming_the_indexed_constructor() {
+        let t = tree_with_capacity(10.0);
+        let queries: [(&str, &dyn Fn()); 4] = [
+            ("weakest_by_bandwidth", &|| {
+                let _ = t.weakest_by_bandwidth(0);
+            }),
+            ("weakest_by_age", &|| {
+                let _ = t.weakest_by_age(0, SimTime::ZERO);
+            }),
+            ("shallowest_free_depth", &|| {
+                let _ = t.shallowest_free_depth();
+            }),
+            ("free_slot_entries", &|| {
+                let _ = t.free_slot_entries(0);
+            }),
+        ];
+        for (name, query) in queries {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).expect_err(name);
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(msg, Some(NO_ORDER_INDEX), "{name}");
+        }
+        assert!(NO_ORDER_INDEX.contains("MulticastTree::with_order_index"));
+
+        let t = MulticastTree::with_order_index(profile(0, 10.0), 1.0);
+        assert!(t.has_order_index() && !tree_with_capacity(10.0).has_order_index());
+        assert_eq!(t.weakest_by_bandwidth(0), Some((10.0, NodeId(0))));
+        assert_eq!(t.weakest_by_age(0, SimTime::ZERO), Some((0.0, NodeId(0))));
+        assert_eq!(t.shallowest_free_depth(), Some(0));
+        assert_eq!(t.free_slot_entries(0).count(), 1);
     }
 
     #[test]

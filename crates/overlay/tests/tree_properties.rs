@@ -1,6 +1,7 @@
 //! Property-based tests: the multicast tree's structural invariants
 //! survive arbitrary interleavings of every mutation the protocols
-//! perform.
+//! perform, on both kinds of tree (plain and with the order index), and
+//! the order index's probes match exhaustive scans.
 
 use proptest::prelude::*;
 use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId, TreeError};
@@ -68,8 +69,87 @@ fn attached_non_root(tree: &MulticastTree) -> Vec<NodeId> {
         .collect()
 }
 
+/// A member whose join time spans negative, zero and positive seconds,
+/// so the order index's age keys see every sign.
 fn profile(id: u64, bw: f64) -> MemberProfile {
-    MemberProfile::new(NodeId(id), bw, SimTime::ZERO, 1e6, Location(id as u32))
+    let join_secs = (id % 13) as f64 - 6.0;
+    MemberProfile::new(
+        NodeId(id),
+        bw,
+        SimTime::from_secs(join_secs),
+        1e6,
+        Location(id as u32),
+    )
+}
+
+/// A fresh tree of each kind: plain, then with the order index.
+fn both_kinds() -> [MulticastTree; 2] {
+    [
+        MulticastTree::new(profile(0, 4.0), 1.0),
+        MulticastTree::with_order_index(profile(0, 4.0), 1.0),
+    ]
+}
+
+/// Resolves `op` against the tree's current state and applies it.
+fn apply(tree: &mut MulticastTree, op: &Op, next_id: &mut u64) {
+    match *op {
+        Op::Attach { bw_tenths, pick } => {
+            let parents = attached_with_free_slot(tree);
+            if let Some(parent) = pick_from(&parents, pick) {
+                let bw = f64::from(bw_tenths) / 10.0; // 0.0 ..= 25.5
+                tree.attach(profile(*next_id, bw), parent).unwrap();
+                *next_id += 1;
+            }
+        }
+        Op::Remove { pick } => {
+            let mut victims: Vec<NodeId> =
+                tree.member_ids().filter(|&n| n != tree.root()).collect();
+            victims.sort();
+            if let Some(v) = pick_from(&victims, pick) {
+                tree.remove(v).unwrap();
+            }
+        }
+        Op::Reattach { pick, parent_pick } => {
+            let orphans: Vec<NodeId> = tree.orphan_roots().collect();
+            let parents = attached_with_free_slot(tree);
+            if let (Some(o), Some(p)) =
+                (pick_from(&orphans, pick), pick_from(&parents, parent_pick))
+            {
+                tree.reattach(o, p).unwrap();
+            }
+        }
+        Op::Swap { pick } => {
+            let nodes = attached_non_root(tree);
+            if let Some(n) = pick_from(&nodes, pick) {
+                match tree.swap_with_parent(n, |p| p.bandwidth) {
+                    Ok(_)
+                    | Err(TreeError::NoSwitchableParent(_))
+                    | Err(TreeError::InsufficientCapacity(_)) => {}
+                    Err(e) => panic!("unexpected swap error: {e}"),
+                }
+            }
+        }
+        Op::Replace { bw_tenths, pick } => {
+            let targets = attached_non_root(tree);
+            if let Some(t) = pick_from(&targets, pick) {
+                let bw = f64::from(bw_tenths) / 10.0;
+                tree.replace(t, profile(*next_id, bw), |p| p.bandwidth)
+                    .unwrap();
+                *next_id += 1;
+            }
+        }
+        Op::Usurp { pick, evict_pick } => {
+            let orphans: Vec<NodeId> = tree.orphan_roots().collect();
+            let targets = attached_non_root(tree);
+            if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick))
+            {
+                tree.usurp(t, o, |p| p.bandwidth).unwrap();
+            }
+        }
+        Op::SetBandwidth { bw_tenths, pick } => {
+            apply_set_bandwidth(tree, bw_tenths, pick);
+        }
+    }
 }
 
 proptest! {
@@ -78,66 +158,13 @@ proptest! {
     /// Invariants hold after every single mutation in a random sequence.
     #[test]
     fn invariants_survive_random_mutation_sequences(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
-        let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        let bw = f64::from(bw_tenths) / 10.0; // 0.0 ..= 25.5
-                        tree.attach(profile(next_id, bw), parent).unwrap();
-                        next_id += 1;
-                    }
+        for mut tree in both_kinds() {
+            let mut next_id = 1u64;
+            for op in &ops {
+                apply(&mut tree, op, &mut next_id);
+                if let Err(v) = tree.check_invariants() {
+                    panic!("after {op:?} (indexed: {}): {v}", tree.has_order_index());
                 }
-                Op::Remove { pick } => {
-                    let victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    let mut victims = victims;
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        match tree.swap_with_parent(n, |p| p.bandwidth) {
-                            Ok(_)
-                            | Err(TreeError::NoSwitchableParent(_))
-                            | Err(TreeError::InsufficientCapacity(_)) => {}
-                            Err(e) => panic!("unexpected swap error: {e}"),
-                        }
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        let bw = f64::from(bw_tenths) / 10.0;
-                        tree.replace(t, profile(next_id, bw), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
-            }
-            if let Err(v) = tree.check_invariants() {
-                panic!("after {:?}: {v}", tree.member_ids().count());
             }
         }
     }
@@ -146,136 +173,78 @@ proptest! {
     /// except through explicit removal.
     #[test]
     fn membership_is_conserved(ops in prop::collection::vec(op_strategy(), 1..80)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
-        let mut next_id = 1u64;
-        let mut expected: std::collections::BTreeSet<u64> = [0].into_iter().collect();
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
-                        expected.insert(next_id);
-                        next_id += 1;
+        for mut tree in both_kinds() {
+            let mut next_id = 1u64;
+            let mut expected: std::collections::BTreeSet<u64> = [0].into_iter().collect();
+            for op in &ops {
+                match *op {
+                    Op::Attach { bw_tenths, pick } => {
+                        let parents = attached_with_free_slot(&tree);
+                        if let Some(parent) = pick_from(&parents, pick) {
+                            tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
+                            expected.insert(next_id);
+                            next_id += 1;
+                        }
                     }
-                }
-                Op::Remove { pick } => {
-                    let mut victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                        expected.remove(&v.0);
+                    Op::Remove { pick } => {
+                        let mut victims: Vec<NodeId> =
+                            tree.member_ids().filter(|&n| n != tree.root()).collect();
+                        victims.sort();
+                        if let Some(v) = pick_from(&victims, pick) {
+                            tree.remove(v).unwrap();
+                            expected.remove(&v.0);
+                        }
                     }
+                    Op::Swap { .. } => apply(&mut tree, op, &mut next_id),
+                    _ => {}
                 }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                    }
-                }
-                _ => {}
+                let actual: std::collections::BTreeSet<u64> =
+                    tree.member_ids().map(|n| n.0).collect();
+                prop_assert_eq!(&actual, &expected);
             }
-            let actual: std::collections::BTreeSet<u64> =
-                tree.member_ids().map(|n| n.0).collect();
-            prop_assert_eq!(&actual, &expected);
         }
     }
 
-    /// The O(1) cached `attached_count` and the index-derived `max_depth`
-    /// always match a from-scratch recomputation over the membership, no
-    /// matter how mutations interleave. Guards the PR-5 arena bookkeeping: the
-    /// pre-arena `attached_count` re-summed every depth layer per call, so
-    /// a stale increment here would silently skew every report that reads
-    /// the population size.
+    /// The O(1) cached `attached_count` and the count-derived `max_depth`
+    /// always match a from-scratch recomputation over the membership, on
+    /// both kinds of tree, no matter how mutations interleave. A stale
+    /// count would silently skew every report that reads the population
+    /// size or the tree depth.
     #[test]
     fn cached_counters_match_recomputation(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
-        let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Remove { pick } => {
-                    let mut victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        tree.replace(t, profile(next_id, f64::from(bw_tenths) / 10.0), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
+        for mut tree in both_kinds() {
+            let mut next_id = 1u64;
+            for op in &ops {
+                apply(&mut tree, op, &mut next_id);
+                let recomputed_attached = tree
+                    .member_ids()
+                    .filter(|&n| tree.is_attached(n))
+                    .count();
+                prop_assert_eq!(tree.attached_count(), recomputed_attached);
+                let recomputed_max_depth = tree
+                    .member_ids()
+                    .filter_map(|n| tree.depth(n))
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(tree.max_depth(), recomputed_max_depth);
             }
-            let recomputed_attached = tree
-                .member_ids()
-                .filter(|&n| tree.is_attached(n))
-                .count();
-            prop_assert_eq!(tree.attached_count(), recomputed_attached);
-            let recomputed_max_depth = tree
-                .member_ids()
-                .filter_map(|n| tree.depth(n))
-                .max()
-                .unwrap_or(0);
-            prop_assert_eq!(tree.max_depth(), recomputed_max_depth);
         }
     }
 
-    /// Depths reported by the index always match the distance to the root
+    /// Depths stored in the slots always match the distance to the root
     /// along parent pointers.
     #[test]
     fn depth_equals_ancestor_count(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
-        let mut next_id = 1u64;
-        for op in ops {
-            if let Op::Attach { bw_tenths, pick } = op {
-                let parents = attached_with_free_slot(&tree);
-                if let Some(parent) = pick_from(&parents, pick) {
-                    tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
-                    next_id += 1;
+        for mut tree in both_kinds() {
+            let mut next_id = 1u64;
+            for op in &ops {
+                if matches!(op, Op::Attach { .. } | Op::Swap { .. }) {
+                    apply(&mut tree, op, &mut next_id);
                 }
-            } else if let Op::Swap { pick } = op {
-                let nodes = attached_non_root(&tree);
-                if let Some(n) = pick_from(&nodes, pick) {
-                    let _ = tree.swap_with_parent(n, |p| p.bandwidth);
+                for id in tree.attached_by_depth() {
+                    let depth = tree.depth(id).unwrap();
+                    prop_assert_eq!(depth, tree.ancestors(id).len());
                 }
-            }
-            for id in tree.attached_by_depth() {
-                let depth = tree.depth(id).unwrap();
-                prop_assert_eq!(depth, tree.ancestors(id).len());
             }
         }
     }
@@ -290,64 +259,10 @@ proptest! {
     /// all exercised at both probe times.
     #[test]
     fn eviction_probes_match_exhaustive_scans(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        let join_secs = (next_id % 13) as f64 - 6.0;
-                        let m = MemberProfile::new(
-                            NodeId(next_id),
-                            f64::from(bw_tenths) / 10.0,
-                            SimTime::from_secs(join_secs),
-                            1e6,
-                            Location(next_id as u32),
-                        );
-                        tree.attach(m, parent).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Remove { pick } => {
-                    let mut victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        tree.replace(t, profile(next_id, f64::from(bw_tenths) / 10.0), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
-            }
+        for op in &ops {
+            apply(&mut tree, op, &mut next_id);
             tree.check_invariants().unwrap();
             for now in [SimTime::from_secs(0.5), SimTime::from_secs(8.0)] {
                 for depth in 0..=tree.max_depth() {

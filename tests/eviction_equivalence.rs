@@ -174,7 +174,7 @@ impl KeyKind {
 /// must agree on every placement while the tree churns.
 fn run_wall(seed: u64, kind: KeyKind, proximity: &dyn Proximity, ops: usize) {
     let source = MemberProfile::new(NodeId(0), 6.0, SimTime::ZERO, 1e12, Location(0));
-    let mut tree = MulticastTree::new(source, 1.0);
+    let mut tree = MulticastTree::with_order_index(source, 1.0);
     let mut rng = Rng::new(seed);
     let mut next_id = 1u64;
     let mut switches = 0usize;

@@ -47,15 +47,20 @@ fn profile_for(id: u64, bw: f64) -> MemberProfile {
 }
 
 /// Frontier-cursor builder — an amortized-O(1)-per-attach construction
-/// for the 100k-member trees. Attach order coincides with breadth-first
-/// (depth, id) order (depths are assigned non-decreasing in id) and a
-/// filled node never regains capacity during the build, so the shallowest
-/// free parent only ever moves forward through the attach order.
-fn build_cursor(n: u64, seed: u64) -> MulticastTree {
+/// for the 100k-member trees, of the kind `build` makes (plain or
+/// indexed). Attach order coincides with breadth-first (depth, id) order
+/// (depths are assigned non-decreasing in id) and a filled node never
+/// regains capacity during the build, so the shallowest free parent only
+/// ever moves forward through the attach order.
+fn build_cursor(
+    n: u64,
+    seed: u64,
+    build: fn(MemberProfile, f64) -> MulticastTree,
+) -> MulticastTree {
     let mut rng = SimRng::seed_from(seed);
     let bw = BoundedPareto::paper_bandwidth();
     let source = MemberProfile::new(NodeId::SOURCE, 8.0, SimTime::ZERO, 1e9, Location(0));
-    let mut tree = MulticastTree::new(source, 1.0);
+    let mut tree = build(source, 1.0);
     let mut order: Vec<NodeId> = vec![NodeId::SOURCE];
     let mut cursor = 0usize;
     for id in 1..=n {
@@ -95,7 +100,7 @@ fn build_scan(n: u64, seed: u64) -> MulticastTree {
 #[test]
 fn cursor_builder_matches_scan_builder() {
     let n = 1_500;
-    let fast = build_cursor(n, n);
+    let fast = build_cursor(n, n, MulticastTree::new);
     let slow = build_scan(n, n);
     for id in (0..=n).map(NodeId) {
         assert_eq!(fast.parent(id), slow.parent(id), "parent of {id:?}");
@@ -215,23 +220,26 @@ fn eviction_ns(tree: &MulticastTree) -> f64 {
 /// ratios observed on the reference machine (~1× switch, ~2× eviction) —
 /// so scheduler noise cannot trip them, while the pre-index behavior
 /// (switch ~6 000× the 1k cost, eviction ~100×) fails by orders of
-/// magnitude.
+/// magnitude. The switch is timed on the plain tree every distributed
+/// run uses, the eviction search on the indexed tree the centralized
+/// runs use.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "timing wall; run in release (CI mega-smoke job)"
 )]
 fn hundred_k_ops_stay_within_a_fixed_multiple_of_1k() {
-    let mut small = build_cursor(1_000, 1_000);
-    let mut big = build_cursor(100_000, 100_000);
-    churn(&mut small);
-    churn(&mut big);
-
     let spin = calibration_spin_ns();
-    let switch_small = switch_ns(&mut small);
-    let switch_big = switch_ns(&mut big);
-    let evict_small = eviction_ns(&small);
-    let evict_big = eviction_ns(&big);
+    let [switch_small, switch_big] = [1_000, 100_000].map(|n| {
+        let mut tree = build_cursor(n, n, MulticastTree::new);
+        churn(&mut tree);
+        switch_ns(&mut tree)
+    });
+    let [evict_small, evict_big] = [1_000, 100_000].map(|n| {
+        let mut tree = build_cursor(n, n, MulticastTree::with_order_index);
+        churn(&mut tree);
+        eviction_ns(&tree)
+    });
     println!(
         "mega_smoke: spin {spin:.2} ns/iter | switch 1k {switch_small:.0} ns \
          -> 100k {switch_big:.0} ns | eviction 1k {evict_small:.0} ns \

@@ -11,6 +11,10 @@
 //! divergence is a bug in the arena rewrite, not a tolerable drift: the
 //! determinism walls depend on the two cores being observationally
 //! indistinguishable.
+//!
+//! The arena comes in two kinds, plain and with the order index the
+//! centralized algorithms query; both are driven through every sequence
+//! next to the model, so the index cannot change what either kind shows.
 
 use proptest::prelude::*;
 use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId, TreeError};
@@ -1152,15 +1156,17 @@ fn assert_equivalent(new: &MulticastTree, old: &old_model::MulticastTree) {
     }
 }
 
-/// Applies `op` to both representations, asserting that fallible calls
-/// return identical outcomes (success payloads and errors alike).
-fn apply_both(
-    new: &mut MulticastTree,
+/// Applies `op` to every arena tree and to the reference model, asserting
+/// that each arena tree's fallible calls return the model's outcomes
+/// (success payloads and errors alike).
+fn apply_all(
+    news: &mut [MulticastTree],
     old: &mut old_model::MulticastTree,
     op: &Op,
     next_id: &mut u64,
 ) {
     // Resolution uses only observations already proven equivalent.
+    let new = &news[0];
     let free_parents: Vec<NodeId> = new
         .attached_by_depth()
         .filter(|&n| new.has_free_slot(n))
@@ -1175,19 +1181,23 @@ fn apply_both(
         Op::Attach { bw_tenths, pick } => {
             if let Some(parent) = pick_from(&free_parents, pick) {
                 let bw = f64::from(bw_tenths) / 10.0;
-                let a = new.attach(profile(*next_id, bw), parent);
                 let b = old.attach(profile(*next_id, bw), parent);
-                assert_eq!(a, b, "attach outcome diverged");
+                for new in news.iter_mut() {
+                    let a = new.attach(profile(*next_id, bw), parent);
+                    assert_eq!(a, b, "attach outcome diverged");
+                }
                 *next_id += 1;
             }
         }
         Op::Remove { pick } => {
             if let Some(v) = pick_from(&members, pick) {
-                let a = new.remove(v).expect("known non-root member");
                 let b = old.remove(v).expect("known non-root member");
-                assert_eq!(a.profile, b.profile);
-                assert_eq!(a.orphaned_children, b.orphaned_children);
-                assert_eq!(a.affected_descendants, b.affected_descendants);
+                for new in news.iter_mut() {
+                    let a = new.remove(v).expect("known non-root member");
+                    assert_eq!(a.profile, b.profile);
+                    assert_eq!(a.orphaned_children, b.orphaned_children);
+                    assert_eq!(a.affected_descendants, b.affected_descendants);
+                }
             }
         }
         Op::Reattach {
@@ -1199,35 +1209,38 @@ fn apply_both(
             if let (Some(o), Some(p)) =
                 (pick_from(pool, pick), pick_from(&free_parents, parent_pick))
             {
-                let a = new.reattach(o, p);
                 let b = old.reattach(o, p);
-                assert_eq!(a, b, "reattach outcome diverged");
+                for new in news.iter_mut() {
+                    assert_eq!(new.reattach(o, p), b, "reattach outcome diverged");
+                }
             }
         }
         Op::Swap { pick } => {
             if let Some(n) = pick_from(&non_root, pick) {
-                let a = new.swap_with_parent(n, |p| p.bandwidth);
                 let b = old.swap_with_parent(n, |p| p.bandwidth);
-                match (a, b) {
-                    (Ok(ra), Ok(rb)) => {
-                        assert_eq!(ra.promoted, rb.promoted);
-                        assert_eq!(ra.demoted, rb.demoted);
-                        assert_eq!(ra.parent_changes, rb.parent_changes);
-                        assert_eq!(ra.reparented, rb.reparented);
-                        assert_eq!(ra.spilled_to_promoted, rb.spilled_to_promoted);
-                        assert_eq!(ra.displaced, rb.displaced);
+                for new in news.iter_mut() {
+                    match (new.swap_with_parent(n, |p| p.bandwidth), &b) {
+                        (Ok(ra), Ok(rb)) => {
+                            assert_eq!(ra.promoted, rb.promoted);
+                            assert_eq!(ra.demoted, rb.demoted);
+                            assert_eq!(ra.parent_changes, rb.parent_changes);
+                            assert_eq!(ra.reparented, rb.reparented);
+                            assert_eq!(ra.spilled_to_promoted, rb.spilled_to_promoted);
+                            assert_eq!(ra.displaced, rb.displaced);
+                        }
+                        (Err(ea), Err(eb)) => assert_eq!(&ea, eb),
+                        (a, b) => panic!("swap outcome diverged: {a:?} vs {b:?}"),
                     }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                    (a, b) => panic!("swap outcome diverged: {a:?} vs {b:?}"),
                 }
             }
         }
         Op::Replace { bw_tenths, pick } => {
             if let Some(t) = pick_from(&non_root, pick) {
                 let bw = f64::from(bw_tenths) / 10.0;
-                let a = new.replace(t, profile(*next_id, bw), |p| p.bandwidth);
                 let b = old.replace(t, profile(*next_id, bw), |p| p.bandwidth);
-                compare_replace(a, b);
+                for new in news.iter_mut() {
+                    compare_replace(new.replace(t, profile(*next_id, bw), |p| p.bandwidth), &b);
+                }
                 *next_id += 1;
             }
         }
@@ -1238,17 +1251,23 @@ fn apply_both(
         } => {
             let pool = if any_member { &members } else { &orphans };
             if let (Some(o), Some(t)) = (pick_from(pool, pick), pick_from(&non_root, evict_pick)) {
-                let a = new.usurp(t, o, |p| p.bandwidth);
                 let b = old.usurp(t, o, |p| p.bandwidth);
-                compare_replace(a, b);
+                for new in news.iter_mut() {
+                    compare_replace(new.usurp(t, o, |p| p.bandwidth), &b);
+                }
             }
         }
         Op::SetBandwidth { bw_tenths, pick } => {
             if let Some(t) = pick_from(&non_root, pick) {
                 let bw = f64::from(bw_tenths) / 10.0;
-                let a = new.set_bandwidth(t, bw);
                 let b = old.set_bandwidth(t, bw);
-                assert_eq!(a, b, "set_bandwidth outcome diverged");
+                for new in news.iter_mut() {
+                    assert_eq!(
+                        new.set_bandwidth(t, bw),
+                        b,
+                        "set_bandwidth outcome diverged"
+                    );
+                }
             }
         }
     }
@@ -1256,14 +1275,14 @@ fn apply_both(
 
 fn compare_replace(
     a: Result<rom_overlay::ReplaceOutcome, TreeError>,
-    b: Result<old_model::ReplaceOutcome, TreeError>,
+    b: &Result<old_model::ReplaceOutcome, TreeError>,
 ) {
     match (a, b) {
         (Ok(ra), Ok(rb)) => {
             assert_eq!(ra.displaced, rb.displaced);
             assert_eq!(ra.adopted, rb.adopted);
         }
-        (Err(ea), Err(eb)) => assert_eq!(ea, eb),
+        (Err(ea), Err(eb)) => assert_eq!(&ea, eb),
         (a, b) => panic!("replace/usurp outcome diverged: {a:?} vs {b:?}"),
     }
 }
@@ -1271,17 +1290,25 @@ fn compare_replace(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The arena tree and the pre-arena BTreeMap tree are observationally
-    /// indistinguishable under arbitrary mutation sequences.
+    /// The arena tree, plain and with the order index, and the pre-arena
+    /// BTreeMap tree are observationally indistinguishable under arbitrary
+    /// mutation sequences.
     #[test]
     fn arena_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..140)) {
-        let mut new = MulticastTree::new(profile(0, 4.0), 1.0);
+        let mut news = [
+            MulticastTree::new(profile(0, 4.0), 1.0),
+            MulticastTree::with_order_index(profile(0, 4.0), 1.0),
+        ];
         let mut old = old_model::MulticastTree::new(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
-        assert_equivalent(&new, &old);
+        for new in &news {
+            assert_equivalent(new, &old);
+        }
         for op in &ops {
-            apply_both(&mut new, &mut old, op, &mut next_id);
-            assert_equivalent(&new, &old);
+            apply_all(&mut news, &mut old, op, &mut next_id);
+            for new in &news {
+                assert_equivalent(new, &old);
+            }
         }
     }
 }
