@@ -1,5 +1,7 @@
 //! Micro-benchmarks of CER's group machinery: Algorithm 1 against the
-//! random baseline, partial-tree reconstruction, and loss correlation.
+//! random baseline, partial-tree reconstruction (from gossiped records,
+//! and from the arena as the streaming engine builds it), and loss
+//! correlation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rom_cer::{
@@ -10,9 +12,10 @@ use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 use rom_sim::{SimRng, SimTime};
 use std::hint::black_box;
 
-/// A 1000-member tree plus 100 gossiped ancestor records — the working
-/// set a member builds its MLC group from (§4.1).
-fn setup() -> (MulticastTree, Vec<AncestorRecord>) {
+/// A 1000-member tree, a 100-member view of it, and the view's gossiped
+/// ancestor records — the working set a member builds its MLC group from
+/// (§4.1).
+fn setup() -> (MulticastTree, Vec<NodeId>, Vec<AncestorRecord>) {
     let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
     let mut rng = SimRng::seed_from(1);
     for id in 1..=1_000u64 {
@@ -29,16 +32,26 @@ fn setup() -> (MulticastTree, Vec<AncestorRecord>) {
         .iter()
         .filter_map(|&m| AncestorRecord::from_tree(&tree, m))
         .collect();
-    (tree, records)
+    (tree, view, records)
 }
 
 fn bench_mlc(c: &mut Criterion) {
-    let (tree, records) = setup();
+    let (tree, view, records) = setup();
     let mut rng = SimRng::seed_from(2);
     let options = MlcOptions::default();
 
     c.bench_function("partial_tree_from_100_records", |b| {
         b.iter(|| black_box(PartialTree::from_records(black_box(&records))));
+    });
+    // The same fragment as the streaming engine builds it: one walk up
+    // the arena's parent links per view member.
+    c.bench_function("partial_tree_from_tree_100_members", |b| {
+        b.iter(|| {
+            black_box(PartialTree::from_tree(
+                black_box(&tree),
+                black_box(&view).iter().copied(),
+            ))
+        });
     });
 
     let partial = PartialTree::from_records(&records);

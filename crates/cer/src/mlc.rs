@@ -32,6 +32,14 @@ pub struct MlcOptions {
 /// contain `k` admissible members; callers treat that as "use what there
 /// is". The fragment root (the multicast source) is never selected.
 ///
+/// The random draws follow a fixed order, so a seed fixes the group: the
+/// subtree roots are drawn level member by level member in
+/// [`PartialTree::level`] order, each from that member's remaining
+/// children (ascending, with the drawn child swap-removed); each subtree's
+/// member is drawn from its admissible [`PartialTree::descendants`] in
+/// that order; the backfill draws from the admissible known members in id
+/// order, again by swap-remove.
+///
 /// # Panics
 ///
 /// Panics if `k` is zero.
@@ -52,12 +60,13 @@ pub fn find_mlc_group(
     // condition is unsatisfiable (|L0| = 1); the root level is the natural
     // choice. If the tree never widens to K, fall back to the widest
     // level — the algorithm then degrades gracefully to fewer subtrees.
+    let level_len = |depth: usize| tree.level_indices(depth).len();
     let mut li = 0usize;
     if k > 1 {
-        let mut widest = (0usize, tree.level(0).len());
+        let mut widest = (0usize, level_len(0));
         loop {
-            let here = tree.level(li).len();
-            let below = tree.level(li + 1).len();
+            let here = level_len(li);
+            let below = level_len(li + 1);
             if below == 0 {
                 li = widest.0;
                 break;
@@ -73,23 +82,31 @@ pub fn find_mlc_group(
     }
 
     // Step 3: collect subtree roots G0 by cycling over Li and drawing one
-    // random remaining child per member per round.
-    let level: Vec<NodeId> = tree.level(li);
-    let mut remaining_children: Vec<Vec<NodeId>> =
-        level.iter().map(|&v| tree.children(v)).collect();
-    let mut g0: Vec<NodeId> = Vec::new();
+    // random remaining child per member per round. The remaining children
+    // of all Li members sit back to back in one buffer, one
+    // `(start, len)` range per member.
+    let mut remaining: Vec<u32> = Vec::new();
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    for &v in tree.level_indices(li) {
+        let children = tree.child_indices(v);
+        ranges.push((remaining.len(), children.len()));
+        remaining.extend_from_slice(children);
+    }
+    let mut g0: Vec<u32> = Vec::new();
     loop {
         let mut picked_any = false;
-        for children in &mut remaining_children {
+        for (start, len) in &mut ranges {
             if g0.len() >= k {
                 break;
             }
-            if children.is_empty() {
+            if *len == 0 {
                 continue;
             }
-            let idx = rng.index(children.len());
-            let child = children.swap_remove(idx);
-            g0.push(child);
+            // `Vec::swap_remove` within the member's range.
+            let idx = *start + rng.index(*len);
+            *len -= 1;
+            g0.push(remaining[idx]);
+            remaining[idx] = remaining[*start + *len];
             picked_any = true;
         }
         if g0.len() >= k || !picked_any {
@@ -101,15 +118,23 @@ pub fn find_mlc_group(
     // or the subtree root itself when it has none (or when every
     // descendant is excluded).
     let mut group: Vec<NodeId> = Vec::new();
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut found: Vec<u32> = Vec::new();
+    let mut pool: Vec<NodeId> = Vec::new();
     for &sub_root in &g0 {
         if group.len() >= k {
             break;
         }
-        let mut pool: Vec<NodeId> = tree
-            .descendants(sub_root)
-            .into_iter()
-            .filter(|&d| admissible(d) && !group.contains(&d))
-            .collect();
+        found.clear();
+        tree.descendants_into(sub_root, &mut frontier, &mut found);
+        pool.clear();
+        pool.extend(
+            found
+                .iter()
+                .map(|&d| tree.id_at(d))
+                .filter(|&d| admissible(d) && !group.contains(&d)),
+        );
+        let sub_root = tree.id_at(sub_root);
         if pool.is_empty() && admissible(sub_root) && !group.contains(&sub_root) {
             pool.push(sub_root);
         }
@@ -121,11 +146,13 @@ pub fn find_mlc_group(
     // Backfill from any admissible fragment node if the subtree walk came
     // up short (tiny fragments).
     if group.len() < k {
-        let mut pool: Vec<NodeId> = tree
-            .known_members()
-            .into_iter()
-            .filter(|&n| admissible(n) && !group.contains(&n))
-            .collect();
+        pool.clear();
+        pool.extend(
+            tree.known()
+                .iter()
+                .copied()
+                .filter(|&n| admissible(n) && !group.contains(&n)),
+        );
         while group.len() < k && !pool.is_empty() {
             let idx = rng.index(pool.len());
             group.push(pool.swap_remove(idx));
@@ -146,8 +173,9 @@ pub fn random_group(
 ) -> Vec<NodeId> {
     let root = tree.root();
     let pool: Vec<NodeId> = tree
-        .known_members()
-        .into_iter()
+        .known()
+        .iter()
+        .copied()
         .filter(|&n| Some(n) != root && !options.exclude.contains(&n))
         .collect();
     rng.sample(&pool, k)

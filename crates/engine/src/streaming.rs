@@ -24,8 +24,8 @@
 use std::collections::BTreeMap;
 
 use rom_cer::{
-    find_mlc_group, random_group, AncestorRecord, MlcOptions, PartialTree, RecoveryGroup,
-    SeqRangeSet, StreamClock, StripePlan,
+    find_mlc_group, random_group, MlcOptions, PartialTree, RecoveryGroup, SeqRangeSet, StreamClock,
+    StripePlan,
 };
 use rom_chaos::{CapacityTrace, DelaySpikes, GilbertElliott, InvariantRegistry, Signal};
 use rom_net::{DelayOracle, UnderlayId};
@@ -104,6 +104,32 @@ pub(crate) struct LinkEpisode {
     pub(crate) spike_offset: f64,
 }
 
+impl LinkEpisode {
+    /// What a repair frame crossing the link at instant `t` meets: the
+    /// capacity multiplier, the extra spike latency, and whether the loss
+    /// chain drops the frame. Outside the episode this is exactly
+    /// `(1.0, 0.0, false)`, so pathology-free arithmetic is bit-identical
+    /// to the baseline (`pps * 1.0 == pps`, `x + 0.0 == x`). Draws exactly
+    /// one `"chaos-link"` uniform from `link_rng` when (and only when) a
+    /// lossy episode is active.
+    fn repair_frame(&mut self, link_rng: &mut SimRng, t: SimTime) -> (f64, f64, bool) {
+        if t < self.start || t >= self.end {
+            return (1.0, 0.0, false);
+        }
+        let offset = t - self.start;
+        let factor = self.capacity.as_ref().map_or(1.0, |c| c.factor_at(offset));
+        let extra = self
+            .spikes
+            .as_ref()
+            .map_or(0.0, |s| s.extra_at(offset - self.spike_offset));
+        let lost = self
+            .loss
+            .as_mut()
+            .is_some_and(|chain| chain.classify(link_rng.uniform()));
+        (factor, extra, lost)
+    }
+}
+
 /// When repaired packets become requestable in `serve_repairs`.
 enum RepairTiming {
     /// The whole gap becomes repairable at once (an outage closing).
@@ -130,6 +156,22 @@ struct MemberStream {
     holes: SeqRangeSet,
     /// Packets that missed this member's playback deadline.
     starved_packets: u64,
+}
+
+impl MemberStream {
+    /// True if this member can supply packet `seq` at time `now`: it
+    /// watched the packet go by, its repair cache still holds it, and it
+    /// did not miss it.
+    fn holds(&self, clock: &StreamClock, cache_secs: f64, seq: u64, now: SimTime) -> bool {
+        let gen = clock.generation_time(seq);
+        if gen.as_secs() < self.view_start {
+            return false; // joined after this packet went by
+        }
+        if now - gen > cache_secs {
+            return false; // evicted from the repair cache
+        }
+        !self.holes.contains(seq)
+    }
 }
 
 /// The streaming layer state, driven by hooks from the churn simulator.
@@ -416,44 +458,6 @@ impl StreamingState {
         }
     }
 
-    /// The capacity multiplier and extra spike latency on `member`'s
-    /// access link at instant `t`: exactly `(1.0, 0.0)` outside an armed
-    /// episode, so pathology-free arithmetic is bit-identical to the
-    /// baseline (`pps * 1.0 == pps`, `x + 0.0 == x`).
-    fn link_quality_at(&self, member: NodeId, t: SimTime) -> (f64, f64) {
-        let Some(ep) = self.pathology.get(&member) else {
-            return (1.0, 0.0);
-        };
-        if t < ep.start || t >= ep.end {
-            return (1.0, 0.0);
-        }
-        let offset = t - ep.start;
-        let factor = ep.capacity.as_ref().map_or(1.0, |c| c.factor_at(offset));
-        let extra = ep
-            .spikes
-            .as_ref()
-            .map_or(0.0, |s| s.extra_at(offset - ep.spike_offset));
-        (factor, extra)
-    }
-
-    /// Classifies one repair frame crossing `member`'s access link at
-    /// instant `t` through the armed episode's loss chain. Draws exactly
-    /// one `"chaos-link"` uniform when (and only when) a lossy episode is
-    /// active — never otherwise, keeping pathology-free runs untouched.
-    fn repair_frame_lost(&mut self, member: NodeId, t: SimTime) -> bool {
-        let Some(ep) = self.pathology.get_mut(&member) else {
-            return false;
-        };
-        if t < ep.start || t >= ep.end {
-            return false;
-        }
-        let Some(chain) = ep.loss.as_mut() else {
-            return false;
-        };
-        let u = self.link_rng.uniform();
-        chain.classify(u)
-    }
-
     /// Finalizes ratios of members still alive at the end of the run.
     pub(crate) fn into_report(mut self, churn: ChurnReport) -> StreamingReport {
         let end = self.window_end;
@@ -489,8 +493,9 @@ impl StreamingState {
     }
 
     /// Selects the member's recovery group at repair time: gather a view,
-    /// rebuild the partial tree from ancestor records, run Algorithm 1 (or
-    /// the random baseline) and order the result by network distance.
+    /// rebuild the partial tree from the view's root paths, run Algorithm
+    /// 1 (or the random baseline) and order the result by network
+    /// distance.
     fn select_group(
         &mut self,
         tree: &MulticastTree,
@@ -500,12 +505,9 @@ impl StreamingState {
     ) -> RecoveryGroup {
         let _span = tree.prof().span("cer.group_select");
         let view = self.rng.sample(live, self.view_size);
-        let records: Vec<AncestorRecord> = view
-            .iter()
-            .filter(|&&v| v != member)
-            .filter_map(|&v| AncestorRecord::from_tree(tree, v))
-            .collect();
-        let partial = PartialTree::from_records(&records);
+        // Gossip here is exact, so the fragment is the union of the view's
+        // root paths, read straight off the arena.
+        let partial = PartialTree::from_tree(tree, view.iter().copied().filter(|&v| v != member));
         let mut exclude = tree.ancestors(member);
         exclude.push(member);
         let options = MlcOptions { exclude };
@@ -565,6 +567,9 @@ impl StreamingState {
     /// latency, and the loss chain may drop the frame outright. Outside
     /// an episode the pathology terms are the exact identities
     /// (`× 1.0`, `+ 0.0`, no draw), keeping baseline runs bit-identical.
+    ///
+    /// Each helper's stream record and the member's episode are looked up
+    /// once per call; the per-packet loop reads them directly.
     #[allow(clippy::too_many_arguments)]
     fn serve_repairs<I>(
         &mut self,
@@ -589,6 +594,29 @@ impl StreamingState {
                 clock.generation_time(seq) + detection_secs
             }
         };
+        let clock = &self.clock;
+        let cache_secs = self.repair_cache_secs;
+        // `None` for a helper that cannot serve at all.
+        let streams: Vec<Option<&MemberStream>> = available
+            .iter()
+            .map(|&(server, _, _)| {
+                if tree.is_attached(server) {
+                    self.members.get(&server)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let holds = |helper: usize, seq: u64| {
+            streams[helper].is_some_and(|s| s.holds(clock, cache_secs, seq, now))
+        };
+        let mut episode = self.pathology.get_mut(&member);
+        let link_rng = &mut self.link_rng;
+        let mut repair_frame = |t: SimTime| {
+            episode
+                .as_deref_mut()
+                .map_or((1.0, 0.0, false), |ep| ep.repair_frame(link_rng, t))
+        };
         match self.strategy {
             RecoveryStrategy::Cooperative => {
                 // Stripe the gap across the available members (§4.2). The
@@ -600,7 +628,7 @@ impl StreamingState {
                 // turns into starvation.
                 let fractions: Vec<f64> = available
                     .iter()
-                    .map(|&(_, pps, _)| pps / self.clock.rate_pps())
+                    .map(|&(_, pps, _)| pps / clock.rate_pps())
                     .collect();
                 let plan = StripePlan::plan_full_coverage(&fractions);
                 if obs.is_active() {
@@ -622,19 +650,19 @@ impl StreamingState {
                 for seq in seqs {
                     match plan.assigned_member(seq) {
                         Some(idx) => {
-                            let (server, pps, hop) = available[idx];
-                            if self.has_packet(tree, server, seq, now) {
+                            let (_, pps, hop) = available[idx];
+                            if holds(idx, seq) {
                                 served_count[idx] += 1;
                                 let serve_start =
-                                    ready_at(&self.clock, seq) + hop as f64 * CHAIN_HOP_SECS;
-                                let (factor, extra) = self.link_quality_at(member, serve_start);
+                                    ready_at(clock, seq) + hop as f64 * CHAIN_HOP_SECS;
+                                let (factor, extra, lost) = repair_frame(serve_start);
                                 let arrival =
                                     serve_start + served_count[idx] as f64 / (pps * factor) + extra;
-                                if self.repair_frame_lost(member, serve_start) {
+                                if lost {
                                     obs.count("cer.repair_dropped", 1);
                                     starved_now += 1;
                                     new_holes.push(seq);
-                                } else if arrival <= self.clock.playback_deadline(seq) {
+                                } else if arrival <= clock.playback_deadline(seq) {
                                     repaired_now += 1;
                                 } else {
                                     starved_now += 1;
@@ -657,21 +685,21 @@ impl StreamingState {
                 // at its residual rate; the rest of the group are fallback
                 // candidates, not parallel servers.
                 match available.first() {
-                    Some(&(server, pps, hop)) => {
+                    Some(&(_, pps, hop)) => {
                         let mut served = 0u64;
                         for seq in seqs {
-                            if self.has_packet(tree, server, seq, now) {
+                            if holds(0, seq) {
                                 served += 1;
                                 let serve_start =
-                                    ready_at(&self.clock, seq) + hop as f64 * CHAIN_HOP_SECS;
-                                let (factor, extra) = self.link_quality_at(member, serve_start);
+                                    ready_at(clock, seq) + hop as f64 * CHAIN_HOP_SECS;
+                                let (factor, extra, lost) = repair_frame(serve_start);
                                 let arrival =
                                     serve_start + served as f64 / (pps * factor) + extra;
-                                if self.repair_frame_lost(member, serve_start) {
+                                if lost {
                                     obs.count("cer.repair_dropped", 1);
                                     starved_now += 1;
                                     new_holes.push(seq);
-                                } else if arrival <= self.clock.playback_deadline(seq) {
+                                } else if arrival <= clock.playback_deadline(seq) {
                                     repaired_now += 1;
                                 } else {
                                     starved_now += 1;
@@ -692,24 +720,6 @@ impl StreamingState {
             }
         }
         (repaired_now, starved_now, new_holes)
-    }
-
-    /// True if `server` can supply packet `seq` at time `now`.
-    fn has_packet(&self, tree: &MulticastTree, server: NodeId, seq: u64, now: SimTime) -> bool {
-        if !tree.is_attached(server) {
-            return false;
-        }
-        let Some(stream) = self.members.get(&server) else {
-            return false;
-        };
-        let gen = self.clock.generation_time(seq);
-        if gen.as_secs() < stream.view_start {
-            return false; // joined after this packet went by
-        }
-        if now - gen > self.repair_cache_secs {
-            return false; // evicted from the repair cache
-        }
-        !stream.holes.contains(seq)
     }
 
     /// Closes one outage `[t0, now)` for `member` and accounts the repair.
