@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the underlay substrate: topology generation,
-//! oracle precomputation and delay queries.
+//! oracle precomputation and delay queries, including the centralized
+//! min-depth fallback's nearest-parent scan over one free-slot layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rom_engine::OracleProximity;
 use rom_net::{dijkstra, DelayOracle, TransitStubConfig, TransitStubNetwork, UnderlayId};
-use rom_sim::SimRng;
+use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId, Proximity};
+use rom_sim::{SimRng, SimTime};
 use std::hint::black_box;
 
 fn bench_underlay(c: &mut Criterion) {
@@ -36,6 +39,8 @@ fn bench_underlay(c: &mut Criterion) {
         });
     });
 
+    bench_nearest_free(c);
+
     c.bench_function("dijkstra_full_graph", |b| {
         b.iter(|| black_box(dijkstra(net.graph(), UnderlayId(0))));
     });
@@ -50,6 +55,60 @@ fn bench_underlay(c: &mut Criterion) {
         let src = *stubs.last().expect("network has stub nodes");
         b.iter(|| black_box(dijkstra(net.graph(), src)));
     });
+}
+
+/// Proximity with only `delay_ms`, so `nearest_free` is the trait's
+/// per-pair default: the reference the oracle's row kernel replaces.
+struct PerPair<'a>(&'a DelayOracle);
+
+impl Proximity for PerPair<'_> {
+    fn delay_ms(&self, a: Location, b: Location) -> f64 {
+        self.0.delay_ms(UnderlayId(a.0), UnderlayId(b.0))
+    }
+}
+
+/// The relaxed ordered baselines' fallback kernel: the nearest of one
+/// free-slot layer of 1 600 members on random stub nodes of the paper
+/// topology, which is what `churn-bo-20k` scans per call (about 1 660
+/// entries on average). Each iteration makes 64 calls from random
+/// origins, as successive rejoins do, so divide by 64 to compare with
+/// the `overlay.min_depth_fallback` span's ns/op in that workload's
+/// profile: the criterion stand-in times one iteration per sample, and a
+/// single call would only measure a cold delay row.
+fn bench_nearest_free(c: &mut Criterion) {
+    let mut rng = SimRng::seed_from(3);
+    let net = TransitStubNetwork::generate(&TransitStubConfig::sized_for(40_000), &mut rng);
+    let oracle = DelayOracle::build(&net);
+    let stubs: Vec<Location> = net.stub_nodes().map(|n| Location(n.0)).collect();
+    let member = |id, bw, loc| MemberProfile::new(NodeId(id), bw, SimTime::ZERO, 1e6, loc);
+    let mut tree = MulticastTree::with_order_index(member(0, 1_600.0, stubs[0]), 1.0);
+    for id in 1..=1_600 {
+        let loc = stubs[rng.index(stubs.len())];
+        tree.attach(member(id, 2.0, loc), NodeId(0))
+            .expect("the source has room");
+    }
+    let layer = tree.free_layer(1);
+    assert_eq!(layer.len(), 1_600);
+    let origins: Vec<Location> = (0..64).map(|_| stubs[rng.index(stubs.len())]).collect();
+
+    let kernel = OracleProximity::new(&oracle);
+    let reference = PerPair(&oracle);
+    let mut group = c.benchmark_group("nearest_free_1600_x64");
+    group.bench_function("oracle_row", |b| {
+        b.iter(|| {
+            for &origin in &origins {
+                black_box(kernel.nearest_free(origin, layer));
+            }
+        });
+    });
+    group.bench_function("per_pair_default", |b| {
+        b.iter(|| {
+            for &origin in &origins {
+                black_box(reference.nearest_free(origin, layer));
+            }
+        });
+    });
+    group.finish();
 }
 
 /// Keeps `cargo bench --workspace` affordable on one core: the simulation

@@ -826,41 +826,6 @@ impl ChurnSim {
         }
     }
 
-    /// Overlay path delay from the source to `id` in milliseconds.
-    ///
-    /// `chain` is a caller-owned scratch buffer so the per-member quality
-    /// sweep does one allocation total instead of one path `Vec` per
-    /// member. The leaf→root index chain is summed in reverse so the
-    /// floating-point accumulation order stays root-first, exactly as the
-    /// `overlay_path` formulation produced.
-    fn overlay_delay_ms(&self, id: NodeId, chain: &mut Vec<rom_overlay::NodeIndex>) -> Option<f64> {
-        let ix = self.tree.index_of(id)?;
-        self.tree.depth_ix(ix)?; // detached members have no root path
-        chain.clear();
-        chain.push(ix);
-        let mut cur = ix;
-        while let Some(p) = self.tree.parent_ix(cur) {
-            chain.push(p);
-            cur = p;
-        }
-        let mut total = 0.0;
-        for i in (1..chain.len()).rev() {
-            let a = self.tree.profile_ix(chain[i]).location;
-            let b = self.tree.profile_ix(chain[i - 1]).location;
-            total += self.oracle.delay_ms(UnderlayId(a.0), UnderlayId(b.0));
-        }
-        Some(total)
-    }
-
-    fn unicast_delay_ms(&self, id: NodeId) -> Option<f64> {
-        let root_loc = self.tree.profile(self.tree.root())?.location;
-        let loc = self.tree.profile(id)?.location;
-        Some(
-            self.oracle
-                .delay_ms(UnderlayId(root_loc.0), UnderlayId(loc.0)),
-        )
-    }
-
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Schedule<'_, Event>) {
         if self.obs.is_active() {
             self.obs.count(event_metric_name(&event), 1);
@@ -1467,25 +1432,37 @@ impl ChurnSim {
         }
     }
 
+    /// Samples every attached member's service delay, depth and stretch.
+    ///
+    /// `attached_by_depth` yields each parent before its children, so a
+    /// member's overlay path delay is its parent's plus one edge, kept per
+    /// arena slot. That is the root-first sum `((0 + d(src, c1)) + d(c1,
+    /// c2)) + …` a full path walk computes, bit for bit, at one oracle
+    /// query per member. The stretch denominators come from one delay row
+    /// fixed at the source.
     fn sample_tree_quality(&mut self, now: SimTime) {
+        let tree = &self.tree;
+        let location = |ix| UnderlayId(tree.profile_ix(ix).location.0);
+        let root = tree.index_of(tree.root()).expect("the source is a member");
+        let from_source = self.oracle.delays_from(location(root));
+        let mut path_delay = vec![0.0; tree.arena_len()];
         let mut population = 0u64;
-        let mut chain = Vec::new();
-        for id in self.tree.attached_by_depth() {
-            if id == self.tree.root() {
-                continue;
-            }
-            population += 1;
-            let Some(delay) = self.overlay_delay_ms(id, &mut chain) else {
-                continue;
+        for id in tree.attached_by_depth() {
+            let ix = tree.index_of(id).expect("attached members are interned");
+            let Some(parent) = tree.parent_ix(ix) else {
+                continue; // the source
             };
+            population += 1;
+            let here = location(ix);
+            let delay = path_delay[parent.index()] + self.oracle.delay_ms(location(parent), here);
+            path_delay[ix.index()] = delay;
             self.report.service_delay_ms.add(delay);
-            if let Some(depth) = self.tree.depth(id) {
+            if let Some(depth) = tree.depth_ix(ix) {
                 self.report.depth.add(depth as f64);
             }
-            if let Some(unicast) = self.unicast_delay_ms(id) {
-                if unicast > 1e-9 {
-                    self.report.stretch.add(delay / unicast);
-                }
+            let unicast = from_source.to(here);
+            if unicast > 1e-9 {
+                self.report.stretch.add(delay / unicast);
             }
             if Some(id) == self.observer_id {
                 self.observer_delay.record(now, delay);

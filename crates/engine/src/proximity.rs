@@ -1,7 +1,7 @@
 //! Bridges `rom-overlay`'s proximity hook to `rom-net`'s delay oracle.
 
 use rom_net::{DelayOracle, UnderlayId};
-use rom_overlay::{Location, Proximity};
+use rom_overlay::{nearest_by, FreeEntry, Location, NodeId, Proximity};
 
 /// A [`Proximity`] backed by a transit-stub [`DelayOracle`].
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +26,13 @@ impl<'a> OracleProximity<'a> {
 impl Proximity for OracleProximity<'_> {
     fn delay_ms(&self, a: Location, b: Location) -> f64 {
         self.oracle.delay_ms(UnderlayId(a.0), UnderlayId(b.0))
+    }
+
+    /// One [`DelayRow`](rom_net::DelayRow) fixed at `origin` serves the
+    /// whole layer, with the same bits as the per-pair default.
+    fn nearest_free(&self, origin: Location, layer: &[FreeEntry]) -> Option<NodeId> {
+        let row = self.oracle.delays_from(UnderlayId(origin.0));
+        nearest_by(layer, |to| row.to(UnderlayId(to.0)))
     }
 }
 

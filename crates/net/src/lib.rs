@@ -9,7 +9,8 @@
 //! - [`TransitStubNetwork`] — the GT-ITM-style generator (transit domains,
 //!   per-transit-node stub domains, the paper's §5 delay ranges),
 //! - [`DelayOracle`] — exact member-to-member delay queries that exploit
-//!   the strict hierarchy instead of materialising an all-pairs table.
+//!   the strict hierarchy instead of materialising an all-pairs table,
+//!   and [`DelayRow`], the same queries from one fixed origin.
 //!
 //! # Examples
 //!
@@ -34,5 +35,5 @@ mod transit_stub;
 
 pub use dijkstra::{all_pairs, dijkstra, ShortestPaths};
 pub use graph::{Graph, Link, UnderlayId};
-pub use oracle::DelayOracle;
+pub use oracle::{DelayOracle, DelayRow};
 pub use transit_stub::{NodeKind, StubDomain, TransitStubConfig, TransitStubNetwork};

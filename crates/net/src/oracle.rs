@@ -19,7 +19,10 @@
 //! node (240 at paper scale) and `d_intra` from tiny per-domain APSP
 //! tables. The composition is exact, not an approximation; the unit tests
 //! verify it against brute-force Dijkstra on every pair of a small
-//! topology.
+//! topology. A caller that needs many delays from one origin (the
+//! overlay's nearest-parent scan, the stretch denominator from the source)
+//! takes a [`DelayRow`] from [`DelayOracle::delays_from`], which locates
+//! the origin once and returns the same bits.
 
 use crate::dijkstra::dijkstra;
 use crate::graph::UnderlayId;
@@ -166,19 +169,82 @@ impl DelayOracle {
         to_attach + self.gateway_edge[dom] + self.transit_dist[gw.index()][target.index()]
     }
 
-    /// Returns the candidate with the smallest delay from `from`, together
-    /// with that delay. Ties resolve to the earliest candidate. `None` when
-    /// `candidates` is empty.
+    /// Delays from one fixed `origin`, located once. Each
+    /// [`DelayRow::to`] query returns exactly the bits of
+    /// [`delay_ms(origin, b)`](Self::delay_ms); from a stub origin it costs
+    /// a range check and one or two table reads instead of locating both
+    /// endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of range for the network the oracle was
+    /// built from.
     #[must_use]
-    pub fn nearest(
-        &self,
-        from: UnderlayId,
-        candidates: &[UnderlayId],
-    ) -> Option<(UnderlayId, f64)> {
-        candidates
-            .iter()
-            .map(|&c| (c, self.delay_ms(from, c)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+    pub fn delays_from(&self, origin: UnderlayId) -> DelayRow<'_> {
+        let stub = self.locate(origin).map(|(dom, local)| {
+            let n = self.stub_domain_size;
+            let intra = &self.intra[dom][local * n..(local + 1) * n];
+            StubOrigin {
+                first: (self.transit_count + dom * n) as u32,
+                intra,
+                // `via_gateway`'s first two terms, summed in its order.
+                exit: intra[0] + self.gateway_edge[dom],
+                gateway_dist: &self.transit_dist[self.gateway[dom].index()],
+            }
+        });
+        DelayRow {
+            oracle: self,
+            origin,
+            stub,
+        }
+    }
+}
+
+/// Delays from one fixed origin to any node; see
+/// [`DelayOracle::delays_from`].
+#[derive(Debug, Clone, Copy)]
+pub struct DelayRow<'a> {
+    oracle: &'a DelayOracle,
+    origin: UnderlayId,
+    /// `None` for a transit origin, whose queries go to
+    /// [`DelayOracle::delay_ms`]: members live on stub nodes.
+    stub: Option<StubOrigin<'a>>,
+}
+
+/// A stub origin, located once.
+#[derive(Debug, Clone, Copy)]
+struct StubOrigin<'a> {
+    /// The first node id of the origin's stub domain.
+    first: u32,
+    /// The origin's row of its domain's intra-domain table.
+    intra: &'a [f64],
+    /// The delay from the origin to its domain's gateway.
+    exit: f64,
+    /// Full-graph distances from that gateway.
+    gateway_dist: &'a [f64],
+}
+
+impl DelayRow<'_> {
+    /// The delay from the row's origin to `b`: bit for bit
+    /// [`DelayOracle::delay_ms`]`(origin, b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range for the oracle's network.
+    #[must_use]
+    #[inline]
+    pub fn to(&self, b: UnderlayId) -> f64 {
+        let Some(stub) = &self.stub else {
+            return self.oracle.delay_ms(self.origin, b);
+        };
+        // One unsigned range check places `b` inside or outside the
+        // origin's domain (ids below `first` wrap to large offsets). The
+        // origin itself lands on its row's diagonal, which holds the 0.0
+        // that `delay_ms(a, a)` returns, so it needs no test of its own.
+        match stub.intra.get(b.0.wrapping_sub(stub.first) as usize) {
+            Some(&d) => d,
+            None => stub.exit + stub.gateway_dist[b.index()],
+        }
     }
 }
 
@@ -246,18 +312,25 @@ mod tests {
     }
 
     #[test]
-    fn nearest_picks_minimum() {
-        let net = small_net(8);
-        let oracle = DelayOracle::build(&net);
-        let stubs: Vec<UnderlayId> = net.stub_nodes().collect();
-        let from = stubs[0];
-        let candidates = &stubs[1..20];
-        let (best, d) = oracle.nearest(from, candidates).unwrap();
-        for &c in candidates {
-            assert!(oracle.delay_ms(from, c) >= d - 1e-12);
+    fn delay_row_matches_delay_ms_bit_for_bit() {
+        // Every ordered pair, transit and stub endpoints alike, `a == b`
+        // included: the row must reproduce the pairwise query's bits.
+        for seed in [4, 8] {
+            let net = small_net(seed);
+            let oracle = DelayOracle::build(&net);
+            let nodes: Vec<UnderlayId> = net.graph().nodes().collect();
+            assert!(nodes.iter().any(|&n| n.index() < net.transit_count()));
+            for &a in &nodes {
+                let row = oracle.delays_from(a);
+                for &b in &nodes {
+                    assert_eq!(
+                        row.to(b).to_bits(),
+                        oracle.delay_ms(a, b).to_bits(),
+                        "seed {seed}: delays_from({a}).to({b})"
+                    );
+                }
+            }
         }
-        assert_eq!(oracle.delay_ms(from, best), d);
-        assert!(oracle.nearest(from, &[]).is_none());
     }
 
     #[test]

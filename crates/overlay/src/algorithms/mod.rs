@@ -129,32 +129,22 @@ pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Opt
 
 /// Centralized [`min_depth_parent`]: the same minimum-depth rule over the
 /// *entire* attached membership, answered from the tree's per-depth
-/// free-slot index instead of a materialized candidate list. The first
+/// free-slot layers instead of a materialized candidate list. The first
 /// layer with spare capacity decides the depth (deeper members can never
-/// win the depth-first ordering), and within it the id-ordered free-slot
-/// entries reproduce the candidate scan's (delay, id) tie-break exactly.
+/// win the depth-first ordering), and within it
+/// [`Proximity::nearest_free`] takes the minimum (delay, id), the
+/// candidate scan's tie-break, in one pass over the layer's slice.
 /// Detached members — including the joiner's own orphaned subtree — are
-/// never in the index, just as the candidate scan skips them.
+/// never listed, just as the candidate scan skips them.
 #[must_use]
 pub fn min_depth_parent_indexed(
     tree: &MulticastTree,
     joiner: &MemberProfile,
     proximity: &dyn Proximity,
 ) -> Option<NodeId> {
+    let _span = tree.prof().span("overlay.min_depth_fallback");
     let depth = tree.shallowest_free_depth()?;
-    let mut best: Option<(f64, NodeId)> = None;
-    for (cand, ix) in tree.free_slot_entries(depth) {
-        let loc = tree.profile_ix(ix).location;
-        let delay = proximity.delay_ms(joiner.location, loc);
-        let better = match best {
-            None => true,
-            Some((bdelay, bid)) => delay < bdelay || (delay == bdelay && cand < bid),
-        };
-        if better {
-            best = Some((delay, cand));
-        }
-    }
-    best.map(|(_, id)| id)
+    proximity.nearest_free(joiner.location, tree.free_layer(depth))
 }
 
 #[cfg(test)]

@@ -61,7 +61,8 @@ pub use error::{InvariantViolation, TreeError};
 pub use id::{Location, NodeId};
 pub use id_map::IdMap;
 pub use member::MemberProfile;
-pub use proximity::{IndexProximity, Proximity, ZeroProximity};
+pub use order_index::FreeEntry;
+pub use proximity::{nearest_by, IndexProximity, Proximity, ZeroProximity};
 pub use stats::TreeStats;
 pub use tree::{paper_source, MulticastTree, NodeIndex, RemovedMember, ReplaceOutcome, SwitchRecord};
 pub use view::ViewSampler;

@@ -4,16 +4,18 @@
 //! "assume a central administrator": each placement probes the weakest
 //! attached member of every depth layer, and their minimum-depth fallback
 //! jumps straight to the shallowest layer with spare capacity.
-//! [`OrderIndex`] answers both from per-depth ordered sets. No distributed
-//! algorithm reads it, so only a tree built with
+//! [`OrderIndex`] answers the probes from per-depth ordered sets, and the
+//! fallback from per-depth unordered `Vec`s of [`FreeEntry`]s that it
+//! scans as one slice, breaking ties by id itself. No distributed
+//! algorithm reads the index, so only a tree built with
 //! [`MulticastTree::with_order_index`](crate::MulticastTree::with_order_index)
 //! keeps one; a plain tree moves a subtree without any B-tree work.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rom_sim::SimTime;
 
-use crate::id::NodeId;
+use crate::id::{Location, NodeId};
 use crate::member::MemberProfile;
 use crate::tree::NodeIndex;
 
@@ -68,6 +70,23 @@ struct EvictLayer {
     by_join: BTreeSet<(u64, NodeId)>,
 }
 
+/// An attached member with at least one free forwarding slot, as its
+/// depth's free-slot layer lists it: 16 bytes in a release build, so the
+/// minimum-depth fallback reads a layer as one contiguous run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FreeEntry {
+    /// The member.
+    pub id: NodeId,
+    /// Its underlay attachment point, copied out of its slot. A member's
+    /// location never changes, so the copy cannot go stale.
+    pub location: Location,
+    /// Its arena slot, which keys the layer's position table.
+    ix: NodeIndex,
+}
+
+/// `free_pos` entry of an arena slot listed in no free-slot layer.
+const UNLISTED: u32 = u32::MAX;
+
 /// Per-depth eviction and free-slot indices over a tree's attached
 /// members. The tree updates it from the same hooks that maintain its
 /// per-depth counts, so every attached member has exactly one entry per
@@ -79,10 +98,14 @@ pub(crate) struct OrderIndex {
     /// weakest entry per layer instead of scanning every member.
     evict: Vec<EvictLayer>,
     /// Per-depth attached members with at least one free forwarding slot
-    /// (same length as `evict`), keyed by id so iteration within a layer
-    /// is id-ordered. Lets the centralized minimum-depth fallback jump
-    /// straight to the shallowest layer with spare capacity.
-    free: Vec<BTreeMap<NodeId, NodeIndex>>,
+    /// (same length as `evict`), unordered. Lets the centralized
+    /// minimum-depth fallback jump straight to the shallowest layer with
+    /// spare capacity and scan it as one slice.
+    free: Vec<Vec<FreeEntry>>,
+    /// Per arena slot: the position of its entry in its depth's `free`
+    /// layer, or [`UNLISTED`]. Makes listing a push and unlisting a
+    /// swap-remove.
+    free_pos: Vec<u32>,
 }
 
 impl OrderIndex {
@@ -97,7 +120,7 @@ impl OrderIndex {
     ) {
         if self.evict.len() <= depth {
             self.evict.resize_with(depth + 1, EvictLayer::default);
-            self.free.resize_with(depth + 1, BTreeMap::new);
+            self.free.resize_with(depth + 1, Vec::new);
         }
         let id = profile.id;
         let evict = &mut self.evict[depth];
@@ -109,13 +132,13 @@ impl OrderIndex {
             .by_join
             .insert((join_order_key(profile.join_time), id));
         if has_free {
-            self.free[depth].insert(id, ix);
+            self.list_free(profile, ix, depth);
         }
     }
 
     /// Drops an attached member's entries at `depth`, under the keys of
     /// its current profile.
-    pub(crate) fn remove(&mut self, profile: &MemberProfile, depth: usize) {
+    pub(crate) fn remove(&mut self, profile: &MemberProfile, ix: NodeIndex, depth: usize) {
         let id = profile.id;
         let evict = &mut self.evict[depth];
         let present = evict
@@ -125,16 +148,60 @@ impl OrderIndex {
         evict
             .by_join
             .remove(&(join_order_key(profile.join_time), id));
-        self.free[depth].remove(&id);
+        self.unlist_free(ix, depth);
     }
 
     /// Sets whether an attached member at `depth` is listed as having a
     /// spare forwarding slot.
-    pub(crate) fn set_free(&mut self, id: NodeId, ix: NodeIndex, depth: usize, has_free: bool) {
-        if has_free {
-            self.free[depth].insert(id, ix);
-        } else {
-            self.free[depth].remove(&id);
+    pub(crate) fn set_free(
+        &mut self,
+        profile: &MemberProfile,
+        ix: NodeIndex,
+        depth: usize,
+        has_free: bool,
+    ) {
+        let listed = self
+            .free_pos
+            .get(ix.index())
+            .is_some_and(|&p| p != UNLISTED);
+        if has_free && !listed {
+            self.list_free(profile, ix, depth);
+        } else if !has_free && listed {
+            self.unlist_free(ix, depth);
+        }
+    }
+
+    /// Appends an unlisted member to its depth's free-slot layer.
+    fn list_free(&mut self, profile: &MemberProfile, ix: NodeIndex, depth: usize) {
+        let slot = ix.index();
+        if self.free_pos.len() <= slot {
+            self.free_pos.resize(slot + 1, UNLISTED);
+        }
+        debug_assert_eq!(self.free_pos[slot], UNLISTED, "{} listed twice", profile.id);
+        let layer = &mut self.free[depth];
+        self.free_pos[slot] = u32::try_from(layer.len()).expect("free layer fits u32 positions");
+        layer.push(FreeEntry {
+            id: profile.id,
+            location: profile.location,
+            ix,
+        });
+    }
+
+    /// Takes `ix`'s entry, if listed, out of the free-slot layer at
+    /// `depth`, moving the layer's last entry into the gap.
+    fn unlist_free(&mut self, ix: NodeIndex, depth: usize) {
+        let Some(pos) = self.free_pos.get_mut(ix.index()) else {
+            return;
+        };
+        if *pos == UNLISTED {
+            return;
+        }
+        let at = std::mem::replace(pos, UNLISTED);
+        let layer = &mut self.free[depth];
+        let gone = layer.swap_remove(at as usize);
+        debug_assert!(gone.ix == ix, "free layer {depth} position table is stale");
+        if let Some(moved) = layer.get(at as usize) {
+            self.free_pos[moved.ix.index()] = at;
         }
     }
 
@@ -180,20 +247,15 @@ impl OrderIndex {
         self.free.iter().position(|layer| !layer.is_empty())
     }
 
-    /// See [`MulticastTree::free_slot_entries`](crate::MulticastTree::free_slot_entries).
-    pub(crate) fn free_slot_entries(
-        &self,
-        depth: usize,
-    ) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.free
-            .get(depth)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(&id, &ix)| (id, ix)))
+    /// See [`MulticastTree::free_layer`](crate::MulticastTree::free_layer).
+    pub(crate) fn free_layer(&self, depth: usize) -> &[FreeEntry] {
+        self.free.get(depth).map_or(&[], Vec::as_slice)
     }
 
     /// Checks one attached member's entries: present in both eviction
-    /// sets at `depth` under its documented keys, and in the free-slot map
-    /// exactly when `has_free`.
+    /// sets at `depth` under its documented keys, and listed in the
+    /// free-slot layer at `depth` exactly when `has_free`, at the position
+    /// its back-pointer names, with its id and location.
     pub(crate) fn check_member(
         &self,
         profile: &MemberProfile,
@@ -217,10 +279,21 @@ impl OrderIndex {
         {
             return Err(format!("{id} missing from join-time index at {depth}"));
         }
-        if free.get(&id).copied() != has_free.then_some(ix) {
-            return Err(format!("{id} free-slot index entry wrong at {depth}"));
+        // `Some(None)`: a back-pointer past the end of the layer.
+        let listed = self
+            .free_pos
+            .get(ix.index())
+            .filter(|&&pos| pos != UNLISTED)
+            .map(|&pos| free.get(pos as usize));
+        match (has_free, listed) {
+            (false, None) => Ok(()),
+            (true, Some(Some(e))) if e.ix == ix && e.id == id && e.location == profile.location => {
+                Ok(())
+            }
+            _ => Err(format!(
+                "{id} (spare capacity: {has_free}) has free-slot entry {listed:?} at {depth}"
+            )),
         }
-        Ok(())
     }
 
     /// Checks the entry totals against the tree's `attached` members, of
@@ -236,11 +309,12 @@ impl OrderIndex {
                  attached members exist"
             ));
         }
-        let free_total: usize = self.free.iter().map(BTreeMap::len).sum();
-        if free_total != with_free {
+        let free_total: usize = self.free.iter().map(Vec::len).sum();
+        let listed = self.free_pos.iter().filter(|&&p| p != UNLISTED).count();
+        if free_total != with_free || listed != with_free {
             return Err(format!(
-                "free-slot index holds {free_total} entries but {with_free} attached \
-                 members have spare capacity"
+                "free-slot layers hold {free_total} entries and {listed} slots are listed, \
+                 but {with_free} attached members have spare capacity"
             ));
         }
         Ok(())

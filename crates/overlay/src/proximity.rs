@@ -7,12 +7,40 @@
 //! trait; the experiment engine implements it with `rom-net`'s delay
 //! oracle.
 
-use crate::id::Location;
+use crate::id::{Location, NodeId};
+use crate::order_index::FreeEntry;
 
 /// A source of pairwise underlay delays.
 pub trait Proximity {
     /// The unicast delay between two attachment points, in milliseconds.
     fn delay_ms(&self, a: Location, b: Location) -> f64;
+
+    /// The member of a free-slot layer nearest to `origin`: the minimum
+    /// (delay from `origin`, id), so the result does not depend on the
+    /// layer's order. `None` for an empty layer.
+    ///
+    /// The default makes one [`delay_ms`](Self::delay_ms) query per entry
+    /// and is the reference an override must match exactly; an
+    /// implementation that can fix the origin once (the engine's delay
+    /// oracle) overrides it.
+    fn nearest_free(&self, origin: Location, layer: &[FreeEntry]) -> Option<NodeId> {
+        nearest_by(layer, |to| self.delay_ms(origin, to))
+    }
+}
+
+/// The minimum (delay, id) over `layer`, each entry's delay read by
+/// `delay` from its location: the shared body of every
+/// [`Proximity::nearest_free`].
+pub fn nearest_by(layer: &[FreeEntry], mut delay: impl FnMut(Location) -> f64) -> Option<NodeId> {
+    let (first, rest) = layer.split_first()?;
+    let (mut best_delay, mut best_id) = (delay(first.location), first.id);
+    for entry in rest {
+        let d = delay(entry.location);
+        if d < best_delay || (d == best_delay && entry.id < best_id) {
+            (best_delay, best_id) = (d, entry.id);
+        }
+    }
+    Some(best_id)
 }
 
 /// A proximity that reports zero for every pair.
@@ -44,6 +72,10 @@ impl Proximity for IndexProximity {
 impl<P: Proximity + ?Sized> Proximity for &P {
     fn delay_ms(&self, a: Location, b: Location) -> f64 {
         (**self).delay_ms(a, b)
+    }
+
+    fn nearest_free(&self, origin: Location, layer: &[FreeEntry]) -> Option<NodeId> {
+        (**self).nearest_free(origin, layer)
     }
 }
 

@@ -49,7 +49,7 @@
 //! tree built with [`with_order_index`](MulticastTree::with_order_index)
 //! also keeps the per-depth eviction and free-slot indices that the
 //! centralized algorithms query (`weakest_by_bandwidth`,
-//! `weakest_by_age`, `shallowest_free_depth`, `free_slot_entries`). A
+//! `weakest_by_age`, `shallowest_free_depth`, `free_layer`). A
 //! plain tree, built with [`new`](MulticastTree::new) for every
 //! distributed algorithm, moves a subtree by rewriting each moved node's
 //! depth and attachment and two per-depth counters, with no B-tree work,
@@ -68,7 +68,7 @@ use crate::error::{InvariantViolation, TreeError};
 use crate::id::NodeId;
 use crate::id_map::IdMap;
 use crate::member::MemberProfile;
-use crate::order_index::OrderIndex;
+use crate::order_index::{FreeEntry, OrderIndex};
 
 /// A member's slot number in the tree's internal arena.
 ///
@@ -494,6 +494,14 @@ impl MulticastTree {
         self.attached_total
     }
 
+    /// One past the highest arena slot number in use: every
+    /// [`NodeIndex::index`] of this tree is below it, so a caller can keep
+    /// a per-member side table in a `Vec` of this length.
+    #[must_use]
+    pub fn arena_len(&self) -> usize {
+        self.slots.len()
+    }
+
     /// True if `id` is present (attached or orphaned).
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
@@ -736,7 +744,7 @@ impl MulticastTree {
     /// The shallowest depth holding an attached member with at least one
     /// free forwarding slot — where the minimum-depth join rule will
     /// place the next leaf. O(max_depth) probes of per-depth free-slot
-    /// maps instead of a scan over the whole membership.
+    /// layers instead of a scan over the whole membership.
     ///
     /// # Panics
     ///
@@ -748,14 +756,19 @@ impl MulticastTree {
     }
 
     /// The attached members at `depth` with at least one free forwarding
-    /// slot, with their arena indices, in id order.
+    /// slot, each with its location, in **no particular order**: listing
+    /// appends and unlisting swap-removes, so the order depends on the
+    /// operation history. A caller that picks one entry must break ties
+    /// itself, as [`Proximity::nearest_free`](crate::Proximity::nearest_free)
+    /// does by id.
     ///
     /// # Panics
     ///
     /// Panics on a plain tree (see [`with_order_index`](Self::with_order_index)).
+    #[must_use]
     #[track_caller]
-    pub fn free_slot_entries(&self, depth: usize) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.order_index().free_slot_entries(depth)
+    pub fn free_layer(&self, depth: usize) -> &[FreeEntry] {
+        self.order_index().free_layer(depth)
     }
 
     /// Ancestors of `id` from its parent up to the subtree root (the source
@@ -921,7 +934,7 @@ impl MulticastTree {
         self.depth_counts[depth] -= 1;
         self.attached_total -= 1;
         if let Some(order) = &mut self.order {
-            order.remove(&self.slots[ix.index()].profile, depth);
+            order.remove(&self.slots[ix.index()].profile, ix, depth);
         }
     }
 
@@ -935,7 +948,7 @@ impl MulticastTree {
         let slot = &self.slots[ix.index()];
         if slot.attached {
             let has_free = slot.capacity > slot.children.len();
-            order.set_free(slot.profile.id, ix, slot.depth, has_free);
+            order.set_free(&slot.profile, ix, slot.depth, has_free);
         }
     }
 
@@ -1621,7 +1634,8 @@ impl MulticastTree {
             // Per-depth counts, and on an indexed tree order-index
             // agreement: every attached member appears in both ordered
             // eviction sets at its depth under its documented keys, and in
-            // the free-slot map exactly when it has spare capacity.
+            // its depth's free-slot layer exactly when it has spare
+            // capacity, at its back-pointer's position with its location.
             if slot.attached {
                 reachable += 1;
                 let depth = slot.depth;
@@ -1766,8 +1780,8 @@ mod tests {
             ("shallowest_free_depth", &|| {
                 let _ = t.shallowest_free_depth();
             }),
-            ("free_slot_entries", &|| {
-                let _ = t.free_slot_entries(0);
+            ("free_layer", &|| {
+                let _ = t.free_layer(0);
             }),
         ];
         for (name, query) in queries {
@@ -1786,7 +1800,14 @@ mod tests {
         assert_eq!(t.weakest_by_bandwidth(0), Some((10.0, NodeId(0))));
         assert_eq!(t.weakest_by_age(0, SimTime::ZERO), Some((0.0, NodeId(0))));
         assert_eq!(t.shallowest_free_depth(), Some(0));
-        assert_eq!(t.free_slot_entries(0).count(), 1);
+        let root = t.profile(NodeId(0)).expect("root");
+        assert_eq!(
+            t.free_layer(0)
+                .iter()
+                .map(|e| (e.id, e.location))
+                .collect::<BTreeSet<_>>(),
+            BTreeSet::from([(root.id, root.location)])
+        );
     }
 
     #[test]

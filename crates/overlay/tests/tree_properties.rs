@@ -3,6 +3,8 @@
 //! perform, on both kinds of tree (plain and with the order index), and
 //! the order index's probes match exhaustive scans.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId, TreeError};
 use rom_sim::SimTime;
@@ -278,19 +280,24 @@ proptest! {
                     );
                 }
             }
-            // One pass over the membership, in id order, buckets each
-            // attached member with a free slot by depth.
-            let mut scanned_free: Vec<Vec<NodeId>> = vec![Vec::new(); tree.max_depth() + 1];
+            // One pass over the membership buckets each attached member
+            // with a free slot, with its location, by depth. A free layer
+            // is unordered, so each is compared as a set.
+            let mut scanned_free: Vec<BTreeSet<(NodeId, Location)>> =
+                vec![BTreeSet::new(); tree.max_depth() + 1];
             for (id, ix) in tree.member_entries() {
                 if let Some(depth) = tree.depth_ix(ix).filter(|_| tree.has_free_slot_ix(ix)) {
-                    scanned_free[depth].push(id);
+                    scanned_free[depth].insert((id, tree.profile_ix(ix).location));
                 }
             }
             let scan_free_depth = scanned_free.iter().position(|layer| !layer.is_empty());
             prop_assert_eq!(tree.shallowest_free_depth(), scan_free_depth);
             for (depth, scanned) in scanned_free.into_iter().enumerate() {
-                let indexed: Vec<NodeId> = tree.free_slot_entries(depth).map(|(id, _)| id).collect();
-                prop_assert_eq!(indexed, scanned, "free-slot entries at depth {}", depth);
+                let layer = tree.free_layer(depth);
+                let listed: BTreeSet<(NodeId, Location)> =
+                    layer.iter().map(|e| (e.id, e.location)).collect();
+                prop_assert_eq!(listed.len(), layer.len(), "duplicate free entry at depth {}", depth);
+                prop_assert_eq!(listed, scanned, "free layer at depth {}", depth);
             }
         }
     }

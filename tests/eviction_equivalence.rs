@@ -14,6 +14,8 @@
 //! a tolerable drift: every figure bin's byte-determinism depends on the
 //! indexed search being observationally identical to the scan.
 
+use rom_engine::OracleProximity;
+use rom_net::{DelayOracle, TransitStubConfig, TransitStubNetwork};
 use rom_overlay::algorithms::{
     JoinContext, JoinDecision, RelaxedBandwidthOrdered, RelaxedTimeOrdered, TreeAlgorithm,
 };
@@ -21,7 +23,7 @@ use rom_overlay::{
     IndexProximity, Location, MemberProfile, MulticastTree, NodeId, Proximity, TreeError,
     ZeroProximity,
 };
-use rom_sim::SimTime;
+use rom_sim::{SimRng, SimTime};
 
 /// The pre-index eviction search and minimum-depth fallback, extracted
 /// from `algorithms/ordered.rs` / `algorithms/mod.rs` before the indexed
@@ -170,9 +172,21 @@ impl KeyKind {
     }
 }
 
+/// The locations of the index-proximity runs: member `n` sits at `n % 17`.
+fn index_locations() -> Vec<Location> {
+    (0..17).map(Location).collect()
+}
+
 /// One engine-shaped wall run: the indexed decider and the embedded scan
-/// must agree on every placement while the tree churns.
-fn run_wall(seed: u64, kind: KeyKind, proximity: &dyn Proximity, ops: usize) {
+/// must agree on every placement while the tree churns. Member `n` sits
+/// at `locations[n % locations.len()]`.
+fn run_wall(
+    seed: u64,
+    kind: KeyKind,
+    proximity: &dyn Proximity,
+    ops: usize,
+    locations: &[Location],
+) {
     let source = MemberProfile::new(NodeId(0), 6.0, SimTime::ZERO, 1e12, Location(0));
     let mut tree = MulticastTree::with_order_index(source, 1.0);
     let mut rng = Rng::new(seed);
@@ -195,7 +209,7 @@ fn run_wall(seed: u64, kind: KeyKind, proximity: &dyn Proximity, ops: usize) {
                     bw,
                     SimTime::from_secs(join),
                     1e6,
-                    Location((next_id % 17) as u32),
+                    locations[(next_id % locations.len() as u64) as usize],
                 );
                 next_id += 1;
                 decisions += 1;
@@ -353,15 +367,17 @@ fn assert_restamp_equivalence(tree: &MulticastTree) {
 
 #[test]
 fn bandwidth_ordered_matches_old_scan_across_seeds() {
+    let locations = index_locations();
     for seed in [7, 42, 1337, 20260808] {
-        run_wall(seed, KeyKind::Bandwidth, &IndexProximity, 400);
+        run_wall(seed, KeyKind::Bandwidth, &IndexProximity, 400, &locations);
     }
 }
 
 #[test]
 fn time_ordered_matches_old_scan_across_seeds() {
+    let locations = index_locations();
     for seed in [7, 42, 1337, 20260808] {
-        run_wall(seed, KeyKind::Age, &IndexProximity, 400);
+        run_wall(seed, KeyKind::Age, &IndexProximity, 400, &locations);
     }
 }
 
@@ -371,8 +387,33 @@ fn flat_proximity_exercises_the_id_tiebreak() {
     // ordering degenerates to pure id order — the tie-break most
     // sensitive to iteration-order differences between the candidate
     // scan and the free-slot index.
+    let locations = index_locations();
     for seed in [3, 99, 4096] {
-        run_wall(seed, KeyKind::Bandwidth, &ZeroProximity, 300);
-        run_wall(seed, KeyKind::Age, &ZeroProximity, 300);
+        run_wall(seed, KeyKind::Bandwidth, &ZeroProximity, 300, &locations);
+        run_wall(seed, KeyKind::Age, &ZeroProximity, 300, &locations);
+    }
+}
+
+#[test]
+fn oracle_proximity_matches_old_scan_on_shared_stub_nodes() {
+    // The engine's proximity, whose fallback scans a free layer against
+    // one delay row, checked against the per-pair candidate scan. Members
+    // share six stub nodes (16 and 19 in one stub domain, 28 and 31 in
+    // another), so many candidates tie on delay and the id decides; the
+    // source sits on transit node 0.
+    let mut rng = SimRng::seed_from(5);
+    let net = TransitStubNetwork::generate(&TransitStubConfig::small(), &mut rng);
+    let oracle = DelayOracle::build(&net);
+    let proximity = OracleProximity::new(&oracle);
+    let stubs: Vec<Location> = net
+        .stub_nodes()
+        .step_by(3)
+        .take(6)
+        .map(|n| Location(n.0))
+        .collect();
+    assert_eq!(stubs[0], Location(net.transit_count() as u32));
+    for seed in [11, 2024] {
+        run_wall(seed, KeyKind::Bandwidth, &proximity, 400, &stubs);
+        run_wall(seed, KeyKind::Age, &proximity, 400, &stubs);
     }
 }

@@ -174,8 +174,8 @@ fn span_op_counts_are_seed_deterministic_across_jobs() {
     assert_ne!(serial[0], serial[1], "seeds 1 and 2 produced equal counts");
 }
 
-/// The eviction scan (an ordered-algorithm path ROST never takes) is
-/// instrumented too.
+/// The eviction scan and the min-depth fallback (ordered-algorithm paths
+/// ROST never takes) are instrumented too.
 #[test]
 fn eviction_scan_is_instrumented_under_ordered_algorithms() {
     let mut cfg = ChurnConfig::quick(AlgorithmKind::RelaxedBandwidthOrdered, 150).with_seed(1);
@@ -183,12 +183,12 @@ fn eviction_scan_is_instrumented_under_ordered_algorithms() {
     cfg.measure_secs = 400.0;
     let (_report, _trace, profile) = instrumented_churn_cell("prof_bo", cfg, 1, PROFILE_ONLY);
     let counts = op_counts(&profile.expect("profile requested"));
-    assert!(
-        counts
-            .iter()
-            .any(|(p, n)| p.ends_with("overlay.find_eviction") && *n > 0),
-        "no find_eviction span recorded: {counts:?}"
-    );
+    for span in ["overlay.find_eviction", "overlay.min_depth_fallback"] {
+        assert!(
+            counts.iter().any(|(p, n)| p.ends_with(span) && *n > 0),
+            "no {span} span recorded: {counts:?}"
+        );
+    }
 }
 
 /// A disabled profiler handle must not allocate per span — the hot
