@@ -37,8 +37,7 @@ pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, StreamingReport};
 use rom_obs::{
-    fnv1a, HealthHandle, HealthSink, JsonlSink, MetricsSnapshot, Obs, Prof, RunManifest,
-    SharedBuffer, Tracer,
+    fnv1a, HealthHandle, HealthSink, JsonlSink, Obs, Prof, RunManifest, SharedBuffer, Tracer,
 };
 use rom_sim::RunOutcome;
 use rom_stats::Summary;
@@ -237,16 +236,6 @@ pub fn churn_config(algorithm: AlgorithmKind, size: usize, seed: u64) -> ChurnCo
     ChurnConfig::paper(algorithm, size).with_seed(seed)
 }
 
-/// Runs one churn configuration per seed (in parallel over
-/// `scale.jobs` workers) and returns the reports in seed order.
-#[must_use]
-pub fn replicate_churn(
-    make: impl Fn(u64) -> ChurnConfig + Sync,
-    scale: Scale,
-) -> Vec<ChurnReport> {
-    replicate_churn_traced("churn", make, scale, Sidecars::none())
-}
-
 /// Runs one streaming configuration per seed (in parallel over
 /// `scale.jobs` workers) and returns the reports in seed order.
 #[must_use]
@@ -257,10 +246,11 @@ pub fn replicate_streaming(
     replicate_streaming_traced("streaming", make, scale, Sidecars::none())
 }
 
-/// Like [`replicate_churn`], but instruments the seed-1 run with the
-/// requested sidecars: the merged trace JSONL lands at `sidecars.trace`
-/// with its aggregate manifest, metrics and health siblings (see
-/// [`SweepOutput::write_trace`]), and the span profile at
+/// Runs one churn configuration per seed (in parallel over `scale.jobs`
+/// workers) and returns the reports in seed order, instrumenting the
+/// seed-1 run with the requested sidecars: the merged trace JSONL lands
+/// at `sidecars.trace` with its aggregate manifest, metrics and health
+/// siblings (see [`SweepOutput::write_trace`]), and the span profile at
 /// `sidecars.profile` (see [`SweepOutput::write_profile`]). `name`
 /// labels the run in its manifest and profile.
 #[must_use]
@@ -411,60 +401,6 @@ fn instrumented_obs(sidecars: Sidecars) -> (Obs, Option<(SharedBuffer, HealthHan
         Prof::disabled()
     };
     (obs.with_prof(prof), pipe)
-}
-
-/// Runs one churn configuration with a private in-memory trace pipeline
-/// and returns the report, the metrics snapshot and the cell's trace
-/// artifacts (ready for deterministic merging by the sweep engine).
-#[must_use]
-pub fn traced_churn_cell(
-    name: &str,
-    cfg: ChurnConfig,
-    seed: u64,
-) -> (ChurnReport, MetricsSnapshot, CellTrace) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let buffer = SharedBuffer::new();
-    let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-    let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-    let (report, obs) = ChurnSim::new(cfg).run_with_obs(obs);
-    let metrics = obs.snapshot();
-    let trace = cell_artifacts(
-        name,
-        seed,
-        digest,
-        &obs,
-        &buffer,
-        health.to_jsonl(),
-        report.events_processed,
-        report.outcome,
-    );
-    (report, metrics, trace)
-}
-
-/// Streaming variant of [`traced_churn_cell`].
-#[must_use]
-pub fn traced_streaming_cell(
-    name: &str,
-    cfg: StreamingConfig,
-    seed: u64,
-) -> (StreamingReport, MetricsSnapshot, CellTrace) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let buffer = SharedBuffer::new();
-    let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-    let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-    let (report, obs) = StreamingSim::new(cfg).run_with_obs(obs);
-    let metrics = obs.snapshot();
-    let trace = cell_artifacts(
-        name,
-        seed,
-        digest,
-        &obs,
-        &buffer,
-        health.to_jsonl(),
-        report.events_processed(),
-        report.outcome(),
-    );
-    (report, metrics, trace)
 }
 
 /// Packages one observed run's telemetry into its [`CellTrace`].

@@ -1,4 +1,4 @@
-//! The loss-repair protocol (§4.2): recovery groups, request chains and
+//! The loss-repair protocol (§4.2): distance-ordered recovery groups and
 //! residual-bandwidth striping.
 //!
 //! "A member places the nodes of its recovery group in order of network
@@ -47,12 +47,6 @@ impl RecoveryGroup {
         }
     }
 
-    /// Builds a group from an already ordered member list.
-    #[must_use]
-    pub fn from_ordered(members: Vec<NodeId>) -> Self {
-        RecoveryGroup { members }
-    }
-
     /// Members, nearest first.
     #[must_use]
     pub fn members(&self) -> &[NodeId] {
@@ -70,32 +64,6 @@ impl RecoveryGroup {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// Single-packet repair (§4.2): the request walks the ordered chain;
-    /// each node either serves the packet or NACKs and forwards. Returns
-    /// the serving member and how many chain hops the request travelled
-    /// (1 = first node served), or `None` when nobody holds the packet.
-    #[must_use]
-    pub fn repair_chain(&self, has_packet: impl Fn(NodeId) -> bool) -> Option<RepairService> {
-        for (i, &m) in self.members.iter().enumerate() {
-            if has_packet(m) {
-                return Some(RepairService {
-                    server: m,
-                    chain_hops: i + 1,
-                });
-            }
-        }
-        None
-    }
-}
-
-/// Outcome of a single-packet repair request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairService {
-    /// The member that served the packet.
-    pub server: NodeId,
-    /// Number of chain hops the request travelled (1 = nearest member).
-    pub chain_hops: usize,
 }
 
 /// One member's stripe in a full-rate recovery: it repairs sequence
@@ -237,21 +205,6 @@ mod tests {
         assert_eq!(g.members(), &[NodeId(2), NodeId(3), NodeId(1)]);
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
-    }
-
-    #[test]
-    fn repair_chain_walks_in_order() {
-        let g = RecoveryGroup::from_ordered(vec![NodeId(1), NodeId(2), NodeId(3)]);
-        // Only the third member has the packet.
-        let service = g.repair_chain(|n| n == NodeId(3)).unwrap();
-        assert_eq!(service.server, NodeId(3));
-        assert_eq!(service.chain_hops, 3);
-        // Nearest-holder wins.
-        let service = g.repair_chain(|_| true).unwrap();
-        assert_eq!(service.server, NodeId(1));
-        assert_eq!(service.chain_hops, 1);
-        // Nobody has it.
-        assert_eq!(g.repair_chain(|_| false), None);
     }
 
     #[test]

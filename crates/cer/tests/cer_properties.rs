@@ -4,11 +4,10 @@
 
 use proptest::prelude::*;
 use rom_cer::{
-    find_mlc_group, AncestorRecord, ElnScope, MlcOptions, PartialTree, SeqRangeSet, StripePlan,
-    STRIPE_MODULO,
+    find_mlc_group, AncestorRecord, MlcOptions, PartialTree, SeqRangeSet, StripePlan, STRIPE_MODULO,
 };
-use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
-use rom_sim::{SimRng, SimTime};
+use rom_overlay::NodeId;
+use rom_sim::SimRng;
 use std::collections::HashSet;
 
 proptest! {
@@ -107,66 +106,6 @@ proptest! {
         for g in &group {
             prop_assert_ne!(*g, NodeId(0), "root selected");
             prop_assert!(!exclude.contains(g), "excluded member selected");
-        }
-    }
-
-    /// ELN suppression (§4.2): under any tree shape and any order of
-    /// abrupt failures, each loss hands every affected member exactly one
-    /// recovery trigger — the failed member's children rejoin, deeper
-    /// descendants receive ELN and recover data in place. Nobody gets
-    /// both triggers and nobody in the affected subtree is missed.
-    #[test]
-    fn eln_scope_yields_exactly_one_trigger_per_loss(
-        parents in prop::collection::vec(0usize..20, 2..40),
-        order_seed in any::<u64>(),
-        failures in 1usize..8,
-    ) {
-        // Random tree over NodeId(0..=n), 0 = source: node i+1 attaches
-        // under an earlier node. Ample bandwidth so every attach lands.
-        let n = parents.len();
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
-        for i in 0..n {
-            let parent = NodeId((parents[i] % (i + 1)) as u64);
-            let profile = MemberProfile::new(
-                NodeId((i + 1) as u64), 64.0, SimTime::ZERO, 1e6, Location(0),
-            );
-            tree.attach(profile, parent).expect("ample bandwidth");
-        }
-
-        let mut rng = SimRng::seed_from(order_seed);
-        for _ in 0..failures {
-            let attached: Vec<NodeId> = tree
-                .member_ids()
-                .filter(|&m| m != tree.root() && tree.is_attached(m))
-                .collect();
-            let Some(&failed) = attached.get(rng.index(attached.len().max(1))) else {
-                break;
-            };
-            // The engine computes the scope from the pre-removal tree,
-            // exactly as done here.
-            let scope = ElnScope::of_failure(&tree, failed);
-            let removed = tree.remove(failed).expect("victim was attached");
-
-            let rejoining: HashSet<NodeId> = scope.rejoining.iter().copied().collect();
-            let notified: HashSet<NodeId> = scope.notified.iter().copied().collect();
-            // No duplicates within either list…
-            prop_assert_eq!(rejoining.len(), scope.rejoining.len());
-            prop_assert_eq!(notified.len(), scope.notified.len());
-            // …no member triggered twice across the two lists…
-            prop_assert!(
-                rejoining.is_disjoint(&notified),
-                "duplicate recovery trigger for {:?}",
-                rejoining.intersection(&notified).collect::<Vec<_>>()
-            );
-            // …and together they cover exactly the affected subtree.
-            let union: HashSet<NodeId> = rejoining.union(&notified).copied().collect();
-            let affected: HashSet<NodeId> =
-                removed.affected_descendants.iter().copied().collect();
-            prop_assert_eq!(union, affected, "scope must equal the affected subtree");
-            let orphans: HashSet<NodeId> =
-                removed.orphaned_children.iter().copied().collect();
-            prop_assert_eq!(rejoining, orphans, "rejoin trigger = orphaned children");
-            prop_assert!(!notified.contains(&failed), "the failed member cannot be notified");
         }
     }
 }

@@ -19,17 +19,14 @@ use rom_chaos::{
     Scenario, Signal, CHAOS_ID_BASE,
 };
 use rom_net::{DelayOracle, TransitStubNetwork, UnderlayId};
-use rom_overlay::algorithms::{
-    JoinContext, JoinDecision, LongestFirst, MinimumDepth, RelaxedBandwidthOrdered,
-    RelaxedTimeOrdered, TreeAlgorithm,
-};
+use rom_overlay::algorithms::{JoinContext, JoinDecision};
 use rom_obs::{Level, Obs, Subsystem, TraceEvent};
 use rom_overlay::{
     paper_source, IdMap, Location, MemberProfile, MulticastTree, NodeId, ViewSampler,
 };
-use rom_rost::{OpId, RostJoin, SwitchOutcome, SwitchingProtocol};
+use rom_rost::{OpId, SwitchOutcome, SwitchingProtocol};
 use rom_sim::{RunOutcome, Schedule, SimRng, SimTime, Simulation};
-use rom_stats::{Summary, TimeSeries};
+use rom_stats::Summary;
 
 use crate::config::{AlgorithmKind, ChurnConfig, StreamingConfig};
 use crate::proximity::OracleProximity;
@@ -179,7 +176,6 @@ pub struct ChurnSim {
     oracle: DelayOracle,
     workload: Workload,
     tree: MulticastTree,
-    algorithm: Algorithm,
     sampler: ViewSampler,
     rng: SimRng,
     rost: SwitchingProtocol,
@@ -203,8 +199,9 @@ pub struct ChurnSim {
     tallies: IdMap<MemberTally>,
     observer_id: Option<NodeId>,
     observer_join: SimTime,
-    observer_disruptions: TimeSeries,
-    observer_delay: TimeSeries,
+    /// The observer's trace, timed in minutes since `observer_join` as
+    /// each point is recorded.
+    observer_trace: ObserverTrace,
 
     /// Streaming layer (Figs. 12-14); `None` for pure tree experiments.
     streaming: Option<StreamingState>,
@@ -233,39 +230,6 @@ struct ChaosState {
     rng: SimRng,
     /// Next id for chaos-born members, disjoint from workload ids.
     next_id: u64,
-}
-
-/// The concrete algorithm dispatch (kept as an enum rather than a
-/// `Box<dyn>` so the simulator stays `Send` and cheap to clone in tests).
-#[derive(Debug)]
-enum Algorithm {
-    MinDepth(MinimumDepth),
-    Longest(LongestFirst),
-    Bo(RelaxedBandwidthOrdered),
-    To(RelaxedTimeOrdered),
-    Rost(RostJoin),
-}
-
-impl Algorithm {
-    fn of(kind: AlgorithmKind) -> Self {
-        match kind {
-            AlgorithmKind::MinimumDepth => Algorithm::MinDepth(MinimumDepth),
-            AlgorithmKind::LongestFirst => Algorithm::Longest(LongestFirst),
-            AlgorithmKind::RelaxedBandwidthOrdered => Algorithm::Bo(RelaxedBandwidthOrdered),
-            AlgorithmKind::RelaxedTimeOrdered => Algorithm::To(RelaxedTimeOrdered),
-            AlgorithmKind::Rost => Algorithm::Rost(RostJoin),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn TreeAlgorithm {
-        match self {
-            Algorithm::MinDepth(a) => a,
-            Algorithm::Longest(a) => a,
-            Algorithm::Bo(a) => a,
-            Algorithm::To(a) => a,
-            Algorithm::Rost(a) => a,
-        }
-    }
 }
 
 impl ChurnSim {
@@ -310,10 +274,9 @@ impl ChurnSim {
             root_rng.fork("workload"),
         );
         let source = paper_source(workload.random_location());
-        let algorithm = Algorithm::of(cfg.algorithm);
         // Only the centralized algorithms query the order index; every
         // other run moves subtrees without re-keying it.
-        let tree = if algorithm.as_dyn().is_centralized() {
+        let tree = if cfg.algorithm.rule().is_centralized() {
             MulticastTree::with_order_index(source, cfg.stream_rate)
         } else {
             MulticastTree::new(source, cfg.stream_rate)
@@ -357,7 +320,6 @@ impl ChurnSim {
             oracle,
             workload,
             tree,
-            algorithm,
             sampler,
             rng,
             rost,
@@ -370,8 +332,7 @@ impl ChurnSim {
             tallies: IdMap::new(),
             observer_id: None,
             observer_join: SimTime::ZERO,
-            observer_disruptions: TimeSeries::new(60.0),
-            observer_delay: TimeSeries::new(60.0),
+            observer_trace: ObserverTrace::default(),
             streaming,
             chaos,
             invariants: None,
@@ -646,7 +607,7 @@ impl ChurnSim {
     /// materialized for them — the former O(M) collect per join was the
     /// dominant cost of the ordered baselines.
     fn candidates_for(&mut self, joiner: NodeId) -> Vec<NodeId> {
-        if self.algorithm.as_dyn().is_centralized() {
+        if self.cfg.algorithm.rule().is_centralized() {
             Vec::new()
         } else {
             // `live_pos` hands the sampler the joiner's slot so the view
@@ -668,7 +629,7 @@ impl ChurnSim {
             now,
         };
         let prox = OracleProximity::new(&self.oracle);
-        match self.algorithm.as_dyn().select(&ctx, &prox) {
+        match self.cfg.algorithm.rule().select(&ctx, &prox) {
             JoinDecision::Attach { parent } => {
                 self.tree
                     .attach(member, parent)
@@ -684,6 +645,45 @@ impl ChurnSim {
                 true
             }
             JoinDecision::Reject => false,
+        }
+    }
+
+    /// Admits a new member: tracks it, tells the streaming layer, tries to
+    /// place it, and schedules its departure.
+    fn admit(
+        &mut self,
+        member: MemberProfile,
+        departure: SimTime,
+        now: SimTime,
+        sched: &mut Schedule<'_, Event>,
+    ) {
+        let id = member.id;
+        self.track_live(id);
+        self.notify_joined(id, now);
+        self.try_place(member, now, sched);
+        sched.at(departure, Event::Departure(id));
+    }
+
+    /// Tries to place a new member. A placed member is traced and, under
+    /// ROST, starts its switch timer; a rejected one is traced, counted
+    /// when inside the window, and queued to retry.
+    fn try_place(&mut self, member: MemberProfile, now: SimTime, sched: &mut Schedule<'_, Event>) {
+        let id = member.id;
+        if self.place_new_member(member.clone(), now) {
+            self.trace_join(now, id, "join");
+            if self.is_rost() {
+                sched.after(
+                    self.cfg.rost.switching_interval_secs,
+                    Event::SwitchCheck(id),
+                );
+            }
+        } else {
+            self.trace_join_rejected(now, id);
+            if self.in_window(now) {
+                self.report.rejections += 1;
+            }
+            self.pending.insert(id, member);
+            sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
         }
     }
 
@@ -711,7 +711,8 @@ impl ChurnSim {
             now,
         };
         let prox = OracleProximity::new(&self.oracle);
-        let decision = if has_children && self.algorithm.as_dyn().is_centralized() {
+        let rule = self.cfg.algorithm.rule();
+        let decision = if has_children && rule.is_centralized() {
             // Subtree roots orphaned by a failure reattach without
             // evicting; the ordering repairs itself on later joins. The
             // indexed fallback reads the attached membership from the
@@ -722,7 +723,7 @@ impl ChurnSim {
                 None => JoinDecision::Reject,
             }
         } else {
-            self.algorithm.as_dyn().select(&ctx, &prox)
+            rule.select(&ctx, &prox)
         };
         match decision {
             JoinDecision::Attach { parent } => {
@@ -845,27 +846,8 @@ impl ChurnSim {
         match event {
             Event::Arrival => {
                 let member = self.workload.arrival(now);
-                let id = member.id;
                 let departure = member.departure_time();
-                self.track_live(id);
-                self.notify_joined(id, now);
-                if self.place_new_member(member.clone(), now) {
-                    self.trace_join(now, id, "join");
-                    if self.is_rost() {
-                        sched.after(
-                            self.cfg.rost.switching_interval_secs,
-                            Event::SwitchCheck(id),
-                        );
-                    }
-                } else {
-                    self.trace_join_rejected(now, id);
-                    if self.in_window(now) {
-                        self.report.rejections += 1;
-                    }
-                    self.pending.insert(id, member);
-                    sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
-                }
-                sched.at(departure, Event::Departure(id));
+                self.admit(member, departure, now, sched);
                 sched.after(self.workload.next_interarrival(), Event::Arrival);
             }
 
@@ -873,22 +855,7 @@ impl ChurnSim {
                 let Some(member) = self.pending.remove(&id) else {
                     return; // departed while waiting
                 };
-                if self.place_new_member(member.clone(), now) {
-                    self.trace_join(now, id, "join");
-                    if self.is_rost() {
-                        sched.after(
-                            self.cfg.rost.switching_interval_secs,
-                            Event::SwitchCheck(id),
-                        );
-                    }
-                } else {
-                    self.trace_join_rejected(now, id);
-                    if self.in_window(now) {
-                        self.report.rejections += 1;
-                    }
-                    self.pending.insert(id, member);
-                    sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
-                }
+                self.try_place(member, now, sched);
             }
 
             Event::Departure(id) => {
@@ -1027,23 +994,9 @@ impl ChurnSim {
                 let member = self
                     .workload
                     .custom_arrival(now, spec.bandwidth, spec.lifetime_secs);
-                let id = member.id;
-                self.observer_id = Some(id);
+                self.observer_id = Some(member.id);
                 self.observer_join = now;
-                self.track_live(id);
-                self.notify_joined(id, now);
-                if self.place_new_member(member.clone(), now) {
-                    if self.is_rost() {
-                        sched.after(
-                            self.cfg.rost.switching_interval_secs,
-                            Event::SwitchCheck(id),
-                        );
-                    }
-                } else {
-                    self.pending.insert(id, member);
-                    sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
-                }
-                sched.at(member_departure_capped(spec, now), Event::Departure(id));
+                self.admit(member, member_departure_capped(spec, now), now, sched);
             }
         }
     }
@@ -1090,15 +1043,7 @@ impl ChurnSim {
             for &orphan in &removed.orphaned_children {
                 sched.now_next(Event::Rejoin(orphan));
             }
-            let tally = self.tallies.remove(id).unwrap_or_default();
-            if self.in_window(now) {
-                let d = f64::from(tally.disruptions);
-                self.report.disruptions_per_lifetime.add(d);
-                self.report.disruption_counts.push(d);
-                self.report
-                    .reconnections_per_lifetime
-                    .add(f64::from(tally.reconnections));
-            }
+            self.book_lifetime(id, now);
             return;
         }
         // Abrupt departure: every descendant is disrupted once.
@@ -1116,7 +1061,8 @@ impl ChurnSim {
         for &m in &removed.affected_descendants {
             self.tallies.get_or_default(m).disruptions += 1;
             if Some(m) == self.observer_id {
-                self.observer_disruptions.record(now, 1.0);
+                let minutes = (now - self.observer_join) / 60.0;
+                self.observer_trace.disruption_minutes.push(minutes);
             }
         }
         // ELN failure-scope partition (§4.1): only the orphaned
@@ -1142,8 +1088,12 @@ impl ChurnSim {
         // A departed node may hold or be covered by locks.
         self.rost.locks_mut().evict_node(id);
         self.schedule_rejoins(&removed.orphaned_children, RejoinCause::Failure, sched);
-        // Book the member's lifetime totals if it completed inside
-        // the window.
+        self.book_lifetime(id, now);
+    }
+
+    /// Drops a departed member's lifetime tally, booking it into the
+    /// report when the member departs inside the window.
+    fn book_lifetime(&mut self, id: NodeId, now: SimTime) {
         let tally = self.tallies.remove(id).unwrap_or_default();
         if self.in_window(now) {
             let d = f64::from(tally.disruptions);
@@ -1336,27 +1286,8 @@ impl ChurnSim {
             let location = Location(stubs[chaos.rng.index(stubs.len())].0);
             MemberProfile::new(id, bandwidth, now, lifetime, location)
         };
-        let id = member.id;
         let departure = member.departure_time();
-        self.track_live(id);
-        self.notify_joined(id, now);
-        if self.place_new_member(member.clone(), now) {
-            self.trace_join(now, id, "join");
-            if self.is_rost() {
-                sched.after(
-                    self.cfg.rost.switching_interval_secs,
-                    Event::SwitchCheck(id),
-                );
-            }
-        } else {
-            self.trace_join_rejected(now, id);
-            if self.in_window(now) {
-                self.report.rejections += 1;
-            }
-            self.pending.insert(id, member);
-            sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
-        }
-        sched.at(departure, Event::Departure(id));
+        self.admit(member, departure, now, sched);
     }
 
     /// One flapping cycle: fail `members` random attached members now,
@@ -1465,7 +1396,8 @@ impl ChurnSim {
                 self.report.stretch.add(delay / unicast);
             }
             if Some(id) == self.observer_id {
-                self.observer_delay.record(now, delay);
+                let minutes = (now - self.observer_join) / 60.0;
+                self.observer_trace.delay_samples.push((minutes, delay));
             }
         }
         self.report.population.add(population as f64);
@@ -1474,22 +1406,7 @@ impl ChurnSim {
 
     fn finish(mut self) -> ChurnReport {
         if self.observer_id.is_some() {
-            let join = self.observer_join;
-            let trace = ObserverTrace {
-                disruption_minutes: self
-                    .observer_disruptions
-                    .points()
-                    .iter()
-                    .map(|&(t, _)| (t - join) / 60.0)
-                    .collect(),
-                delay_samples: self
-                    .observer_delay
-                    .points()
-                    .iter()
-                    .map(|&(t, v)| ((t - join) / 60.0, v))
-                    .collect(),
-            };
-            self.report.observer = Some(trace);
+            self.report.observer = Some(self.observer_trace);
         }
         self.report
     }
@@ -1738,6 +1655,35 @@ mod tests {
         assert_eq!(queue.bounds.first().copied(), Some(1.0));
         assert_eq!(queue.total, observed.events_processed);
         assert!(snap.gauge("churn.population").is_some());
+    }
+
+    /// The observer's first join goes through the same admission as
+    /// every other join, so it is traced at the instant the observer
+    /// joins: the end of the warmup.
+    #[test]
+    fn observer_first_join_is_traced_at_the_end_of_warmup() {
+        use rom_obs::{RingSink, Tracer};
+
+        let mut cfg = quick(AlgorithmKind::Rost, 150, 8);
+        cfg.observer = Some(ObserverSpec {
+            bandwidth: 2.0,
+            lifetime_secs: 36_000.0,
+        });
+        let warmup = cfg.warmup_secs;
+        let (sink, handle) = RingSink::new(100_000);
+        let obs = Obs::new(Tracer::to_sink(Box::new(sink)).with_subsystems(&[Subsystem::Churn]));
+        let _ = ChurnSim::new(cfg).run_with_obs(obs);
+        let joins_at_warmup = handle
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e.kind, "join" | "join_rejected") && e.time.to_bits() == warmup.to_bits()
+            })
+            .count();
+        assert_eq!(
+            joins_at_warmup, 1,
+            "the observer's first join is traced once"
+        );
     }
 
     #[test]

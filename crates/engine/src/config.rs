@@ -2,6 +2,9 @@
 
 use rom_chaos::Scenario;
 use rom_net::TransitStubConfig;
+use rom_overlay::algorithms::{
+    LongestFirst, MinimumDepth, RelaxedBandwidthOrdered, RelaxedTimeOrdered, TreeAlgorithm,
+};
 use rom_rost::RostConfig;
 use rom_stats::{BoundedPareto, LogNormal};
 
@@ -31,13 +34,18 @@ impl AlgorithmKind {
         AlgorithmKind::Rost,
     ];
 
-    /// The three distributed algorithms (the delay comparison of Fig. 7
-    /// singles these out).
-    pub const DISTRIBUTED: [AlgorithmKind; 3] = [
-        AlgorithmKind::MinimumDepth,
-        AlgorithmKind::LongestFirst,
-        AlgorithmKind::Rost,
-    ];
+    /// The join rule that places this algorithm's joins and rejoins. ROST
+    /// joins by minimum depth (§3.3); what sets it apart is the switching
+    /// the engine runs on top.
+    #[must_use]
+    pub fn rule(self) -> &'static dyn TreeAlgorithm {
+        match self {
+            AlgorithmKind::MinimumDepth | AlgorithmKind::Rost => &MinimumDepth,
+            AlgorithmKind::LongestFirst => &LongestFirst,
+            AlgorithmKind::RelaxedBandwidthOrdered => &RelaxedBandwidthOrdered,
+            AlgorithmKind::RelaxedTimeOrdered => &RelaxedTimeOrdered,
+        }
+    }
 
     /// Short display name matching the figures' legends.
     #[must_use]

@@ -617,7 +617,9 @@ impl StreamingState {
                 .as_deref_mut()
                 .map_or((1.0, 0.0, false), |ep| ep.repair_frame(link_rng, t))
         };
-        match self.strategy {
+        // The strategy only picks each packet's helper: a stripe of the
+        // group, or the nearest live member for everything.
+        let plan = match self.strategy {
             RecoveryStrategy::Cooperative => {
                 // Stripe the gap across the available members (§4.2). The
                 // full-coverage plan assigns every slot even when the
@@ -646,77 +648,36 @@ impl StreamingState {
                         );
                     }
                 }
-                let mut served_count: Vec<u64> = vec![0; available.len()];
-                for seq in seqs {
-                    match plan.assigned_member(seq) {
-                        Some(idx) => {
-                            let (_, pps, hop) = available[idx];
-                            if holds(idx, seq) {
-                                served_count[idx] += 1;
-                                let serve_start =
-                                    ready_at(clock, seq) + hop as f64 * CHAIN_HOP_SECS;
-                                let (factor, extra, lost) = repair_frame(serve_start);
-                                let arrival =
-                                    serve_start + served_count[idx] as f64 / (pps * factor) + extra;
-                                if lost {
-                                    obs.count("cer.repair_dropped", 1);
-                                    starved_now += 1;
-                                    new_holes.push(seq);
-                                } else if arrival <= clock.playback_deadline(seq) {
-                                    repaired_now += 1;
-                                } else {
-                                    starved_now += 1;
-                                }
-                            } else {
-                                starved_now += 1;
-                                new_holes.push(seq);
-                            }
-                        }
-                        None => {
-                            // Residuals did not cover this stripe slot.
-                            starved_now += 1;
-                            new_holes.push(seq);
-                        }
-                    }
-                }
+                Some(plan)
             }
-            RecoveryStrategy::SingleSource => {
-                // The nearest live member alone serves everything it can
-                // at its residual rate; the rest of the group are fallback
-                // candidates, not parallel servers.
-                match available.first() {
-                    Some(&(_, pps, hop)) => {
-                        let mut served = 0u64;
-                        for seq in seqs {
-                            if holds(0, seq) {
-                                served += 1;
-                                let serve_start =
-                                    ready_at(clock, seq) + hop as f64 * CHAIN_HOP_SECS;
-                                let (factor, extra, lost) = repair_frame(serve_start);
-                                let arrival =
-                                    serve_start + served as f64 / (pps * factor) + extra;
-                                if lost {
-                                    obs.count("cer.repair_dropped", 1);
-                                    starved_now += 1;
-                                    new_holes.push(seq);
-                                } else if arrival <= clock.playback_deadline(seq) {
-                                    repaired_now += 1;
-                                } else {
-                                    starved_now += 1;
-                                }
-                            } else {
-                                starved_now += 1;
-                                new_holes.push(seq);
-                            }
-                        }
-                    }
-                    None => {
-                        for seq in seqs {
-                            starved_now += 1;
-                            new_holes.push(seq);
-                        }
-                    }
-                }
+            // The nearest live member alone serves everything it can at
+            // its residual rate; the rest of the group are fallback
+            // candidates, not parallel servers.
+            RecoveryStrategy::SingleSource => None,
+        };
+        let nearest = (!available.is_empty()).then_some(0);
+        let mut served_count: Vec<u64> = vec![0; available.len()];
+        for seq in seqs {
+            let helper = plan.as_ref().map_or(nearest, |p| p.assigned_member(seq));
+            // No helper for this packet, or its helper no longer holds it.
+            let Some(idx) = helper.filter(|&idx| holds(idx, seq)) else {
+                starved_now += 1;
+                new_holes.push(seq);
+                continue;
+            };
+            let (_, pps, hop) = available[idx];
+            served_count[idx] += 1;
+            let serve_start = ready_at(clock, seq) + hop as f64 * CHAIN_HOP_SECS;
+            let (factor, extra, lost) = repair_frame(serve_start);
+            let arrival = serve_start + served_count[idx] as f64 / (pps * factor) + extra;
+            if lost {
+                obs.count("cer.repair_dropped", 1);
+                starved_now += 1;
+                new_holes.push(seq);
+            } else if arrival <= clock.playback_deadline(seq) {
+                repaired_now += 1;
+            } else {
+                starved_now += 1;
             }
         }
         (repaired_now, starved_now, new_holes)

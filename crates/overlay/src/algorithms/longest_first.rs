@@ -17,10 +17,6 @@ use crate::proximity::Proximity;
 pub struct LongestFirst;
 
 impl TreeAlgorithm for LongestFirst {
-    fn name(&self) -> &'static str {
-        "longest-first"
-    }
-
     fn select(&self, ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision {
         let mut best: Option<(f64, f64, NodeId)> = None;
         for &cand in ctx.candidates {
@@ -149,6 +145,5 @@ mod tests {
             LongestFirst.select(&ctx, &ZeroProximity),
             JoinDecision::Reject
         );
-        assert_eq!(LongestFirst.name(), "longest-first");
     }
 }

@@ -32,10 +32,6 @@ use crate::proximity::Proximity;
 pub struct MinimumDepth;
 
 impl TreeAlgorithm for MinimumDepth {
-    fn name(&self) -> &'static str {
-        "min-depth"
-    }
-
     fn select(&self, ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision {
         match min_depth_parent(ctx, proximity) {
             Some(parent) => JoinDecision::Attach { parent },
@@ -97,6 +93,5 @@ mod tests {
     #[test]
     fn is_distributed() {
         assert!(!MinimumDepth.is_centralized());
-        assert_eq!(MinimumDepth.name(), "min-depth");
     }
 }

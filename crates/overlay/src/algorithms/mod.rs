@@ -1,9 +1,9 @@
 //! Tree-construction algorithms.
 //!
 //! The paper evaluates five ways of deciding where a (re)joining member
-//! attaches (§5). Four are baselines implemented here; the fifth — ROST —
-//! lives in the `rom-rost` crate and reuses the minimum-depth join rule,
-//! adding its switching maintenance on top.
+//! attaches (§5). Four are implemented here. The fifth, ROST, joins
+//! through [`MinimumDepth`] (§3.3) and differs only by the switching
+//! maintenance the `rom-rost` crate adds on top.
 //!
 //! | algorithm | knowledge | principle |
 //! |---|---|---|
@@ -72,9 +72,6 @@ pub enum JoinDecision {
 /// Implementations must be deterministic functions of the context — any
 /// randomness (view sampling) happens before the call.
 pub trait TreeAlgorithm: std::fmt::Debug {
-    /// Short name used in reports (e.g. `"min-depth"`).
-    fn name(&self) -> &'static str;
-
     /// True if the algorithm needs global topology information (§5 notes
     /// the relaxed ordered baselines "assume a central administrator").
     /// The engine then passes no candidates: the algorithm reads the
@@ -87,10 +84,10 @@ pub trait TreeAlgorithm: std::fmt::Debug {
     fn select(&self, ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision;
 }
 
-/// Shared helper: the minimum-depth parent choice used by both
-/// [`MinimumDepth`] itself and ROST's join rule — the shallowest candidate
-/// with a free slot, breaking layer ties by network delay and then by id
-/// (§3.3). Candidates that are detached or not in the tree are skipped.
+/// The minimum-depth parent choice behind [`MinimumDepth`], and so behind
+/// ROST's joins: the shallowest candidate with a free slot, breaking
+/// layer ties by network delay and then by id (§3.3). Candidates that
+/// are detached or not in the tree are skipped.
 #[must_use]
 pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Option<NodeId> {
     let mut best: Option<(usize, f64, NodeId)> = None;

@@ -100,10 +100,6 @@ impl OrderKey for AgeKey {
 pub struct RelaxedBandwidthOrdered;
 
 impl TreeAlgorithm for RelaxedBandwidthOrdered {
-    fn name(&self) -> &'static str {
-        "relaxed-bw-ordered"
-    }
-
     fn is_centralized(&self) -> bool {
         true
     }
@@ -120,10 +116,6 @@ impl TreeAlgorithm for RelaxedBandwidthOrdered {
 pub struct RelaxedTimeOrdered;
 
 impl TreeAlgorithm for RelaxedTimeOrdered {
-    fn name(&self) -> &'static str {
-        "relaxed-time-ordered"
-    }
-
     fn is_centralized(&self) -> bool {
         true
     }
@@ -239,8 +231,6 @@ mod tests {
     fn both_are_centralized() {
         assert!(RelaxedBandwidthOrdered.is_centralized());
         assert!(RelaxedTimeOrdered.is_centralized());
-        assert_eq!(RelaxedBandwidthOrdered.name(), "relaxed-bw-ordered");
-        assert_eq!(RelaxedTimeOrdered.name(), "relaxed-time-ordered");
     }
 
     #[test]

@@ -53,7 +53,6 @@ mod id_map;
 mod member;
 mod order_index;
 mod proximity;
-mod stats;
 mod tree;
 mod view;
 
@@ -63,6 +62,5 @@ pub use id_map::IdMap;
 pub use member::MemberProfile;
 pub use order_index::FreeEntry;
 pub use proximity::{nearest_by, IndexProximity, Proximity, ZeroProximity};
-pub use stats::TreeStats;
 pub use tree::{paper_source, MulticastTree, NodeIndex, RemovedMember, ReplaceOutcome, SwitchRecord};
 pub use view::ViewSampler;

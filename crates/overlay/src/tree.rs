@@ -6,10 +6,12 @@
 //! (§1 of the paper). Besides plain attach/detach it implements the two
 //! restructuring primitives the paper's algorithms need:
 //!
-//! - [`replace`](MulticastTree::replace) — a newcomer takes over an
-//!   existing node's position (the relaxed bandwidth-/time-ordered
+//! - [`usurp`](MulticastTree::usurp) — an orphan subtree root takes over
+//!   an existing node's position (the relaxed bandwidth-/time-ordered
 //!   baselines), displacing the evictee and any children beyond the
-//!   newcomer's capacity;
+//!   usurper's spare capacity. A newcomer's
+//!   [`replace`](MulticastTree::replace) is a childless orphan's `usurp`:
+//!   both run one takeover;
 //! - [`swap_with_parent`](MulticastTree::swap_with_parent) — ROST's
 //!   switching operation (§3.3, Fig. 2): a child exchanges positions with
 //!   its parent, excess grandchildren spilling into the promoted node's
@@ -1103,6 +1105,10 @@ impl MulticastTree {
     /// children ranked highest by `keep_priority`. The evictee and any
     /// overflow children become orphan roots listed in the outcome.
     ///
+    /// The newcomer enters as a childless orphan root and then takes over
+    /// exactly as [`usurp`](Self::usurp) would; a failed call changes
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// [`TreeError::RootImmovable`] if `evict` is the source,
@@ -1121,68 +1127,12 @@ impl MulticastTree {
         if self.contains(newcomer.id) {
             return Err(TreeError::DuplicateMember(newcomer.id));
         }
-        let eix = self
-            .index_of(evict)
-            .ok_or(TreeError::UnknownMember(evict))?;
-        let eslot = self.s(eix);
-        if !eslot.attached {
-            return Err(TreeError::UnknownMember(evict));
-        }
-        debug_assert!(
-            eslot.parent != NodeIndex::NIL,
-            "attached non-root has a parent"
-        );
-        let pix = eslot.parent;
-        let depth = eslot.depth;
-        let mut former: Vec<(NodeId, NodeIndex)> = eslot
-            .children
-            .iter()
-            .map(|&c| (self.s(c).profile.id, c))
-            .collect();
-
+        let eix = self.attached_evictee(evict)?;
         let new_id = newcomer.id;
-        let new_capacity = newcomer.out_capacity(self.stream_rate);
-
-        // Rank the evictee's children: highest priority kept, id tiebreak.
-        former.sort_by(|a, b| {
-            let pa = keep_priority(&self.s(a.1).profile);
-            let pb = keep_priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
-        let keep = former.len().min(new_capacity);
-        let (adopted_pairs, overflow_pairs) = former.split_at(keep);
-
-        // Install the newcomer and swap the parent's child pointer.
-        let nix = self.alloc(newcomer, new_capacity, pix, depth, true);
-        let siblings = &mut self.sm(pix).children;
-        let pos = siblings.iter().position(|&c| c == eix).expect("linked");
-        siblings[pos] = nix;
-        let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
-        self.sm(nix).children.extend(adopted_ix.iter().copied());
+        let capacity = newcomer.out_capacity(self.stream_rate);
+        let nix = self.alloc(newcomer, capacity, NodeIndex::NIL, 0, false);
         self.ids.insert(new_id, nix);
-        self.index_insert(nix, depth);
-        for &c in &adopted_ix {
-            self.sm(c).parent = nix;
-        }
-        // Depths below the adopted children are unchanged (same level).
-
-        // Evictee becomes a childless orphan root.
-        let eslot = self.sm(eix);
-        eslot.parent = NodeIndex::NIL;
-        eslot.children.clear();
-        eslot.attached = false;
-        self.index_remove(eix, depth);
-
-        // Overflow children become orphan subtree roots.
-        for &(_, c) in overflow_pairs {
-            self.sm(c).parent = NodeIndex::NIL;
-            self.restamp_subtree(c, 0, false);
-        }
-
-        let mut displaced = vec![evict];
-        displaced.extend(overflow_pairs.iter().map(|&(cid, _)| cid));
-        let adopted = adopted_pairs.iter().map(|&(cid, _)| cid).collect();
-        Ok(ReplaceOutcome { displaced, adopted })
+        Ok(self.take_over(eix, nix, keep_priority))
     }
 
     /// Like [`replace`](Self::replace), but the usurper is an existing
@@ -1209,17 +1159,39 @@ impl MulticastTree {
         let Some(uix) = self.index_of(usurper).filter(|&ix| self.is_orphan_root(ix)) else {
             return Err(TreeError::NotAnOrphan(usurper));
         };
+        let eix = self.attached_evictee(evict)?;
+        Ok(self.take_over(eix, uix, keep_priority))
+    }
+
+    /// The slot of `evict`, which must be an attached non-root member.
+    fn attached_evictee(&self, evict: NodeId) -> Result<NodeIndex, TreeError> {
         let eix = self
             .index_of(evict)
+            .filter(|&ix| self.s(ix).attached)
             .ok_or(TreeError::UnknownMember(evict))?;
-        let eslot = self.s(eix);
-        if !eslot.attached {
-            return Err(TreeError::UnknownMember(evict));
-        }
         debug_assert!(
-            eslot.parent != NodeIndex::NIL,
+            self.s(eix).parent != NodeIndex::NIL,
             "attached non-root has a parent"
         );
+        Ok(eix)
+    }
+
+    /// The takeover behind [`replace`](Self::replace) and
+    /// [`usurp`](Self::usurp): the orphan root `uix` takes the attached
+    /// non-root `eix`'s position. It adopts the evictee's highest-ranked
+    /// children into its spare slots, enters the tree at the evictee's
+    /// depth once its child list is final (so its free-slot entry sees the
+    /// final shape), and orphans the evictee and the overflow children.
+    /// Only the usurper's own former subtrees change depth; the adopted
+    /// ones keep theirs.
+    fn take_over(
+        &mut self,
+        eix: NodeIndex,
+        uix: NodeIndex,
+        keep_priority: impl Fn(&MemberProfile) -> f64,
+    ) -> ReplaceOutcome {
+        let eslot = self.s(eix);
+        let evict = eslot.profile.id;
         let pix = eslot.parent;
         let depth = eslot.depth;
         let mut former: Vec<(NodeId, NodeIndex)> = eslot
@@ -1227,54 +1199,58 @@ impl MulticastTree {
             .iter()
             .map(|&c| (self.s(c).profile.id, c))
             .collect();
+        self.rank(&mut former, &keep_priority);
+        let own = self.s(uix).children.len();
+        let keep = former.len().min(self.free_slots_ix(uix));
+        let (adopted, overflow) = former.split_at(keep);
 
-        let spare = self.free_slots_ix(uix);
-
-        // Swap the parent's child pointer.
         let siblings = &mut self.sm(pix).children;
         let pos = siblings.iter().position(|&c| c == eix).expect("linked");
         siblings[pos] = uix;
 
-        former.sort_by(|a, b| {
-            let pa = keep_priority(&self.s(a.1).profile);
-            let pb = keep_priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
-        let keep = former.len().min(spare);
-        let (adopted_pairs, overflow_pairs) = former.split_at(keep);
-        let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
-
-        {
-            let u = self.sm(uix);
-            u.parent = pix;
-            u.children.extend(adopted_ix.iter().copied());
-        }
-        for &c in &adopted_ix {
+        // Index the usurper only once its child list is final, so its
+        // free-slot entry sees the post-takeover shape.
+        let u = self.sm(uix);
+        u.parent = pix;
+        u.depth = depth;
+        u.attached = true;
+        u.children.extend(adopted.iter().map(|&(_, c)| c));
+        for &(_, c) in adopted {
             self.sm(c).parent = uix;
         }
+        self.index_insert(uix, depth);
 
-        // Evictee becomes a childless orphan root.
-        {
-            let e = self.sm(eix);
-            e.parent = NodeIndex::NIL;
-            e.children.clear();
-            e.attached = false;
-        }
+        let e = self.sm(eix);
+        e.parent = NodeIndex::NIL;
+        e.children.clear();
+        e.attached = false;
         self.index_remove(eix, depth);
-
-        for &(_, c) in overflow_pairs {
+        for &(_, c) in overflow {
             self.sm(c).parent = NodeIndex::NIL;
             self.restamp_subtree(c, 0, false);
         }
 
-        // The usurper's whole subtree (its old children plus the adopted
-        // ones) becomes attached at the evictee's former depth.
-        self.restamp_subtree(uix, depth, true);
+        // The usurper's own subtrees come first in its child list and
+        // attach one level below it.
+        for i in 0..own {
+            let c = self.s(uix).children[i];
+            self.restamp_subtree(c, depth + 1, true);
+        }
 
         let mut displaced = vec![evict];
-        displaced.extend(overflow_pairs.iter().map(|&(cid, _)| cid));
-        let adopted = adopted_pairs.iter().map(|&(cid, _)| cid).collect();
-        Ok(ReplaceOutcome { displaced, adopted })
+        displaced.extend(overflow.iter().map(|&(cid, _)| cid));
+        let adopted = adopted.iter().map(|&(cid, _)| cid).collect();
+        ReplaceOutcome { displaced, adopted }
+    }
+
+    /// Sorts `members` by `priority` descending, ties by ascending id: the
+    /// order every restructuring primitive keeps or spills children in.
+    fn rank(&self, members: &mut [(NodeId, NodeIndex)], priority: &impl Fn(&MemberProfile) -> f64) {
+        members.sort_by(|a, b| {
+            let pa = priority(&self.s(a.1).profile);
+            let pb = priority(&self.s(b.1).profile);
+            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
+        });
     }
 
     /// ROST's switching operation (§3.3, Fig. 2): `child` exchanges
@@ -1347,11 +1323,7 @@ impl MulticastTree {
         // capacity; without the guard the lowest-priority siblings are
         // displaced to keep the tree legal.
         let mut ranked_siblings = siblings;
-        ranked_siblings.sort_by(|a, b| {
-            let pa = priority(&self.s(a.1).profile);
-            let pb = priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
+        self.rank(&mut ranked_siblings, &priority);
         let sibling_keep = ranked_siblings.len().min(child_capacity - 1);
         let (followed, displaced_siblings) = ranked_siblings.split_at(sibling_keep);
 
@@ -1360,11 +1332,7 @@ impl MulticastTree {
         // promoted node's spare slots (paper: "chooses f, the node with the
         // largest BTP, and reconnects to node b").
         let mut ranked = child_children;
-        ranked.sort_by(|a, b| {
-            let pa = priority(&self.s(a.1).profile);
-            let pb = priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
+        self.rank(&mut ranked, &priority);
         let keep_count = ranked.len().min(parent_capacity);
         let spill_count = ranked.len() - keep_count;
         let (spilled, kept) = ranked.split_at(spill_count);

@@ -4,8 +4,10 @@
 //! keeps the overlay tree partially ordered by the **bandwidth-time
 //! product** (BTP = outbound bandwidth × age):
 //!
-//! - members join like minimum-depth (shallowest known parent with a free
-//!   slot, nearest on ties) and start at the leaves,
+//! - members join through the minimum-depth rule
+//!   (`rom_overlay::algorithms::MinimumDepth`: shallowest known parent
+//!   with a free slot, nearest on ties) and start at the leaves; this
+//!   crate adds no join rule of its own,
 //! - every *switching interval* each member compares its BTP with its
 //!   parent's; when it exceeds it *and* its bandwidth is no smaller, the
 //!   two **switch positions** under a family-wide lock,
@@ -23,13 +25,11 @@
 //! - [`SwitchingProtocol`] / [`SwitchOutcome`] — the switching state
 //!   machine over a `rom_overlay::MulticastTree`,
 //! - [`LockTable`] / [`OpId`] — the all-or-nothing family locks,
-//! - [`RefereeRegistry`] / [`Verification`] — the anti-cheating mechanism,
-//! - [`RostJoin`] — the join rule as a `rom_overlay` algorithm.
+//! - [`RefereeRegistry`] / [`Verification`] — the anti-cheating mechanism.
 
 mod audit;
 mod btp;
 mod config;
-mod join;
 mod locks;
 mod referee;
 mod switching;
@@ -37,7 +37,6 @@ mod switching;
 pub use audit::{attempt_audited, AuditRefusal, AuditedOutcome, ResourceClaim};
 pub use btp::Btp;
 pub use config::RostConfig;
-pub use join::RostJoin;
 pub use locks::{LockTable, OpId};
 pub use referee::{RefereeError, RefereeRegistry, Verification, VerificationStats};
 pub use switching::{SwitchOutcome, SwitchStats, SwitchingProtocol};

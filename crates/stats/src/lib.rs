@@ -9,8 +9,10 @@
 //!   ≈ 1809 s, the Little's-law input),
 //! - [`Summary`] — one-pass mean/variance/min/max with 95% confidence
 //!   intervals (Fig. 14),
-//! - [`Ecdf`] — empirical CDFs (Fig. 5),
-//! - [`TimeSeries`] — time-bucketed member traces (Figs. 6 and 9).
+//! - [`Ecdf`] — empirical CDFs (Fig. 5).
+//!
+//! The per-member traces of Figs. 6 and 9 need no type of their own: the
+//! churn engine records each point in minutes since the member joined.
 //!
 //! # Examples
 //!
@@ -34,11 +36,9 @@ mod lognormal;
 mod math;
 mod pareto;
 mod summary;
-mod timeseries;
 
 pub use cdf::Ecdf;
 pub use lognormal::LogNormal;
 pub use math::{erf, standard_normal_cdf};
 pub use pareto::{BoundedPareto, InvalidDistributionError};
 pub use summary::Summary;
-pub use timeseries::TimeSeries;

@@ -1,7 +1,7 @@
 //! Cooperative error recovery in action: a hand-built multicast tree, a
 //! failure, and a packet-by-packet walk through CER — minimum-loss-
-//! correlation group selection (Algorithm 1), explicit loss notification,
-//! and residual-bandwidth striping.
+//! correlation group selection (Algorithm 1) and residual-bandwidth
+//! striping.
 //!
 //! Run with:
 //!
@@ -10,8 +10,8 @@
 //! ```
 
 use rom::cer::{
-    find_mlc_group, group_correlation, AncestorRecord, GapDetector, MlcOptions, PartialTree,
-    RecoveryGroup, SeqRangeSet, StreamClock, StripePlan,
+    find_mlc_group, group_correlation, AncestorRecord, MlcOptions, PartialTree, SeqRangeSet,
+    StreamClock, StripePlan,
 };
 use rom::overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 use rom::sim::{SimRng, SimTime};
@@ -78,18 +78,8 @@ fn main() {
         removed.affected_descendants.len()
     );
 
-    // The member's gap detector sees both data and ELN fall silent and
-    // (after the tolerance) would trigger a rejoin; meanwhile repair
-    // starts immediately on the first missed delivery deadline.
     let clock = StreamClock::paper();
-    let mut detector = GapDetector::paper();
     let failure_time = SimTime::from_secs(120.0);
-    detector.on_data(clock.seq_at(failure_time));
-    let live_seq = clock.seq_at(failure_time + 1.0);
-    println!(
-        "one second in, gap detector suspects parent failure: {}",
-        detector.suspects_parent_failure(live_seq)
-    );
 
     // Fifteen seconds of outage at 10 packets/second: 150 packets to
     // repair, striped across the group's residual bandwidths.
@@ -130,14 +120,4 @@ fn main() {
         s1 - s0,
         received.ranges().len()
     );
-
-    // The ordered-chain fallback for isolated losses: nearest member that
-    // actually holds the packet serves it.
-    let chain = RecoveryGroup::from_ordered(group_members.clone());
-    if let Some(service) = chain.repair_chain(|m| m != group_members[0]) {
-        println!(
-            "single-packet repair chain: served by {} after {} hop(s)",
-            service.server, service.chain_hops
-        );
-    }
 }

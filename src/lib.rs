@@ -19,7 +19,7 @@
 //! | [`stats`] | `rom-stats` | Bounded Pareto, lognormal, summaries, CDFs |
 //! | [`overlay`] | `rom-overlay` | members, multicast tree, baseline algorithms |
 //! | [`rost`] | `rom-rost` | BTP switching, locks, referees |
-//! | [`cer`] | `rom-cer` | MLC groups, ELN, striped repair, buffers |
+//! | [`cer`] | `rom-cer` | MLC groups, striped repair, buffers |
 //! | [`engine`] | `rom-engine` | churn & streaming simulators, experiment configs |
 //! | [`chaos`] | `rom-chaos` | fault-injection scenarios, runtime invariant registry |
 //!

@@ -9,9 +9,17 @@
 //! traced, so any cross-thread interleaving or ordering leak would show
 //! up directly in the merged bytes.
 
-use rom_bench::{traced_churn_cell, traced_streaming_cell, CellOut, Sweep};
+use rom_bench::{instrumented_churn_cell, instrumented_streaming_cell, CellOut, Sidecars, Sweep};
 use rom_chaos::Scenario;
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
+
+/// Traces every cell into its in-memory pipeline, as the figure
+/// binaries do for their designated run. The cell writes no file: only
+/// a sweep's `write_sidecars` would write to this path.
+const TRACED: Sidecars = Sidecars {
+    trace: Some("in-memory"),
+    profile: None,
+};
 
 /// Every observable output of one sweep, in comparable form.
 #[derive(Debug, PartialEq)]
@@ -36,11 +44,11 @@ fn churn_sweep(jobs: usize) -> Observed {
     const ALGS: [AlgorithmKind; 2] = [AlgorithmKind::MinimumDepth, AlgorithmKind::Rost];
     let out = Sweep::with_jobs(jobs).run(ALGS.len(), 3, |cell| {
         let cfg = quick_churn(ALGS[cell.point], cell.seed);
-        let (report, _metrics, trace) = traced_churn_cell("churn_det", cfg, cell.seed);
+        let (report, trace, _) = instrumented_churn_cell("churn_det", cfg, cell.seed, TRACED);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -57,11 +65,12 @@ fn churn_sweep(jobs: usize) -> Observed {
 fn streaming_sweep(jobs: usize) -> Observed {
     let out = Sweep::with_jobs(jobs).run(1, 3, |cell| {
         let cfg = StreamingConfig::paper(quick_churn(AlgorithmKind::MinimumDepth, cell.seed), 2);
-        let (report, _metrics, trace) = traced_streaming_cell("streaming_det", cfg, cell.seed);
+        let (report, trace, _) =
+            instrumented_streaming_cell("streaming_det", cfg, cell.seed, TRACED);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -81,11 +90,11 @@ fn chaos_sweep(jobs: usize) -> Observed {
         let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
         churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
         let cfg = StreamingConfig::paper(churn, 2);
-        let (report, _metrics, trace) = traced_streaming_cell("chaos_det", cfg, cell.seed);
+        let (report, trace, _) = instrumented_streaming_cell("chaos_det", cfg, cell.seed, TRACED);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -108,11 +117,11 @@ fn burst_sweep(jobs: usize) -> Observed {
         let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
         churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
         let cfg = StreamingConfig::paper(churn, 2);
-        let (report, _metrics, trace) = traced_streaming_cell("burst_det", cfg, cell.seed);
+        let (report, trace, _) = instrumented_streaming_cell("burst_det", cfg, cell.seed, TRACED);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
