@@ -5,7 +5,7 @@
 //! order of magnitude at each group size; ROST+CER at K=1 already beats
 //! the baseline at K=2.
 
-use rom_bench::{banner, fmt, replicate_streaming, replicate_streaming_traced, row, Scale};
+use rom_bench::{banner, fmt, replicate_streaming_traced, row, Scale, Sidecars};
 use rom_engine::{AlgorithmKind, ChurnConfig, RecoveryStrategy, StreamingConfig};
 use rom_stats::Summary;
 
@@ -29,7 +29,8 @@ fn main() {
         ])
     );
     for k in 1..=3usize {
-        let baseline = pooled(replicate_streaming(
+        let baseline = pooled(replicate_streaming_traced(
+            "fig14_mindepth_single",
             |seed| {
                 let mut cfg = StreamingConfig::paper(
                     ChurnConfig::paper(AlgorithmKind::MinimumDepth, size).with_seed(seed),
@@ -39,6 +40,7 @@ fn main() {
                 cfg
             },
             scale,
+            Sidecars::none(),
         ));
         // --trace/--profile capture the flagship configuration:
         // ROST+CER at K=1.

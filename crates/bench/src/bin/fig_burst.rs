@@ -19,11 +19,9 @@
 //! — including the CSV on stdout — is byte-identical at any worker
 //! count and across repeated runs of the same seed.
 
-use rom_bench::{default_jobs, run_manifest, CellOut, CellTrace, Sweep};
+use rom_bench::{default_jobs, observed_cell, write_sidecars, Sidecars, Sweep};
 use rom_chaos::{ChaosAction, Injection, InvariantRegistry, Scenario};
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
-use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, SharedBuffer, Tracer};
-use std::time::Instant;
 
 /// The burst-factor grid; β = 1 is the uniform-loss control.
 const BETAS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
@@ -36,8 +34,7 @@ struct Args {
     seed: u64,
     paper: bool,
     jobs: usize,
-    trace: Option<String>,
-    profile: Option<String>,
+    sidecars: Sidecars,
 }
 
 fn usage() -> ! {
@@ -50,8 +47,7 @@ fn parse_args() -> Args {
         seed: 42,
         paper: false,
         jobs: default_jobs(),
-        trace: None,
-        profile: None,
+        sidecars: Sidecars::none(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -70,13 +66,18 @@ fn parse_args() -> Args {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--trace" => parsed.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--profile" => parsed.profile = Some(args.next().unwrap_or_else(|| usage())),
+            "--trace" => parsed.sidecars.trace = Some(leak(args.next())),
+            "--profile" => parsed.sidecars.profile = Some(leak(args.next())),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
     parsed
+}
+
+/// A path argument as the `'static` string [`Sidecars`] holds.
+fn leak(path: Option<String>) -> &'static str {
+    Box::leak(path.unwrap_or_else(|| usage()).into_boxed_str())
 }
 
 /// One bursty-loss injection covering the middle of the measurement
@@ -104,72 +105,24 @@ fn main() {
         (250, 450.0, 600.0)
     };
 
-    let name = "fig_burst".to_string();
-    let out = Sweep::with_jobs(args.jobs).run(BETAS.len(), 1, |cell| {
-        let beta = BETAS[cell.point];
+    let mut out = Sweep::with_jobs(args.jobs).run(BETAS.len(), 1, |cell| {
         let mut churn = if args.paper {
             ChurnConfig::paper(AlgorithmKind::Rost, size)
         } else {
             ChurnConfig::quick(AlgorithmKind::Rost, size)
         }
         .with_seed(args.seed);
-        churn.chaos = Some(burst_scenario(start_secs, span_secs, beta));
+        churn.chaos = Some(burst_scenario(start_secs, span_secs, BETAS[cell.point]));
         let cfg = StreamingConfig::paper(churn, 2);
-        let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
-
-        let registry = InvariantRegistry::with_all();
-        let (obs, pipe) = if args.trace.is_some() {
-            let buffer = SharedBuffer::new();
-            let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-            let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-            (obs, Some((buffer, health)))
-        } else {
-            (Obs::metrics_only(), None)
-        };
-        let prof = if args.profile.is_some() {
-            Prof::enabled()
-        } else {
-            Prof::disabled()
-        };
-        let started = Instant::now();
-        let (report, registry, obs) =
-            StreamingSim::new(cfg).run_checked(registry, obs.with_prof(prof));
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace = pipe.map(|(buffer, health)| CellTrace {
-            jsonl: buffer.contents(),
-            metrics_json: obs.snapshot().to_json(),
-            manifest: run_manifest(
-                "fig_burst",
-                args.seed,
-                config_digest,
-                &obs,
-                report.events_processed(),
-                report.outcome(),
-            ),
-            health: Some(health.to_jsonl()),
-        });
-        let profile = obs
-            .prof()
-            .report()
-            .map(|r| r.to_json("fig_burst", args.seed, report.events_processed(), wall_ns));
-        CellOut {
-            report: (report, registry),
-            warnings: Vec::new(),
-            trace,
-            profile,
-        }
+        observed_cell("fig_burst", cfg, args.seed, args.sidecars, |cfg, obs| {
+            StreamingSim::new(cfg).run_observed(obs, Some(InvariantRegistry::with_all()))
+        })
     });
     // Every cell ran the user's --seed; the grid point already encodes β.
-    let mut out = out;
     for (id, _) in &mut out.traces {
         id.seed = args.seed;
     }
-    if let Some(path) = args.trace.as_deref() {
-        out.write_trace(path, &name);
-    }
-    if let Some(path) = args.profile.as_deref() {
-        out.write_profile(path);
-    }
+    write_sidecars(&out, "fig_burst", args.sidecars);
 
     println!(
         "# fig_burst — GE burst factor sweep at matched {:.0}% average loss \

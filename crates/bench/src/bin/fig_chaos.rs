@@ -20,19 +20,16 @@
 //! profile (the only artifact carrying wall-clock time) lands at the
 //! given path.
 
-use rom_bench::{default_jobs, run_manifest, CellOut, CellTrace, Sweep};
+use rom_bench::{default_jobs, observed_cell, write_sidecars, Sidecars, Sweep};
 use rom_chaos::{InvariantRegistry, Scenario};
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
-use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, SharedBuffer, Tracer};
-use std::time::Instant;
 
 struct Args {
     scenario: String,
     seed: u64,
     paper: bool,
     jobs: usize,
-    trace: Option<String>,
-    profile: Option<String>,
+    sidecars: Sidecars,
 }
 
 fn usage() -> ! {
@@ -48,8 +45,7 @@ fn parse_args() -> Args {
         seed: 42,
         paper: false,
         jobs: default_jobs(),
-        trace: None,
-        profile: None,
+        sidecars: Sidecars::none(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -69,8 +65,8 @@ fn parse_args() -> Args {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--trace" => parsed.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--profile" => parsed.profile = Some(args.next().unwrap_or_else(|| usage())),
+            "--trace" => parsed.sidecars.trace = Some(leak(args.next())),
+            "--profile" => parsed.sidecars.profile = Some(leak(args.next())),
             "--list" => {
                 for name in Scenario::NAMES {
                     println!("{name}");
@@ -82,6 +78,11 @@ fn parse_args() -> Args {
         }
     }
     parsed
+}
+
+/// A path argument as the `'static` string [`Sidecars`] holds.
+fn leak(path: Option<String>) -> &'static str {
+    Box::leak(path.unwrap_or_else(|| usage()).into_boxed_str())
 }
 
 fn main() {
@@ -112,65 +113,21 @@ fn main() {
     let injections = scenario.injections.len();
     churn.chaos = Some(scenario);
     let cfg = StreamingConfig::paper(churn, 2);
-    let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
     let name = format!("fig_chaos:{}", args.scenario);
 
     // A single checked cell through the sweep engine, so the trace
     // artifacts merge and land exactly like every other binary's.
     let mut out = Sweep::with_jobs(args.jobs).run(1, 1, |_cell| {
-        let registry = InvariantRegistry::with_all();
-        let (obs, pipe) = if args.trace.is_some() {
-            let buffer = SharedBuffer::new();
-            let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-            let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-            (obs, Some((buffer, health)))
-        } else {
-            (Obs::metrics_only(), None)
-        };
-        let prof = if args.profile.is_some() {
-            Prof::enabled()
-        } else {
-            Prof::disabled()
-        };
-        let started = Instant::now();
-        let (report, registry, obs) =
-            StreamingSim::new(cfg.clone()).run_checked(registry, obs.with_prof(prof));
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace = pipe.map(|(buffer, health)| CellTrace {
-            jsonl: buffer.contents(),
-            metrics_json: obs.snapshot().to_json(),
-            manifest: run_manifest(
-                &name,
-                args.seed,
-                config_digest,
-                &obs,
-                report.events_processed(),
-                report.outcome(),
-            ),
-            health: Some(health.to_jsonl()),
-        });
-        let profile = obs
-            .prof()
-            .report()
-            .map(|r| r.to_json(&name, args.seed, report.events_processed(), wall_ns));
-        CellOut {
-            report: (report, registry),
-            warnings: Vec::new(),
-            trace,
-            profile,
-        }
+        observed_cell(&name, cfg.clone(), args.seed, args.sidecars, |cfg, obs| {
+            StreamingSim::new(cfg).run_observed(obs, Some(InvariantRegistry::with_all()))
+        })
     });
     // The grid is 1×1, so its cell coordinates carry no information;
     // stamp the user's --seed into the aggregate manifest instead.
     for (id, _) in &mut out.traces {
         id.seed = args.seed;
     }
-    if let Some(path) = args.trace.as_deref() {
-        out.write_trace(path, &name);
-    }
-    if let Some(path) = args.profile.as_deref() {
-        out.write_profile(path);
-    }
+    write_sidecars(&out, &name, args.sidecars);
     let (report, registry) = out
         .into_single_point()
         .into_iter()

@@ -12,10 +12,7 @@
 //! The printed table is byte-identical across runs and `--jobs` values.
 //! Performance is measured by the `perfbench` package, not here.
 
-use rom_bench::{
-    banner, churn_config, fmt, instrumented_churn_cell, mean_over, row, truncation_warning,
-    write_sidecars, CellOut, Scale,
-};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
 use rom_engine::{AlgorithmKind, ChurnReport};
 
 fn main() {
@@ -31,26 +28,12 @@ fn main() {
     // One replicate sweep per algorithm; --trace/--profile capture the
     // seed-1 ROST run (the algorithm the claims are about).
     let run = |alg: AlgorithmKind| -> Vec<ChurnReport> {
-        let sidecars = scale.sidecars().when(alg == AlgorithmKind::Rost);
-        let out = scale.sweep().run(1, scale.seeds, |cell| {
-            let cfg = churn_config(alg, size, cell.seed);
-            let (report, trace, profile) = instrumented_churn_cell(
-                "headline_claims_rost",
-                cfg,
-                cell.seed,
-                sidecars.when(cell.seed == 1),
-            );
-            CellOut {
-                warnings: truncation_warning("headline_claims", cell.seed, report.outcome)
-                    .into_iter()
-                    .collect(),
-                report,
-                trace,
-                profile,
-            }
-        });
-        write_sidecars(&out, "headline_claims_rost", sidecars);
-        out.into_single_point()
+        replicate_churn_traced(
+            "headline_claims_rost",
+            |seed| churn_config(alg, size, seed),
+            scale,
+            scale.sidecars().when(alg == AlgorithmKind::Rost),
+        )
     };
     let metrics = |reports: &[ChurnReport]| {
         (

@@ -34,13 +34,13 @@ mod sweep;
 pub use jsonv::Json;
 pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 
+use rom_chaos::InvariantRegistry;
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, StreamingReport};
-use rom_obs::{
-    fnv1a, HealthHandle, HealthSink, JsonlSink, Obs, Prof, RunManifest, SharedBuffer, Tracer,
-};
+use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, RunManifest, SharedBuffer, Tracer};
 use rom_sim::RunOutcome;
 use rom_stats::Summary;
+use std::fmt::Debug;
 use std::time::Instant;
 
 /// Scale and replication options shared by every figure binary.
@@ -116,7 +116,7 @@ impl Scale {
 
     /// The sidecar requests (`--trace`/`--profile`) of this invocation,
     /// for handing to [`replicate_churn_traced`] /
-    /// [`replicate_streaming_traced`] or an [`instrumented_churn_cell`].
+    /// [`replicate_streaming_traced`] or an [`observed_cell`].
     #[must_use]
     pub fn sidecars(self) -> Sidecars {
         Sidecars {
@@ -211,12 +211,6 @@ impl Sidecars {
         Sidecars::default()
     }
 
-    /// True when at least one sidecar was requested.
-    #[must_use]
-    pub fn any(self) -> bool {
-        self.trace.is_some() || self.profile.is_some()
-    }
-
     /// These sidecars when `designated` is true, none otherwise — for
     /// binaries that replicate several configurations and must attach the
     /// sidecars to exactly one of them.
@@ -236,16 +230,6 @@ pub fn churn_config(algorithm: AlgorithmKind, size: usize, seed: u64) -> ChurnCo
     ChurnConfig::paper(algorithm, size).with_seed(seed)
 }
 
-/// Runs one streaming configuration per seed (in parallel over
-/// `scale.jobs` workers) and returns the reports in seed order.
-#[must_use]
-pub fn replicate_streaming(
-    make: impl Fn(u64) -> StreamingConfig + Sync,
-    scale: Scale,
-) -> Vec<StreamingReport> {
-    replicate_streaming_traced("streaming", make, scale, Sidecars::none())
-}
-
 /// Runs one churn configuration per seed (in parallel over `scale.jobs`
 /// workers) and returns the reports in seed order, instrumenting the
 /// seed-1 run with the requested sidecars: the merged trace JSONL lands
@@ -260,26 +244,16 @@ pub fn replicate_churn_traced(
     scale: Scale,
     sidecars: Sidecars,
 ) -> Vec<ChurnReport> {
-    let out = scale.sweep().run(1, scale.seeds, |cell| {
-        let cfg = make(cell.seed);
-        let (report, trace, profile) =
-            instrumented_churn_cell(name, cfg, cell.seed, sidecars.when(cell.seed == 1));
-        CellOut {
-            warnings: truncation_warning(name, cell.seed, report.outcome)
-                .into_iter()
-                .collect(),
-            report,
-            trace,
-            profile,
-        }
-    });
-    write_sidecars(&out, name, sidecars);
-    out.into_single_point()
+    replicate(
+        name,
+        make,
+        |cfg, obs| ChurnSim::new(cfg).run_observed(obs, None),
+        scale,
+        sidecars,
+    )
 }
 
-/// Like [`replicate_streaming`], but instruments the seed-1 run with the
-/// requested sidecars (see [`replicate_churn_traced`]). `name` labels
-/// the run in its manifest and profile.
+/// Streaming variant of [`replicate_churn_traced`].
 #[must_use]
 pub fn replicate_streaming_traced(
     name: &str,
@@ -287,21 +261,32 @@ pub fn replicate_streaming_traced(
     scale: Scale,
     sidecars: Sidecars,
 ) -> Vec<StreamingReport> {
+    replicate(
+        name,
+        make,
+        |cfg, obs| StreamingSim::new(cfg).run_observed(obs, None),
+        scale,
+        sidecars,
+    )
+}
+
+/// The body of both `replicate_*_traced`: one [`observed_cell`] per seed.
+fn replicate<C: Debug, R: AsRef<ChurnReport> + Send>(
+    name: &str,
+    make: impl Fn(u64) -> C + Sync,
+    run: impl Fn(C, Obs) -> (R, Obs, InvariantRegistry) + Sync,
+    scale: Scale,
+    sidecars: Sidecars,
+) -> Vec<R> {
     let out = scale.sweep().run(1, scale.seeds, |cell| {
-        let cfg = make(cell.seed);
-        let (report, trace, profile) =
-            instrumented_streaming_cell(name, cfg, cell.seed, sidecars.when(cell.seed == 1));
-        CellOut {
-            warnings: truncation_warning(name, cell.seed, report.outcome())
-                .into_iter()
-                .collect(),
-            report,
-            trace,
-            profile,
-        }
+        let sidecars = sidecars.when(cell.seed == 1);
+        observed_cell(name, make(cell.seed), cell.seed, sidecars, &run)
     });
     write_sidecars(&out, name, sidecars);
     out.into_single_point()
+        .into_iter()
+        .map(|(report, _)| report)
+        .collect()
 }
 
 /// Writes whatever sidecars a finished sweep carries to the requested
@@ -315,10 +300,8 @@ pub fn write_sidecars<R>(out: &SweepOutput<R>, name: &str, sidecars: Sidecars) {
     }
 }
 
-/// Runs one churn configuration with the requested instrumentation and
-/// returns the report plus the optional trace artifacts and profile
-/// JSON. With `Sidecars::none()` this is exactly the plain run — the
-/// disabled observability and profiling paths are allocation-free.
+/// Runs one churn configuration through [`observed_cell`] and returns
+/// the report plus the optional trace artifacts and profile JSON.
 #[must_use]
 pub fn instrumented_churn_cell(
     name: &str,
@@ -326,28 +309,10 @@ pub fn instrumented_churn_cell(
     seed: u64,
     sidecars: Sidecars,
 ) -> (ChurnReport, Option<CellTrace>, Option<String>) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let (obs, pipe) = instrumented_obs(sidecars);
-    let started = Instant::now();
-    let (report, obs) = ChurnSim::new(cfg).run_with_obs(obs);
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let trace = pipe.as_ref().map(|(buffer, health)| {
-        cell_artifacts(
-            name,
-            seed,
-            digest,
-            &obs,
-            buffer,
-            health.to_jsonl(),
-            report.events_processed,
-            report.outcome,
-        )
+    let out = observed_cell(name, cfg, seed, sidecars, |cfg, obs| {
+        ChurnSim::new(cfg).run_observed(obs, None)
     });
-    let profile = obs
-        .prof()
-        .report()
-        .map(|r| r.to_json(name, seed, report.events_processed, wall_ns));
-    (report, trace, profile)
+    (out.report.0, out.trace, out.profile)
 }
 
 /// Streaming variant of [`instrumented_churn_cell`].
@@ -358,35 +323,32 @@ pub fn instrumented_streaming_cell(
     seed: u64,
     sidecars: Sidecars,
 ) -> (StreamingReport, Option<CellTrace>, Option<String>) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let (obs, pipe) = instrumented_obs(sidecars);
-    let started = Instant::now();
-    let (report, obs) = StreamingSim::new(cfg).run_with_obs(obs);
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let trace = pipe.as_ref().map(|(buffer, health)| {
-        cell_artifacts(
-            name,
-            seed,
-            digest,
-            &obs,
-            buffer,
-            health.to_jsonl(),
-            report.events_processed(),
-            report.outcome(),
-        )
+    let out = observed_cell(name, cfg, seed, sidecars, |cfg, obs| {
+        StreamingSim::new(cfg).run_observed(obs, None)
     });
-    let profile = obs
-        .prof()
-        .report()
-        .map(|r| r.to_json(name, seed, report.events_processed(), wall_ns));
-    (report, trace, profile)
+    (out.report.0, out.trace, out.profile)
 }
 
-/// Builds the [`Obs`] for one instrumented cell: a tracing pipeline
-/// (shared buffer behind a health tee) when a trace sidecar was
-/// requested, and an enabled profiler when a profile was. The returned
-/// buffer/health pair is `None` when tracing is off.
-fn instrumented_obs(sidecars: Sidecars) -> (Obs, Option<(SharedBuffer, HealthHandle)>) {
+/// Runs one simulation cell with the requested instrumentation — the one
+/// place a figure, chaos or benchmark cell is observed.
+///
+/// It builds the cell's [`Obs`]: a JSONL trace into a shared buffer
+/// behind a health tee when `sidecars.trace` is set (disabled
+/// otherwise), with the span profiler on when `sidecars.profile` is.
+/// `run` builds the simulator from `cfg` and runs it observed — arming
+/// an invariant registry if it wants one — and the finished `Obs` is
+/// packaged into the cell's trace artifacts (JSONL, manifest, metrics,
+/// health) and profile JSON; a truncated run adds its warning. With
+/// `Sidecars::none()` this is exactly the plain run: the disabled
+/// observability and profiling paths are allocation-free.
+pub fn observed_cell<C: Debug, R: AsRef<ChurnReport>>(
+    name: &str,
+    cfg: C,
+    seed: u64,
+    sidecars: Sidecars,
+    run: impl FnOnce(C, Obs) -> (R, Obs, InvariantRegistry),
+) -> CellOut<(R, InvariantRegistry)> {
+    let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
     let (obs, pipe) = if sidecars.trace.is_some() {
         let buffer = SharedBuffer::new();
         let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
@@ -400,28 +362,28 @@ fn instrumented_obs(sidecars: Sidecars) -> (Obs, Option<(SharedBuffer, HealthHan
     } else {
         Prof::disabled()
     };
-    (obs.with_prof(prof), pipe)
-}
-
-/// Packages one observed run's telemetry into its [`CellTrace`].
-#[allow(clippy::too_many_arguments)]
-fn cell_artifacts(
-    name: &str,
-    seed: u64,
-    config_digest: u64,
-    obs: &Obs,
-    buffer: &SharedBuffer,
-    health: String,
-    events_processed: u64,
-    outcome: RunOutcome,
-) -> CellTrace {
-    let metrics = obs.snapshot();
-    let manifest = run_manifest(name, seed, config_digest, obs, events_processed, outcome);
-    CellTrace {
+    let started = Instant::now();
+    let (report, obs, invariants) = run(cfg, obs.with_prof(prof));
+    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let churn = report.as_ref();
+    let (events, outcome) = (churn.events_processed, churn.outcome);
+    let trace = pipe.map(|(buffer, health)| CellTrace {
         jsonl: buffer.contents(),
-        metrics_json: metrics.to_json(),
-        manifest,
-        health: Some(health),
+        metrics_json: obs.snapshot().to_json(),
+        manifest: run_manifest(name, seed, config_digest, &obs, events, outcome),
+        health: Some(health.to_jsonl()),
+    });
+    let profile = obs
+        .prof()
+        .report()
+        .map(|r| r.to_json(name, seed, events, wall_ns));
+    CellOut {
+        report: (report, invariants),
+        warnings: truncation_warning(name, seed, outcome)
+            .into_iter()
+            .collect(),
+        trace,
+        profile,
     }
 }
 
@@ -516,7 +478,6 @@ mod tests {
         assert_eq!(s.sizes(), vec![500, 1_000, 2_000, 4_000]);
         assert_eq!(s.focus_size(), 2_000);
         assert_eq!(s.sidecars(), Sidecars::none());
-        assert!(!s.sidecars().any());
         let p = Scale {
             paper: true,
             seeds: 3,

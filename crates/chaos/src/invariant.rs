@@ -548,6 +548,7 @@ impl Invariant for CausalScheduling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rom_obs::Tracer;
     use rom_overlay::{paper_source, Location, MemberProfile};
 
     fn small_tree() -> MulticastTree {
@@ -581,7 +582,7 @@ mod tests {
     fn clean_tree_passes_every_event_check() {
         let tree = small_tree();
         let mut registry = InvariantRegistry::with_all();
-        let mut obs = Obs::metrics_only();
+        let mut obs = Obs::new(Tracer::disabled());
         for step in 1..=5 {
             registry.after_event(&tree, SimTime::from_secs(step as f64), &mut obs);
         }
@@ -593,7 +594,7 @@ mod tests {
     fn recovery_without_cause_is_flagged() {
         let tree = small_tree();
         let mut registry = InvariantRegistry::with_all();
-        let mut obs = Obs::metrics_only();
+        let mut obs = Obs::new(Tracer::disabled());
         let now = SimTime::from_secs(10.0);
         registry.signal(&tree, now, &Signal::RecoveryStart { member: NodeId(3) }, &mut obs);
         assert_eq!(registry.violations().len(), 1);

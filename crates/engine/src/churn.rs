@@ -28,9 +28,11 @@ use rom_rost::{OpId, SwitchOutcome, SwitchingProtocol};
 use rom_sim::{RunOutcome, Schedule, SimRng, SimTime, Simulation};
 use rom_stats::Summary;
 
-use crate::config::{AlgorithmKind, ChurnConfig, StreamingConfig};
+use crate::config::{
+    AlgorithmKind, ChurnConfig, StreamingConfig, HISTORY_SECS, RETRY_SECS, STREAM_RATE,
+};
 use crate::proximity::OracleProximity;
-use crate::streaming::{LinkEpisode, StreamingReport, StreamingState};
+use crate::streaming::{LinkEpisode, StreamingState};
 use crate::workload::Workload;
 
 /// Events of the churn simulation.
@@ -208,12 +210,12 @@ pub struct ChurnSim {
 
     /// Fault-injection driver; `None` unless a scenario is configured.
     chaos: Option<ChaosState>,
-    /// Armed invariant registry; `None` unless running via
-    /// [`ChurnSim::run_checked`].
+    /// Armed invariant registry; `None` unless one was passed to
+    /// [`ChurnSim::run_observed`].
     invariants: Option<InvariantRegistry>,
 
     /// Observability pipeline; disabled (and free) unless installed via
-    /// [`ChurnSim::run_with_obs`].
+    /// [`ChurnSim::run_observed`].
     obs: Obs,
 
     report: ChurnReport,
@@ -269,7 +271,7 @@ impl ChurnSim {
             cfg.bandwidth,
             cfg.lifetime,
             cfg.arrival_rate(),
-            cfg.history_secs,
+            HISTORY_SECS,
             &net,
             root_rng.fork("workload"),
         );
@@ -277,11 +279,11 @@ impl ChurnSim {
         // Only the centralized algorithms query the order index; every
         // other run moves subtrees without re-keying it.
         let tree = if cfg.algorithm.rule().is_centralized() {
-            MulticastTree::with_order_index(source, cfg.stream_rate)
+            MulticastTree::with_order_index(source, STREAM_RATE)
         } else {
-            MulticastTree::new(source, cfg.stream_rate)
+            MulticastTree::new(source, STREAM_RATE)
         };
-        let sampler = ViewSampler::new(cfg.view_size);
+        let sampler = ViewSampler::paper();
         let rng = root_rng.fork("decisions");
         let chaos = cfg.chaos.clone().map(|scenario| ChaosState {
             scenario,
@@ -350,39 +352,29 @@ impl ChurnSim {
     /// Runs the simulation to completion and returns the report.
     #[must_use]
     pub fn run(self) -> ChurnReport {
-        self.run_inner().0
+        self.run_observed(Obs::disabled(), None).0
     }
 
-    /// Runs with the given observability pipeline installed and returns it
-    /// (finished) alongside the report. Traces every join, departure,
-    /// rejoin, switch and eviction, and maintains the engine's counters,
-    /// gauges and histograms. Running with [`Obs::disabled`] is equivalent
-    /// to [`run`](Self::run).
+    /// Runs with `obs` installed and, when given, `invariants` armed, and
+    /// returns the report, the finished `obs` and the registry with
+    /// everything it found (empty when none was armed).
+    ///
+    /// An active `obs` traces every join, departure, rejoin, switch and
+    /// eviction and keeps the engine's counters, gauges and histograms.
+    /// An armed registry hears every protocol transition (failure scopes,
+    /// rejoin scheduling, recovery starts, reattachments, recovery-group
+    /// choices) and runs its tree checks after every dispatched event;
+    /// violations are counted under `chaos.violations` and emitted as
+    /// `Warn`-level [`Subsystem::Chaos`] trace events on `obs`. Neither
+    /// changes what the run does.
     #[must_use]
-    pub fn run_with_obs(mut self, obs: Obs) -> (ChurnReport, Obs) {
-        self.obs = obs;
-        let (report, _streaming, obs, _invariants) = self.run_inner();
-        (report, obs)
-    }
-
-    /// Runs with the given invariant registry armed: the engine reports
-    /// every protocol transition (failure scopes, rejoin scheduling,
-    /// recovery starts, reattachments, recovery-group choices) to the
-    /// registry's checkers and runs its cross-cutting tree checks after
-    /// every dispatched event. Violations are counted under the
-    /// `chaos.violations` metric and emitted as `Warn`-level
-    /// [`Subsystem::Chaos`] trace events on `obs`. Returns the registry —
-    /// with everything it found — alongside the report.
-    #[must_use]
-    pub fn run_checked(
-        mut self,
-        registry: InvariantRegistry,
+    pub fn run_observed(
+        self,
         obs: Obs,
-    ) -> (ChurnReport, InvariantRegistry, Obs) {
-        self.obs = obs;
-        self.invariants = Some(registry);
-        let (report, _streaming, obs, invariants) = self.run_inner();
-        (report, invariants.unwrap_or_default(), obs)
+        invariants: Option<InvariantRegistry>,
+    ) -> (ChurnReport, Obs, InvariantRegistry) {
+        let (report, _streaming, obs, invariants) = self.run_inner(obs, invariants);
+        (report, obs, invariants)
     }
 
     /// Like [`run`](Self::run), but calls `inspect` with the final tree
@@ -394,51 +386,16 @@ impl ChurnSim {
         self.finish()
     }
 
-    /// Runs with the streaming layer and returns the streaming report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator was built without a streaming layer.
-    pub(crate) fn run_streaming(self) -> StreamingReport {
-        let (churn, streaming, _obs, _invariants) = self.run_inner();
-        streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn)
-    }
-
-    /// Streaming variant of [`run_with_obs`](Self::run_with_obs).
-    pub(crate) fn run_streaming_with_obs(mut self, obs: Obs) -> (StreamingReport, Obs) {
-        self.obs = obs;
-        let (churn, streaming, obs, _invariants) = self.run_inner();
-        let report = streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn);
-        (report, obs)
-    }
-
-    /// Streaming variant of [`run_checked`](Self::run_checked).
-    pub(crate) fn run_streaming_checked(
+    /// The run behind [`run_observed`](Self::run_observed) and
+    /// [`StreamingSim::run_observed`](crate::StreamingSim::run_observed),
+    /// which also hands back the streaming layer.
+    pub(crate) fn run_inner(
         mut self,
-        registry: InvariantRegistry,
         obs: Obs,
-    ) -> (StreamingReport, InvariantRegistry, Obs) {
+        invariants: Option<InvariantRegistry>,
+    ) -> (ChurnReport, Option<StreamingState>, Obs, InvariantRegistry) {
         self.obs = obs;
-        self.invariants = Some(registry);
-        let (churn, streaming, obs, invariants) = self.run_inner();
-        let report = streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn);
-        (report, invariants.unwrap_or_default(), obs)
-    }
-
-    fn run_inner(
-        mut self,
-    ) -> (
-        ChurnReport,
-        Option<StreamingState>,
-        Obs,
-        Option<InvariantRegistry>,
-    ) {
+        self.invariants = invariants;
         self.simulate();
         if self.obs.is_active() {
             self.fold_protocol_metrics();
@@ -446,7 +403,7 @@ impl ChurnSim {
         self.obs.finish();
         let streaming = self.streaming.take();
         let obs = std::mem::take(&mut self.obs);
-        let invariants = self.invariants.take();
+        let invariants = self.invariants.take().unwrap_or_default();
         (self.finish(), streaming, obs, invariants)
     }
 
@@ -518,10 +475,7 @@ impl ChurnSim {
             self.notify_joined(id, member.join_time);
             if !self.place_new_member(member.clone(), SimTime::ZERO) {
                 self.pending.insert(id, member);
-                sim.schedule(
-                    SimTime::from_secs(self.cfg.retry_secs),
-                    Event::JoinRetry(id),
-                );
+                sim.schedule(SimTime::from_secs(RETRY_SECS), Event::JoinRetry(id));
             }
             let backlog = std::mem::take(&mut self.rejoin_backlog);
             if !backlog.is_empty() {
@@ -683,7 +637,7 @@ impl ChurnSim {
                 self.report.rejections += 1;
             }
             self.pending.insert(id, member);
-            sched.after(self.cfg.retry_secs, Event::JoinRetry(id));
+            sched.after(RETRY_SECS, Event::JoinRetry(id));
         }
     }
 
@@ -930,7 +884,7 @@ impl ChurnSim {
                     if self.in_window(now) {
                         self.report.rejections += 1;
                     }
-                    sched.after(self.cfg.retry_secs, Event::Rejoin(orphan));
+                    sched.after(RETRY_SECS, Event::Rejoin(orphan));
                 }
             }
 
@@ -1412,6 +1366,12 @@ impl ChurnSim {
     }
 }
 
+impl AsRef<ChurnReport> for ChurnReport {
+    fn as_ref(&self) -> &ChurnReport {
+        self
+    }
+}
+
 impl ChurnReport {
     /// The unbiased Fig. 4 metric: disruption events per member, scaled to
     /// one mean lifetime. Unlike
@@ -1630,7 +1590,8 @@ mod tests {
         let plain = ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run();
         let (sink, handle) = RingSink::new(100_000);
         let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-        let (observed, obs) = ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run_with_obs(obs);
+        let (observed, obs, _) =
+            ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run_observed(obs, None);
 
         // Observation must not perturb the simulation.
         assert_eq!(plain.switches, observed.switches);
@@ -1672,7 +1633,7 @@ mod tests {
         let warmup = cfg.warmup_secs;
         let (sink, handle) = RingSink::new(100_000);
         let obs = Obs::new(Tracer::to_sink(Box::new(sink)).with_subsystems(&[Subsystem::Churn]));
-        let _ = ChurnSim::new(cfg).run_with_obs(obs);
+        let _ = ChurnSim::new(cfg).run_observed(obs, None);
         let joins_at_warmup = handle
             .events()
             .iter()

@@ -8,6 +8,30 @@ use rom_overlay::algorithms::{
 use rom_rost::RostConfig;
 use rom_stats::{BoundedPareto, LogNormal};
 
+/// Media stream rate in bandwidth units; §5 normalizes it to 1, so a
+/// member's out-degree is its bandwidth rounded down.
+pub(crate) const STREAM_RATE: f64 = 1.0;
+
+/// Virtual history `H` in seconds: seeded member ages follow the
+/// stationary age distribution truncated at this horizon, as if the
+/// overlay had been running organically for four hours (DESIGN decision
+/// 1).
+pub(crate) const HISTORY_SECS: f64 = 14_400.0;
+
+/// Seconds before a join or rejoin that found no capacity in its view
+/// tries again.
+pub(crate) const RETRY_SECS: f64 = 5.0;
+
+/// Stream packet rate: "a constant rate of 10 packets per second" (§6).
+pub(crate) const RATE_PPS: f64 = 10.0;
+
+/// Packet-loss detection latency before repair requests go out. Loss is
+/// noticed at the delivery deadline ("when a member detects a delivery
+/// deadline missing, it regards this as a packet loss", §4.2), which
+/// trails the live stream by network delay only — far less than §6's 5 s
+/// parent-failure timeout (DESIGN decision 4).
+pub(crate) const LOSS_DETECTION_SECS: f64 = 1.0;
+
 /// Which tree-construction algorithm drives an experiment — the five
 /// §5 contenders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,19 +128,11 @@ pub struct ChurnConfig {
     pub bandwidth: BoundedPareto,
     /// Lifetime distribution (§5: Lognormal 5.5/2.0).
     pub lifetime: LogNormal,
-    /// Partial-view size for distributed algorithms (§3.3: ~100).
-    pub view_size: usize,
     /// Underlay topology parameters.
     pub topology: TransitStubConfig,
-    /// Media stream rate; §5 normalizes it to 1.
-    pub stream_rate: f64,
     /// Seconds of churn before measurement starts (the tree is seeded with
     /// an equilibrium population first, so this only settles structure).
     pub warmup_secs: f64,
-    /// Virtual history length: seeded member ages follow the stationary
-    /// age distribution truncated at this horizon, as if the overlay had
-    /// been running organically for this long.
-    pub history_secs: f64,
     /// Length of the measurement window in seconds.
     pub measure_secs: f64,
     /// Interval between tree-quality samples (delay, stretch).
@@ -125,8 +141,6 @@ pub struct ChurnConfig {
     /// parent re-finding). Zero for pure tree experiments; the streaming
     /// experiments use 5 s + 10 s (§6).
     pub rejoin_delay_secs: f64,
-    /// Delay before a rejected (no capacity in view) join/rejoin retries.
-    pub retry_secs: f64,
     /// Fraction of departures that are *graceful* (§3.3: a leaving member
     /// "may give notification to its neighbors or it may just leave
     /// abruptly"). A graceful departure hands its children off without a
@@ -158,15 +172,11 @@ impl ChurnConfig {
             rost: RostConfig::paper(),
             bandwidth: BoundedPareto::paper_bandwidth(),
             lifetime: LogNormal::paper_lifetime(),
-            view_size: 100,
             topology: TransitStubConfig::sized_for(target_size.max(1) * 2),
-            stream_rate: 1.0,
             warmup_secs: 1_800.0,
-            history_secs: 14_400.0,
             measure_secs: 3_600.0,
             sample_interval_secs: 120.0,
             rejoin_delay_secs: 0.0,
-            retry_secs: 5.0,
             graceful_fraction: 0.0,
             observer: None,
             chaos: None,
@@ -236,10 +246,7 @@ impl ChurnConfig {
     /// Panics on nonsensical values (zero size, non-positive windows…).
     pub fn validate(&self) {
         assert!(self.target_size > 0, "target size must be positive");
-        assert!(self.view_size > 0, "view size must be positive");
-        assert!(self.stream_rate > 0.0, "stream rate must be positive");
         assert!(self.warmup_secs >= 0.0, "warmup cannot be negative");
-        assert!(self.history_secs > 0.0, "virtual history must be positive");
         assert!(
             self.measure_secs > 0.0,
             "measurement window must be positive"
@@ -252,7 +259,6 @@ impl ChurnConfig {
             self.rejoin_delay_secs >= 0.0,
             "rejoin delay cannot be negative"
         );
-        assert!(self.retry_secs > 0.0, "retry delay must be positive");
         assert!(
             (0.0..=1.0).contains(&self.graceful_fraction),
             "graceful fraction must be a probability"
@@ -299,10 +305,8 @@ pub enum GroupSelection {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// The churn substrate (tree algorithm, size, seed…). Its
-    /// `rejoin_delay_secs` should equal `detection_secs + rejoin_secs`.
+    /// `rejoin_delay_secs` is §6's failure detection plus rejoin time.
     pub churn: ChurnConfig,
-    /// Stream rate (packets/second) and playback buffer.
-    pub rate_pps: f64,
     /// Playback buffer in seconds (§6 default 5 s; Fig. 13 sweeps 5–30 s).
     pub buffer_secs: f64,
     /// Recovery group size K (Figs. 12–14 sweep 1–4).
@@ -311,17 +315,6 @@ pub struct StreamingConfig {
     pub strategy: RecoveryStrategy,
     /// MLC (Algorithm 1) or random group selection.
     pub selection: GroupSelection,
-    /// Parent-failure detection latency before the rejoin starts
-    /// (§6: 5 s).
-    pub detection_secs: f64,
-    /// Packet-loss detection latency before repair requests go out. Loss
-    /// is noticed at the delivery deadline ("when a member detects a
-    /// delivery deadline missing, it regards this as a packet loss",
-    /// §4.2), which trails the live stream by network delay only — far
-    /// less than the parent-failure timeout.
-    pub loss_detection_secs: f64,
-    /// Parent re-finding latency (§6: 10 s).
-    pub rejoin_secs: f64,
     /// Residual helper bandwidth range in packets/second (§6: uniform
     /// 0–9).
     pub residual_pps: (f64, f64),
@@ -330,21 +323,19 @@ pub struct StreamingConfig {
 }
 
 impl StreamingConfig {
-    /// The §6 defaults on top of the given churn substrate: 10 pkt/s,
-    /// 5 s buffer, 5 s detection + 10 s rejoin, residual 0–9 pkt/s.
+    /// The §6 defaults on top of the given churn substrate: 5 s buffer,
+    /// residual 0–9 pkt/s, and a 15 s outage per parent failure — "5
+    /// seconds to detect a failure of its parent, and another 10 seconds
+    /// to rejoin the tree".
     #[must_use]
     pub fn paper(mut churn: ChurnConfig, recovery_group_size: usize) -> Self {
-        churn.rejoin_delay_secs = 15.0;
+        churn.rejoin_delay_secs = 5.0 + 10.0;
         StreamingConfig {
             churn,
-            rate_pps: 10.0,
             buffer_secs: 5.0,
             recovery_group_size,
             strategy: RecoveryStrategy::Cooperative,
             selection: GroupSelection::MinimumLossCorrelation,
-            detection_secs: 5.0,
-            loss_detection_secs: 1.0,
-            rejoin_secs: 10.0,
             residual_pps: (0.0, 9.0),
             repair_cache_secs: 120.0,
         }
@@ -353,7 +344,7 @@ impl StreamingConfig {
     /// The stream clock implied by this configuration.
     #[must_use]
     pub fn clock(&self) -> rom_cer::StreamClock {
-        rom_cer::StreamClock::new(self.rate_pps, self.buffer_secs)
+        rom_cer::StreamClock::new(RATE_PPS, self.buffer_secs)
     }
 
     /// Validates parameter sanity (including churn).
@@ -363,23 +354,12 @@ impl StreamingConfig {
     /// Panics on nonsensical values.
     pub fn validate(&self) {
         self.churn.validate();
-        assert!(self.rate_pps > 0.0, "packet rate must be positive");
         assert!(self.buffer_secs > 0.0, "buffer must be positive");
         assert!(self.recovery_group_size > 0, "group size must be positive");
-        assert!(self.detection_secs >= 0.0 && self.rejoin_secs >= 0.0);
-        assert!(
-            self.loss_detection_secs >= 0.0,
-            "loss detection cannot be negative"
-        );
         assert!(self.residual_pps.0 >= 0.0 && self.residual_pps.1 >= self.residual_pps.0);
         assert!(
             self.repair_cache_secs > 0.0,
             "repair cache must be positive"
-        );
-        let expected = self.detection_secs + self.rejoin_secs;
-        assert!(
-            (self.churn.rejoin_delay_secs - expected).abs() < 1e-9,
-            "churn rejoin delay must equal detection + rejoin"
         );
     }
 }
@@ -392,8 +372,6 @@ mod tests {
     fn paper_defaults_follow_section5() {
         let c = ChurnConfig::paper(AlgorithmKind::Rost, 8_000);
         c.validate();
-        assert_eq!(c.view_size, 100);
-        assert_eq!(c.stream_rate, 1.0);
         assert_eq!(c.rost.switching_interval_secs, 360.0);
         // λ = 8000 / 1809 ≈ 4.42 arrivals per second.
         assert!((c.arrival_rate() - 8_000.0 / c.mean_lifetime_secs()).abs() < 1e-12);
@@ -404,7 +382,6 @@ mod tests {
     fn streaming_defaults_follow_section6() {
         let s = StreamingConfig::paper(ChurnConfig::quick(AlgorithmKind::MinimumDepth, 500), 3);
         s.validate();
-        assert_eq!(s.rate_pps, 10.0);
         assert_eq!(s.buffer_secs, 5.0);
         assert_eq!(s.churn.rejoin_delay_secs, 15.0);
         assert_eq!(s.clock().buffer_packets(), 50);
@@ -424,14 +401,6 @@ mod tests {
     fn seed_override() {
         let c = ChurnConfig::quick(AlgorithmKind::Rost, 100).with_seed(9);
         assert_eq!(c.seed, 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "rejoin delay")]
-    fn streaming_rejects_mismatched_rejoin_delay() {
-        let mut s = StreamingConfig::paper(ChurnConfig::quick(AlgorithmKind::MinimumDepth, 100), 2);
-        s.churn.rejoin_delay_secs = 0.0;
-        s.validate();
     }
 
     #[test]

@@ -30,12 +30,12 @@ use rom_cer::{
 use rom_chaos::{CapacityTrace, DelaySpikes, GilbertElliott, InvariantRegistry, Signal};
 use rom_net::{DelayOracle, UnderlayId};
 use rom_obs::{Level, Obs, Subsystem, TraceEvent};
-use rom_overlay::{MulticastTree, NodeId};
+use rom_overlay::{MulticastTree, NodeId, ViewSampler};
 use rom_sim::{RunOutcome, SimRng, SimTime};
 use rom_stats::Summary;
 
 use crate::churn::{ChurnReport, ChurnSim};
-use crate::config::{GroupSelection, RecoveryStrategy, StreamingConfig};
+use crate::config::{GroupSelection, RecoveryStrategy, StreamingConfig, LOSS_DETECTION_SECS};
 
 /// Latency added per recovery-chain hop (request forwarding + NACKs).
 const CHAIN_HOP_SECS: f64 = 0.2;
@@ -55,6 +55,12 @@ pub struct StreamingReport {
     pub packets_starved: u64,
     /// The underlying tree-level report.
     pub churn: ChurnReport,
+}
+
+impl AsRef<ChurnReport> for StreamingReport {
+    fn as_ref(&self) -> &ChurnReport {
+        &self.churn
+    }
 }
 
 impl StreamingReport {
@@ -134,12 +140,19 @@ impl LinkEpisode {
 enum RepairTiming {
     /// The whole gap becomes repairable at once (an outage closing).
     Batch(SimTime),
-    /// Each packet's loss is detected this long after its generation
-    /// (link-level losses under an armed pathology episode).
-    PerPacket {
-        /// Detection lag in seconds.
-        detection_secs: f64,
-    },
+    /// Each packet's loss is detected [`LOSS_DETECTION_SECS`] after its
+    /// generation (link-level losses under an armed pathology episode).
+    PerPacket,
+}
+
+/// The link-level losses of an ended pathology episode, held until the
+/// member is attached again to choose a recovery group for them.
+#[derive(Debug)]
+struct LinkLosses {
+    /// Data packets that crossed the member's link during the episode.
+    frames: u64,
+    /// The ones the episode's loss chain dropped.
+    lost: Vec<u64>,
 }
 
 /// Per-member streaming bookkeeping.
@@ -156,6 +169,8 @@ struct MemberStream {
     holes: SeqRangeSet,
     /// Packets that missed this member's playback deadline.
     starved_packets: u64,
+    /// Losses of an episode that ended while the member was detached.
+    link_losses: Option<LinkLosses>,
 }
 
 impl MemberStream {
@@ -181,10 +196,8 @@ pub(crate) struct StreamingState {
     group_size: usize,
     strategy: RecoveryStrategy,
     selection: GroupSelection,
-    loss_detection_secs: f64,
     repair_cache_secs: f64,
     residual_pps: (f64, f64),
-    view_size: usize,
     window_start: SimTime,
     window_end: SimTime,
     rng: SimRng,
@@ -210,10 +223,8 @@ impl StreamingState {
             group_size: cfg.recovery_group_size,
             strategy: cfg.strategy,
             selection: cfg.selection,
-            loss_detection_secs: cfg.loss_detection_secs,
             repair_cache_secs: cfg.repair_cache_secs,
             residual_pps: cfg.residual_pps,
-            view_size: cfg.churn.view_size,
             window_start,
             window_end: window_start + cfg.churn.measure_secs,
             rng,
@@ -247,7 +258,15 @@ impl StreamingState {
     /// its view overlapped the measurement window.
     pub(crate) fn on_member_departed(&mut self, id: NodeId, now: SimTime) {
         self.pathology.remove(&id);
-        if let Some(stream) = self.members.remove(&id) {
+        if let Some(mut stream) = self.members.remove(&id) {
+            // Link losses still waiting for a reattachment are never repaired.
+            if let Some(losses) = stream.link_losses.take() {
+                let starved = losses.lost.len() as u64;
+                stream.starved_packets += starved;
+                if now >= self.window_start && now <= self.window_end {
+                    self.starved += starved;
+                }
+            }
             if let Some(ratio) = self.ratio_of(&stream, now) {
                 self.finished_ratios.push(ratio);
             }
@@ -277,7 +296,9 @@ impl StreamingState {
     }
 
     /// The subtree rooted at `orphan` is attached again: close the outage
-    /// of every member in it and run recovery for the missed range.
+    /// of every member in it and run recovery for the missed range, then
+    /// repair the link losses a member's episode left while it was
+    /// detached.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_restore(
         &mut self,
@@ -292,23 +313,34 @@ impl StreamingState {
         let mut subtree = vec![orphan];
         tree.descendants_into(orphan, &mut subtree);
         for member in subtree {
-            let Some(t0) = self
-                .members
-                .get_mut(&member)
-                .and_then(|s| s.outage_since.take())
-            else {
+            let Some(stream) = self.members.get_mut(&member) else {
                 continue;
             };
-            self.repair_outage(
-                tree,
-                oracle,
-                live,
-                member,
-                t0,
-                now,
-                obs,
-                invariants.as_deref_mut(),
-            );
+            let (outage, losses) = (stream.outage_since.take(), stream.link_losses.take());
+            if let Some(t0) = outage {
+                self.repair_outage(
+                    tree,
+                    oracle,
+                    live,
+                    member,
+                    t0,
+                    now,
+                    obs,
+                    invariants.as_deref_mut(),
+                );
+            }
+            if let Some(losses) = losses {
+                self.repair_link_losses(
+                    tree,
+                    oracle,
+                    live,
+                    member,
+                    losses,
+                    now,
+                    obs,
+                    invariants.as_deref_mut(),
+                );
+            }
         }
     }
 
@@ -343,7 +375,9 @@ impl StreamingState {
     /// crossed the member's access link through the episode's loss chain,
     /// repair the lost ones from the member's recovery group (the repair
     /// traffic still experiences the episode's capacity/spike pathology),
-    /// then disarm the episode.
+    /// then disarm the episode. A detached member has no recovery group
+    /// to choose yet: its losses wait, with the episode armed, for
+    /// [`Self::on_restore`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_link_episode_end(
         &mut self,
@@ -355,7 +389,7 @@ impl StreamingState {
         obs: &mut Obs,
         invariants: Option<&mut InvariantRegistry>,
     ) {
-        let (s0, s1, lost) = {
+        let losses = {
             let Some(ep) = self.pathology.get_mut(&member) else {
                 return; // member departed, or a newer episode already ended
             };
@@ -369,6 +403,9 @@ impl StreamingState {
                 self.pathology.remove(&member);
                 return;
             };
+            if stream.link_losses.is_some() {
+                return; // this episode already ended; its losses wait
+            }
             let mut start = ep.start;
             if stream.view_start > start.as_secs() {
                 start = SimTime::from_secs(stream.view_start);
@@ -390,12 +427,39 @@ impl StreamingState {
                     }
                 }
             }
-            (s0, s1, lost)
+            LinkLosses {
+                frames: s1.saturating_sub(s0),
+                lost,
+            }
         };
-        if s1 > s0 && obs.is_active() {
-            obs.count("chaos.link_frames", s1 - s0);
-            obs.count("chaos.link_lost", lost.len() as u64);
+        if losses.frames > 0 && obs.is_active() {
+            obs.count("chaos.link_frames", losses.frames);
+            obs.count("chaos.link_lost", losses.lost.len() as u64);
         }
+        if !losses.lost.is_empty() && !tree.is_attached(member) {
+            if let Some(stream) = self.members.get_mut(&member) {
+                stream.link_losses = Some(losses);
+            }
+            return;
+        }
+        self.repair_link_losses(tree, oracle, live, member, losses, now, obs, invariants);
+    }
+
+    /// Repairs an ended episode's link losses from `member`'s recovery
+    /// group, books the outcome, then disarms the episode.
+    #[allow(clippy::too_many_arguments)]
+    fn repair_link_losses(
+        &mut self,
+        tree: &MulticastTree,
+        oracle: &DelayOracle,
+        live: &[NodeId],
+        member: NodeId,
+        losses: LinkLosses,
+        now: SimTime,
+        obs: &mut Obs,
+        invariants: Option<&mut InvariantRegistry>,
+    ) {
+        let LinkLosses { frames, lost } = losses;
         let mut repaired_now = 0u64;
         let mut starved_now = 0u64;
         let mut new_holes: Vec<u64> = Vec::new();
@@ -420,9 +484,7 @@ impl StreamingState {
                 &available,
                 lost.iter().copied(),
                 lost.len() as u64,
-                &RepairTiming::PerPacket {
-                    detection_secs: self.loss_detection_secs,
-                },
+                &RepairTiming::PerPacket,
                 now,
                 obs,
             );
@@ -437,7 +499,7 @@ impl StreamingState {
                     obs.emit(
                         TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
                             .u64("member", member.0)
-                            .u64("frames", s1 - s0)
+                            .u64("frames", frames)
                             .u64("lost", lost.len() as u64)
                             .u64("repaired", repaired_now)
                             .u64("starved", starved_now),
@@ -504,7 +566,7 @@ impl StreamingState {
         member: NodeId,
     ) -> RecoveryGroup {
         let _span = tree.prof().span("cer.group_select");
-        let view = self.rng.sample(live, self.view_size);
+        let view = self.rng.sample(live, ViewSampler::PAPER_VIEW_SIZE);
         // Gossip here is exact, so the fragment is the union of the view's
         // root paths, read straight off the arena.
         let partial = PartialTree::from_tree(tree, view.iter().copied().filter(|&v| v != member));
@@ -590,9 +652,7 @@ impl StreamingState {
         let mut new_holes: Vec<u64> = Vec::new();
         let ready_at = |clock: &StreamClock, seq: u64| match *timing {
             RepairTiming::Batch(t) => t,
-            RepairTiming::PerPacket { detection_secs } => {
-                clock.generation_time(seq) + detection_secs
-            }
+            RepairTiming::PerPacket => clock.generation_time(seq) + LOSS_DETECTION_SECS,
         };
         let clock = &self.clock;
         let cache_secs = self.repair_cache_secs;
@@ -705,7 +765,7 @@ impl StreamingState {
         if now >= self.window_start && now <= self.window_end {
             self.outages += 1;
         }
-        let t_repair = t0 + self.loss_detection_secs;
+        let t_repair = t0 + LOSS_DETECTION_SECS;
         let group = self.select_group(tree, oracle, live, member);
         if let Some(registry) = invariants {
             registry.signal(
@@ -809,28 +869,24 @@ impl StreamingSim {
     /// Runs to completion.
     #[must_use]
     pub fn run(self) -> StreamingReport {
-        self.inner.run_streaming()
+        self.run_observed(Obs::disabled(), None).0
     }
 
-    /// Runs with the given observability pipeline installed and returns it
-    /// (finished) alongside the report — see
-    /// [`ChurnSim::run_with_obs`](crate::ChurnSim::run_with_obs).
-    #[must_use]
-    pub fn run_with_obs(self, obs: Obs) -> (StreamingReport, Obs) {
-        self.inner.run_streaming_with_obs(obs)
-    }
-
-    /// Runs with the given invariant registry armed — see
-    /// [`ChurnSim::run_checked`](crate::ChurnSim::run_checked). On top of
+    /// Runs with `obs` installed and, when given, `invariants` armed — see
+    /// [`ChurnSim::run_observed`](crate::ChurnSim::run_observed). On top of
     /// the tree-level signals, the streaming layer reports every recovery
     /// group it selects.
     #[must_use]
-    pub fn run_checked(
+    pub fn run_observed(
         self,
-        registry: InvariantRegistry,
         obs: Obs,
-    ) -> (StreamingReport, InvariantRegistry, Obs) {
-        self.inner.run_streaming_checked(registry, obs)
+        invariants: Option<InvariantRegistry>,
+    ) -> (StreamingReport, Obs, InvariantRegistry) {
+        let (churn, streaming, obs, invariants) = self.inner.run_inner(obs, invariants);
+        let report = streaming
+            .expect("built with new_with_streaming")
+            .into_report(churn);
+        (report, obs, invariants)
     }
 }
 

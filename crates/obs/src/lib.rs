@@ -6,7 +6,7 @@
 //! on *simulation* time:
 //!
 //! - a **structured trace layer** ([`TraceEvent`] written through the
-//!   [`Sink`] trait, with ring-buffer, JSONL-file and null
+//!   [`Sink`] trait, with ring-buffer, JSONL and null
 //!   implementations, filterable by [`Subsystem`] and [`Level`]),
 //! - a **metrics registry** ([`MetricsRegistry`]: counters, gauges with
 //!   high-water marks, fixed-bucket histograms) snapshotable into
@@ -73,8 +73,8 @@ pub use trace::{
 ///
 /// A default-constructed (or [`Obs::disabled`]) handle is inert: every
 /// method is a single-branch no-op, no allocation, no sink. Construct one
-/// with [`Obs::new`] to activate both tracing and metrics, or
-/// [`Obs::metrics_only`] to collect metrics without a trace sink.
+/// with [`Obs::new`] to activate both tracing and metrics, or with
+/// `Obs::new(Tracer::disabled())` to collect metrics without a trace sink.
 #[derive(Debug, Default)]
 pub struct Obs {
     active: bool,
@@ -116,12 +116,6 @@ impl Obs {
     #[must_use]
     pub fn prof(&self) -> &Prof {
         &self.prof
-    }
-
-    /// An active handle that collects metrics but emits no trace events.
-    #[must_use]
-    pub fn metrics_only() -> Self {
-        Obs::new(Tracer::disabled())
     }
 
     /// True if this handle records anything at all.
@@ -226,8 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn metrics_only_collects_without_tracing() {
-        let mut obs = Obs::metrics_only();
+    fn disabled_tracer_still_collects_metrics() {
+        let mut obs = Obs::new(Tracer::disabled());
         assert!(obs.is_active());
         assert!(!obs.enabled(Subsystem::Cer, Level::Warn));
         obs.count("c", 2);

@@ -3,9 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json;
@@ -100,8 +98,6 @@ impl Subsystem {
 pub enum FieldValue {
     /// Unsigned integer (ids, counts).
     U64(u64),
-    /// Signed integer (deltas).
-    I64(i64),
     /// Floating point (times, fractions).
     F64(f64),
     /// Boolean flag.
@@ -114,10 +110,6 @@ impl FieldValue {
     fn write_json(&self, out: &mut String) {
         match *self {
             FieldValue::U64(v) => json::push_u64(out, v),
-            FieldValue::I64(v) => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "{v}");
-            }
             FieldValue::F64(v) => json::push_f64(out, v),
             FieldValue::Bool(v) => out.push_str(if v { "true" } else { "false" }),
             FieldValue::Str(s) => json::push_str_literal(out, s),
@@ -167,13 +159,6 @@ impl TraceEvent {
     #[must_use]
     pub fn u64(mut self, key: &'static str, value: u64) -> Self {
         self.fields.insert(key, FieldValue::U64(value));
-        self
-    }
-
-    /// Attaches a signed-integer field.
-    #[must_use]
-    pub fn i64(mut self, key: &'static str, value: i64) -> Self {
-        self.fields.insert(key, FieldValue::I64(value));
         self
     }
 
@@ -342,17 +327,6 @@ pub struct JsonlSink<W: Write> {
     out: W,
     line: String,
     write_errors: u64,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) the file at `path` and writes JSONL to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from creating the file.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -540,12 +514,11 @@ mod tests {
             .u64("id", 7)
             .f64("btp", 0.25)
             .bool("ok", true)
-            .str("algo", "rost")
-            .i64("delta", -3);
+            .str("algo", "rost");
         assert_eq!(
             e.to_json(),
             "{\"t\":12.5,\"sub\":\"rost\",\"lvl\":\"info\",\"kind\":\"switch\",\
-             \"fields\":{\"algo\":\"rost\",\"btp\":0.25,\"delta\":-3,\"id\":7,\"ok\":true}}"
+             \"fields\":{\"algo\":\"rost\",\"btp\":0.25,\"id\":7,\"ok\":true}}"
         );
     }
 

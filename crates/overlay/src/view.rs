@@ -71,29 +71,12 @@ impl ViewSampler {
         rng.sample(membership, self.view_size)
     }
 
-    /// Samples a view excluding one member (a joiner never discovers
+    /// Samples a view excluding the member at `exclude_pos` (`None` when
+    /// the member is not in `membership`): a joiner never discovers
     /// itself; a rejoining member's own descendants may still appear —
     /// they are detached, and the join algorithms skip detached
-    /// candidates). `membership` must be duplicate-free, as a live-member
+    /// candidates. `membership` must be duplicate-free, as a live-member
     /// list is.
-    ///
-    /// This scans for the excluded member's position; callers that
-    /// already track positions should use
-    /// [`sample_excluding_at`](Self::sample_excluding_at) directly.
-    #[must_use]
-    pub fn sample_excluding(
-        &self,
-        membership: &[NodeId],
-        exclude: NodeId,
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        let pos = membership.iter().position(|&m| m == exclude);
-        self.sample_excluding_at(membership, pos, rng)
-    }
-
-    /// [`sample_excluding`](Self::sample_excluding) with the excluded
-    /// member's position supplied by the caller (`None` when the member
-    /// is not in `membership`).
     ///
     /// Instead of materializing the filtered membership — an O(M) copy
     /// per join, which at 10^6 live members dwarfed the decision it fed —
@@ -158,7 +141,7 @@ mod tests {
         let sampler = ViewSampler::new(50);
         let live = members(30);
         let mut rng = SimRng::seed_from(4);
-        let view = sampler.sample_excluding(&live, NodeId(7), &mut rng);
+        let view = sampler.sample_excluding_at(&live, Some(7), &mut rng);
         assert_eq!(view.len(), 29);
         assert!(!view.contains(&NodeId(7)));
     }

@@ -2,10 +2,8 @@
 
 /// Tunable parameters of the ROST protocol.
 ///
-/// Defaults follow §5 of the paper: a 360-second switching interval, a
-/// 15-second lock retry delay (§3.3), and two referees of each kind
-/// ("Both r_age and r_bw are greater than 1 for the purpose of fault
-/// tolerance", §3.4).
+/// Defaults follow §5 of the paper: a 360-second switching interval and a
+/// 15-second lock retry delay (§3.3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RostConfig {
     /// Seconds between a member's switching-condition checks (§3.3; the
@@ -17,15 +15,6 @@ pub struct RostConfig {
     /// How long the locks of one switching operation are held (the time
     /// the coordinated reconnections take).
     pub lock_hold_secs: f64,
-    /// Number of age referees per member (`r_age > 1`, §3.4).
-    pub age_referees: usize,
-    /// Number of bandwidth referees per member (`r_bw > 1`, §3.4).
-    pub bandwidth_referees: usize,
-    /// Number of nodes in the bandwidth-measurer set (§3.4).
-    pub bandwidth_measurers: usize,
-    /// Heartbeat interval of referee connections; bounds the disagreement
-    /// between referees' age records (§3.4).
-    pub heartbeat_secs: f64,
     /// Whether the §3.3 bandwidth guard is enforced ("its bandwidth is no
     /// less than the parent's bandwidth"). Disabling it is an ablation:
     /// pure BTP ordering, where a strong-BTP weak-bandwidth member can
@@ -62,10 +51,6 @@ impl Default for RostConfig {
             switching_interval_secs: 360.0,
             lock_retry_secs: 15.0,
             lock_hold_secs: 2.0,
-            age_referees: 2,
-            bandwidth_referees: 2,
-            bandwidth_measurers: 3,
-            heartbeat_secs: 5.0,
             bandwidth_guard: true,
         }
     }
@@ -80,8 +65,6 @@ mod tests {
         let c = RostConfig::paper();
         assert_eq!(c.switching_interval_secs, 360.0);
         assert_eq!(c.lock_retry_secs, 15.0);
-        assert!(c.age_referees > 1, "r_age > 1 per §3.4");
-        assert!(c.bandwidth_referees > 1, "r_bw > 1 per §3.4");
     }
 
     #[test]

@@ -113,12 +113,6 @@ impl SwitchingProtocol {
         self.stats
     }
 
-    /// The protocol configuration.
-    #[must_use]
-    pub fn config(&self) -> &RostConfig {
-        &self.config
-    }
-
     /// Access to the lock table, so the engine can also lock nodes engaged
     /// in failure recovery (the paper treats recovery as a competing
     /// locker).

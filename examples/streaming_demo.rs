@@ -56,7 +56,7 @@ fn main() {
         let report = if traced {
             let (sink, handle) = RingSink::new(500_000);
             let tracer = Tracer::to_sink(Box::new(sink)).with_min_level(Level::Info);
-            let (report, _obs) = StreamingSim::new(cfg).run_with_obs(Obs::new(tracer));
+            let (report, _, _) = StreamingSim::new(cfg).run_observed(Obs::new(tracer), None);
             rost_cer_trace = handle.events();
             report
         } else {
@@ -142,7 +142,6 @@ fn field_u64(ev: &TraceEvent, key: &str) -> u64 {
 fn fmt_field(v: &FieldValue) -> String {
     match *v {
         FieldValue::U64(n) => n.to_string(),
-        FieldValue::I64(n) => n.to_string(),
         FieldValue::F64(x) => format!("{x:.3}"),
         FieldValue::Bool(b) => b.to_string(),
         FieldValue::Str(s) => s.to_string(),

@@ -22,7 +22,7 @@ fn traced_run(seed: u64) -> (Vec<u8>, MetricsSnapshot, RunManifest) {
     let buffer = SharedBuffer::new();
     let sink = JsonlSink::new(buffer.clone());
     let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-    let (report, obs) = StreamingSim::new(cfg).run_with_obs(obs);
+    let (report, obs, _) = StreamingSim::new(cfg).run_observed(obs, None);
 
     let snapshot = obs.snapshot();
     let mut manifest = RunManifest::new("obs_determinism", seed);
@@ -69,7 +69,7 @@ fn observation_does_not_perturb_the_run() {
     let traced = {
         let buffer = SharedBuffer::new();
         let obs = Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(buffer.clone()))));
-        StreamingSim::new(config(7)).run_with_obs(obs).0
+        StreamingSim::new(config(7)).run_observed(obs, None).0
     };
     assert_eq!(plain.outages, traced.outages);
     assert_eq!(plain.packets_starved, traced.packets_starved);
