@@ -53,11 +53,8 @@ fn parse_args() -> Args {
                 let list = args.next().unwrap_or_else(|| usage());
                 parsed.sizes = list
                     .split(',')
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
+                    .map(|v| v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| usage()))
                     .collect();
-                if parsed.sizes.is_empty() {
-                    usage()
-                }
             }
             "--profile" => parsed.profile = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),

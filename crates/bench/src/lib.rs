@@ -11,8 +11,9 @@
 //! - `--paper` — run at the paper's §5 scale (network sizes up to 14 000
 //!   members over the 15 600-node topology). The default is a reduced
 //!   scale that finishes in seconds-to-minutes on a laptop.
-//! - `--seeds N` — number of replicated runs per point (default 3; each
-//!   uses an independent seed and the printed value is the mean).
+//! - `--seeds N` — number of replicated runs per point (default 3, at
+//!   least 1; each uses an independent seed and the printed value is the
+//!   mean).
 //! - `--jobs N` — number of worker threads for the replicate sweep
 //!   (default: available parallelism). Output is byte-identical for any
 //!   `N`; `--jobs 1` runs the cells inline on the calling thread.
@@ -37,7 +38,7 @@ pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 use rom_chaos::InvariantRegistry;
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, StreamingReport};
-use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, RunManifest, SharedBuffer, Tracer};
+use rom_obs::{fnv1a, Obs, Prof, RunManifest};
 use rom_sim::RunOutcome;
 use rom_stats::Summary;
 use std::fmt::Debug;
@@ -63,8 +64,8 @@ pub struct Scale {
 
 impl Scale {
     /// Parses `--paper`, `--seeds N`, `--jobs N` and `--trace PATH` from
-    /// the process arguments. Unknown arguments abort with a usage
-    /// message.
+    /// the process arguments. Unknown arguments and zero counts abort
+    /// with a usage message.
     #[must_use]
     pub fn from_args() -> Self {
         let mut scale = Scale {
@@ -82,6 +83,7 @@ impl Scale {
                     let n = args
                         .next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage());
                     scale.seeds = n;
                 }
@@ -332,9 +334,10 @@ pub fn instrumented_streaming_cell(
 /// Runs one simulation cell with the requested instrumentation — the one
 /// place a figure, chaos or benchmark cell is observed.
 ///
-/// It builds the cell's [`Obs`]: a JSONL trace into a shared buffer
-/// behind a health tee when `sidecars.trace` is set (disabled
-/// otherwise), with the span profiler on when `sidecars.profile` is.
+/// It builds the cell's [`Obs`]: enabled, recording the JSONL trace,
+/// the health timelines and the metrics, when `sidecars.trace` is set
+/// (disabled otherwise), with the span profiler on when
+/// `sidecars.profile` is.
 /// `run` builds the simulator from `cfg` and runs it observed — arming
 /// an invariant registry if it wants one — and the finished `Obs` is
 /// packaged into the cell's trace artifacts (JSONL, manifest, metrics,
@@ -349,13 +352,10 @@ pub fn observed_cell<C: Debug, R: AsRef<ChurnReport>>(
     run: impl FnOnce(C, Obs) -> (R, Obs, InvariantRegistry),
 ) -> CellOut<(R, InvariantRegistry)> {
     let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let (obs, pipe) = if sidecars.trace.is_some() {
-        let buffer = SharedBuffer::new();
-        let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-        let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-        (obs, Some((buffer, health)))
+    let obs = if sidecars.trace.is_some() {
+        Obs::enabled()
     } else {
-        (Obs::disabled(), None)
+        Obs::disabled()
     };
     let prof = if sidecars.profile.is_some() {
         Prof::enabled()
@@ -367,11 +367,11 @@ pub fn observed_cell<C: Debug, R: AsRef<ChurnReport>>(
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let churn = report.as_ref();
     let (events, outcome) = (churn.events_processed, churn.outcome);
-    let trace = pipe.map(|(buffer, health)| CellTrace {
-        jsonl: buffer.contents(),
+    let trace = sidecars.trace.map(|_| CellTrace {
+        jsonl: obs.trace_jsonl().as_bytes().to_vec(),
         metrics_json: obs.snapshot().to_json(),
         manifest: run_manifest(name, seed, config_digest, &obs, events, outcome),
-        health: Some(health.to_jsonl()),
+        health: Some(obs.health_jsonl()),
     });
     let profile = obs
         .prof()

@@ -13,11 +13,12 @@
 //!   — is drained from the slots in `(point, seed)` order after the
 //!   join, so completion order cannot leak into output.
 //! - **Per-run telemetry.** A traced cell gets its own private
-//!   [`Tracer`](rom_obs::Tracer)/[`MetricsRegistry`](rom_obs::MetricsRegistry)
-//!   writing into an in-memory buffer; no two runs ever share a sink, so
-//!   no cross-thread interleaving can occur. The per-cell artifacts are
+//!   [`Obs`](rom_obs::Obs) recording its trace, health timelines and
+//!   metrics in memory; no two runs ever share a recorder, so no
+//!   cross-thread interleaving can occur. The per-cell artifacts are
 //!   merged after the join, sorted by `(point, seed)`, into one JSONL
-//!   trace, one aggregate [`SweepManifest`] and one metrics sidecar.
+//!   trace, one aggregate [`SweepManifest`], one metrics sidecar and one
+//!   health sidecar.
 //! - **Deferred warnings.** Runs report anomalies (e.g. truncation) as
 //!   strings in their [`CellOut`]; the engine prints them to stderr in
 //!   grid order after the join instead of letting worker threads race on
@@ -50,7 +51,7 @@ pub struct CellTrace {
     /// The run's metrics snapshot, serialized.
     pub metrics_json: String,
     /// Per-member health timeline records (one JSON object per member,
-    /// id-ascending), when the cell's trace pipeline was health-teed.
+    /// id-ascending); every cell traced through `observed_cell` has them.
     pub health: Option<String>,
 }
 
@@ -239,8 +240,7 @@ impl<R> SweepOutput<R> {
     }
 
     /// The traced cells' per-member health timelines concatenated in
-    /// `(point, seed)` order, or `None` when no traced cell was
-    /// health-teed.
+    /// `(point, seed)` order, or `None` when no traced cell carries any.
     #[must_use]
     pub fn merged_health(&self) -> Option<String> {
         let mut merged = String::new();
@@ -381,7 +381,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "{\"p\":0,\"s\":1}");
         assert_eq!(lines[5], "{\"p\":1,\"s\":3}");
-        let health = serial.merged_health().expect("health teed");
+        let health = serial.merged_health().expect("health recorded");
         assert!(health.starts_with("{\"h\":1}\n"));
         let merged_profiles = serial.merged_profiles();
         let profiles: Vec<&str> = merged_profiles.lines().map(str::trim).collect();

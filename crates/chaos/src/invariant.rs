@@ -273,7 +273,7 @@ impl InvariantRegistry {
 fn record(sink: &mut Vec<Violation>, found: Vec<Violation>, obs: &mut Obs) {
     for violation in found {
         obs.count("chaos.violations", 1);
-        if obs.enabled(Subsystem::Chaos, Level::Warn) {
+        if obs.is_active() {
             let mut event = TraceEvent::new(violation.time, Subsystem::Chaos, "invariant_violation")
                 .level(Level::Warn)
                 .str("invariant", violation.invariant);
@@ -548,7 +548,6 @@ impl Invariant for CausalScheduling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rom_obs::Tracer;
     use rom_overlay::{paper_source, Location, MemberProfile};
 
     fn small_tree() -> MulticastTree {
@@ -582,7 +581,7 @@ mod tests {
     fn clean_tree_passes_every_event_check() {
         let tree = small_tree();
         let mut registry = InvariantRegistry::with_all();
-        let mut obs = Obs::new(Tracer::disabled());
+        let mut obs = Obs::enabled();
         for step in 1..=5 {
             registry.after_event(&tree, SimTime::from_secs(step as f64), &mut obs);
         }
@@ -594,7 +593,7 @@ mod tests {
     fn recovery_without_cause_is_flagged() {
         let tree = small_tree();
         let mut registry = InvariantRegistry::with_all();
-        let mut obs = Obs::new(Tracer::disabled());
+        let mut obs = Obs::enabled();
         let now = SimTime::from_secs(10.0);
         registry.signal(&tree, now, &Signal::RecoveryStart { member: NodeId(3) }, &mut obs);
         assert_eq!(registry.violations().len(), 1);

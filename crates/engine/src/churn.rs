@@ -400,7 +400,6 @@ impl ChurnSim {
         if self.obs.is_active() {
             self.fold_protocol_metrics();
         }
-        self.obs.finish();
         let streaming = self.streaming.take();
         let obs = std::mem::take(&mut self.obs);
         let invariants = self.invariants.take().unwrap_or_default();
@@ -701,7 +700,7 @@ impl ChurnSim {
     /// Traces a placed join/rejoin (`kind` distinguishes the two) at Debug
     /// level, with the parent the algorithm chose.
     fn trace_join(&mut self, now: SimTime, id: NodeId, kind: &'static str) {
-        if self.obs.enabled(Subsystem::Churn, Level::Debug) {
+        if self.obs.is_active() {
             let parent = self.tree.parent(id).map_or(0, |p| p.0);
             self.obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Churn, kind)
@@ -714,7 +713,7 @@ impl ChurnSim {
 
     fn trace_join_rejected(&mut self, now: SimTime, id: NodeId) {
         self.obs.count("churn.join_rejections", 1);
-        if self.obs.enabled(Subsystem::Churn, Level::Debug) {
+        if self.obs.is_active() {
             self.obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Churn, "join_rejected")
                     .level(Level::Debug)
@@ -728,7 +727,7 @@ impl ChurnSim {
     fn account_eviction(&mut self, displaced: &[NodeId], adopted: &[NodeId], now: SimTime) {
         self.report.evictions += 1;
         self.obs.count("churn.evictions", 1);
-        if self.obs.enabled(Subsystem::Churn, Level::Info) {
+        if self.obs.is_active() {
             self.obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Churn, "evict")
                     .u64("displaced", displaced.len() as u64)
@@ -895,7 +894,7 @@ impl ChurnSim {
                 match self.rost.attempt(&mut self.tree, id, now) {
                     SwitchOutcome::Switched { record, op } => {
                         self.report.switches += 1;
-                        if self.obs.enabled(Subsystem::Rost, Level::Info) {
+                        if self.obs.is_active() {
                             self.obs.emit(
                                 TraceEvent::new(now.as_secs(), Subsystem::Rost, "switch")
                                     .u64("id", id.0)
@@ -914,7 +913,7 @@ impl ChurnSim {
                         );
                     }
                     SwitchOutcome::Busy => {
-                        if self.obs.enabled(Subsystem::Rost, Level::Debug) {
+                        if self.obs.is_active() {
                             self.obs.emit(
                                 TraceEvent::new(now.as_secs(), Subsystem::Rost, "switch_busy")
                                     .level(Level::Debug)
@@ -967,7 +966,7 @@ impl ChurnSim {
         if graceful {
             self.obs.count("churn.graceful_departures", 1);
         }
-        if self.obs.enabled(Subsystem::Churn, Level::Info) {
+        if self.obs.is_active() {
             self.obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Churn, "departure")
                     .u64("id", id.0)
@@ -1030,14 +1029,12 @@ impl ChurnSim {
             .saturating_sub(removed.orphaned_children.len());
         if suppressed > 0 && self.obs.is_active() {
             self.obs.count("cer.eln_suppressed", suppressed as u64);
-            if self.obs.enabled(Subsystem::Cer, Level::Info) {
-                self.obs.emit(
-                    TraceEvent::new(now.as_secs(), Subsystem::Cer, "eln_suppress")
-                        .u64("failed", id.0)
-                        .u64("rejoining", removed.orphaned_children.len() as u64)
-                        .u64("suppressed", suppressed as u64),
-                );
-            }
+            self.obs.emit(
+                TraceEvent::new(now.as_secs(), Subsystem::Cer, "eln_suppress")
+                    .u64("failed", id.0)
+                    .u64("rejoining", removed.orphaned_children.len() as u64)
+                    .u64("suppressed", suppressed as u64),
+            );
         }
         // A departed node may hold or be covered by locks.
         self.rost.locks_mut().evict_node(id);
@@ -1069,7 +1066,7 @@ impl ChurnSim {
         };
         let action = injection.action.clone();
         self.obs.count("chaos.injections", 1);
-        if self.obs.enabled(Subsystem::Chaos, Level::Info) {
+        if self.obs.is_active() {
             self.obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Chaos, "inject")
                     .str("action", action.name()),
@@ -1585,13 +1582,9 @@ mod tests {
 
     #[test]
     fn obs_run_matches_plain_run_and_records() {
-        use rom_obs::{RingSink, Tracer};
-
         let plain = ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run();
-        let (sink, handle) = RingSink::new(100_000);
-        let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
         let (observed, obs, _) =
-            ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run_observed(obs, None);
+            ChurnSim::new(quick(AlgorithmKind::Rost, 100, 11)).run_observed(Obs::enabled(), None);
 
         // Observation must not perturb the simulation.
         assert_eq!(plain.switches, observed.switches);
@@ -1604,7 +1597,7 @@ mod tests {
 
         // The trace and metrics saw the run.
         assert!(obs.trace_events() > 0);
-        assert!(!handle.is_empty());
+        assert_eq!(obs.trace_jsonl().lines().count() as u64, obs.trace_events());
         let snap = obs.snapshot();
         assert!(snap.counter("churn.departures") > 0);
         assert_eq!(snap.counter("rost.switch_promotions"), observed.switches);
@@ -1623,22 +1616,22 @@ mod tests {
     /// joins: the end of the warmup.
     #[test]
     fn observer_first_join_is_traced_at_the_end_of_warmup() {
-        use rom_obs::{RingSink, Tracer};
-
         let mut cfg = quick(AlgorithmKind::Rost, 150, 8);
         cfg.observer = Some(ObserverSpec {
             bandwidth: 2.0,
             lifetime_secs: 36_000.0,
         });
-        let warmup = cfg.warmup_secs;
-        let (sink, handle) = RingSink::new(100_000);
-        let obs = Obs::new(Tracer::to_sink(Box::new(sink)).with_subsystems(&[Subsystem::Churn]));
-        let _ = ChurnSim::new(cfg).run_observed(obs, None);
-        let joins_at_warmup = handle
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e.kind, "join" | "join_rejected") && e.time.to_bits() == warmup.to_bits()
+        // Events serialize as `{"t":<secs>,"sub":..`, with the time in
+        // `f64` `Display` form.
+        let at_warmup = format!("{{\"t\":{},\"sub\":\"churn\",", cfg.warmup_secs);
+        let (_, obs, _) = ChurnSim::new(cfg).run_observed(Obs::enabled(), None);
+        let joins_at_warmup = obs
+            .trace_jsonl()
+            .lines()
+            .filter(|line| {
+                line.starts_with(&at_warmup)
+                    && (line.contains("\"kind\":\"join\"")
+                        || line.contains("\"kind\":\"join_rejected\""))
             })
             .count();
         assert_eq!(

@@ -29,7 +29,7 @@ use rom_cer::{
 };
 use rom_chaos::{CapacityTrace, DelaySpikes, GilbertElliott, InvariantRegistry, Signal};
 use rom_net::{DelayOracle, UnderlayId};
-use rom_obs::{Level, Obs, Subsystem, TraceEvent};
+use rom_obs::{Obs, Subsystem, TraceEvent};
 use rom_overlay::{MulticastTree, NodeId, ViewSampler};
 use rom_sim::{RunOutcome, SimRng, SimTime};
 use rom_stats::Summary;
@@ -286,7 +286,7 @@ impl StreamingState {
         }
         if opened > 0 {
             obs.count("streaming.outages_opened", opened);
-            if obs.enabled(Subsystem::Streaming, Level::Info) {
+            if obs.is_active() {
                 obs.emit(
                     TraceEvent::new(now.as_secs(), Subsystem::Streaming, "outage")
                         .u64("members", opened),
@@ -359,14 +359,12 @@ impl StreamingState {
         }
         if obs.is_active() {
             obs.count("chaos.link_episodes", 1);
-            if obs.enabled(Subsystem::Chaos, Level::Info) {
-                obs.emit(
-                    TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode")
-                        .u64("member", member.0)
-                        .str("kind", episode.kind)
-                        .f64("duration_secs", episode.end - episode.start),
-                );
-            }
+            obs.emit(
+                TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode")
+                    .u64("member", member.0)
+                    .str("kind", episode.kind)
+                    .f64("duration_secs", episode.end - episode.start),
+            );
         }
         self.pathology.insert(member, episode);
     }
@@ -495,16 +493,14 @@ impl StreamingState {
                 obs.count("cer.link_repairs", 1);
                 obs.count("cer.packets_repaired", repaired_now);
                 obs.count("cer.packets_starved", starved_now);
-                if obs.enabled(Subsystem::Chaos, Level::Info) {
-                    obs.emit(
-                        TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
-                            .u64("member", member.0)
-                            .u64("frames", frames)
-                            .u64("lost", lost.len() as u64)
-                            .u64("repaired", repaired_now)
-                            .u64("starved", starved_now),
-                    );
-                }
+                obs.emit(
+                    TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
+                        .u64("member", member.0)
+                        .u64("frames", frames)
+                        .u64("lost", lost.len() as u64)
+                        .u64("repaired", repaired_now)
+                        .u64("starved", starved_now),
+                );
             }
         }
         self.pathology.remove(&member);
@@ -698,15 +694,13 @@ impl StreamingState {
                     // across (Fig. 12's group-size effect, observed).
                     obs.count("cer.stripe_plans", 1);
                     obs.observe("cer.stripe_width", plan.segments().len() as f64);
-                    if obs.enabled(Subsystem::Cer, Level::Info) {
-                        obs.emit(
-                            TraceEvent::new(now.as_secs(), Subsystem::Cer, "stripe_plan")
-                                .u64("member", member.0)
-                                .u64("gap", gap)
-                                .u64("width", plan.segments().len() as u64)
-                                .f64("coverage", plan.coverage()),
-                        );
-                    }
+                    obs.emit(
+                        TraceEvent::new(now.as_secs(), Subsystem::Cer, "stripe_plan")
+                            .u64("member", member.0)
+                            .u64("gap", gap)
+                            .u64("width", plan.segments().len() as u64)
+                            .f64("coverage", plan.coverage()),
+                    );
                 }
                 Some(plan)
             }
@@ -802,25 +796,23 @@ impl StreamingState {
             obs.count("cer.packets_repaired", repaired_now);
             obs.count("cer.packets_starved", starved_now);
             obs.observe("cer.repair_latency_secs", now - t0);
-            if obs.enabled(Subsystem::Cer, Level::Info) {
-                obs.emit(
-                    TraceEvent::new(now.as_secs(), Subsystem::Cer, "repair")
-                        .u64("member", member.0)
-                        .u64("gap", s1 - s0)
-                        .u64("helpers", available.len() as u64)
-                        .u64("repaired", repaired_now)
-                        .u64("starved", starved_now)
-                        .f64("starved_secs", starved_now as f64 / self.clock.rate_pps())
-                        .f64("latency_secs", now - t0)
-                        .str(
-                            "strategy",
-                            match self.strategy {
-                                RecoveryStrategy::Cooperative => "cooperative",
-                                RecoveryStrategy::SingleSource => "single_source",
-                            },
-                        ),
-                );
-            }
+            obs.emit(
+                TraceEvent::new(now.as_secs(), Subsystem::Cer, "repair")
+                    .u64("member", member.0)
+                    .u64("gap", s1 - s0)
+                    .u64("helpers", available.len() as u64)
+                    .u64("repaired", repaired_now)
+                    .u64("starved", starved_now)
+                    .f64("starved_secs", starved_now as f64 / self.clock.rate_pps())
+                    .f64("latency_secs", now - t0)
+                    .str(
+                        "strategy",
+                        match self.strategy {
+                            RecoveryStrategy::Cooperative => "cooperative",
+                            RecoveryStrategy::SingleSource => "single_source",
+                        },
+                    ),
+            );
         }
         let stream = self
             .members

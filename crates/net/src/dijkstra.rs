@@ -9,8 +9,8 @@ use crate::graph::{Graph, UnderlayId};
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
     source: UnderlayId,
-    dist: Vec<f64>,
-    prev: Vec<Option<UnderlayId>>,
+    /// Distance per node, `f64::INFINITY` where unreachable.
+    pub(crate) dist: Vec<f64>,
 }
 
 impl ShortestPaths {
@@ -25,23 +25,6 @@ impl ShortestPaths {
     pub fn distance(&self, node: UnderlayId) -> Option<f64> {
         let d = self.dist[node.index()];
         d.is_finite().then_some(d)
-    }
-
-    /// The path from the source to `node`, inclusive of both endpoints;
-    /// `None` if unreachable.
-    #[must_use]
-    pub fn path_to(&self, node: UnderlayId) -> Option<Vec<UnderlayId>> {
-        if !self.dist[node.index()].is_finite() {
-            return None;
-        }
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.prev[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -84,10 +67,6 @@ impl Ord for HeapEntry {
 ///
 /// let sp = dijkstra(&g, UnderlayId(0));
 /// assert_eq!(sp.distance(UnderlayId(2)), Some(15.0));
-/// assert_eq!(
-///     sp.path_to(UnderlayId(2)).unwrap(),
-///     vec![UnderlayId(0), UnderlayId(1), UnderlayId(2)]
-/// );
 /// ```
 ///
 /// # Panics
@@ -98,7 +77,6 @@ pub fn dijkstra(graph: &Graph, source: UnderlayId) -> ShortestPaths {
     let n = graph.node_count();
     assert!(source.index() < n, "source out of range");
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![None; n];
     let mut heap = BinaryHeap::new();
     dist[source.index()] = 0.0;
     heap.push(HeapEntry {
@@ -113,7 +91,6 @@ pub fn dijkstra(graph: &Graph, source: UnderlayId) -> ShortestPaths {
             let nd = d + link.delay_ms;
             if nd < dist[link.to.index()] {
                 dist[link.to.index()] = nd;
-                prev[link.to.index()] = Some(u);
                 heap.push(HeapEntry {
                     dist: nd,
                     node: link.to,
@@ -121,23 +98,7 @@ pub fn dijkstra(graph: &Graph, source: UnderlayId) -> ShortestPaths {
             }
         }
     }
-    ShortestPaths { source, dist, prev }
-}
-
-/// All-pairs shortest paths by repeated Dijkstra. Quadratic memory — only
-/// for small graphs (tests and the transit core).
-#[must_use]
-pub fn all_pairs(graph: &Graph) -> Vec<Vec<f64>> {
-    graph
-        .nodes()
-        .map(|s| {
-            let sp = dijkstra(graph, s);
-            graph
-                .nodes()
-                .map(|t| sp.distance(t).unwrap_or(f64::INFINITY))
-                .collect()
-        })
-        .collect()
+    ShortestPaths { source, dist }
 }
 
 #[cfg(test)]
@@ -154,22 +115,22 @@ mod tests {
         g
     }
 
+    /// All-pairs distances by one Dijkstra per source.
+    fn all_pairs(graph: &Graph) -> Vec<Vec<f64>> {
+        graph.nodes().map(|s| dijkstra(graph, s).dist).collect()
+    }
+
     #[test]
     fn picks_cheapest_route() {
         let sp = dijkstra(&diamond(), UnderlayId(0));
         assert_eq!(sp.distance(UnderlayId(3)), Some(2.0));
         assert_eq!(sp.distance(UnderlayId(2)), Some(3.0)); // via 1 and 3!
-        assert_eq!(
-            sp.path_to(UnderlayId(2)).unwrap(),
-            vec![UnderlayId(0), UnderlayId(1), UnderlayId(3), UnderlayId(2)]
-        );
     }
 
     #[test]
     fn source_distance_zero() {
         let sp = dijkstra(&diamond(), UnderlayId(0));
         assert_eq!(sp.distance(UnderlayId(0)), Some(0.0));
-        assert_eq!(sp.path_to(UnderlayId(0)).unwrap(), vec![UnderlayId(0)]);
         assert_eq!(sp.source(), UnderlayId(0));
     }
 
@@ -179,7 +140,6 @@ mod tests {
         g.add_edge(UnderlayId(0), UnderlayId(1), 1.0);
         let sp = dijkstra(&g, UnderlayId(0));
         assert_eq!(sp.distance(UnderlayId(2)), None);
-        assert_eq!(sp.path_to(UnderlayId(2)), None);
     }
 
     #[test]

@@ -66,13 +66,6 @@ impl Graph {
         }
     }
 
-    /// Appends a new isolated node and returns its id.
-    pub fn add_node(&mut self) -> UnderlayId {
-        let id = UnderlayId(u32::try_from(self.adjacency.len()).expect("graph too large"));
-        self.adjacency.push(Vec::new());
-        id
-    }
-
     /// Adds an undirected edge with the given delay.
     ///
     /// Parallel edges are permitted (shortest-path code simply ignores the
@@ -153,9 +146,8 @@ mod tests {
 
     #[test]
     fn build_and_query() {
-        let mut g = Graph::with_nodes(2);
-        let c = g.add_node();
-        assert_eq!(c, UnderlayId(2));
+        let mut g = Graph::with_nodes(3);
+        let c = UnderlayId(2);
         g.add_edge(UnderlayId(0), UnderlayId(1), 1.0);
         g.add_edge(UnderlayId(1), c, 2.0);
         assert_eq!(g.node_count(), 3);

@@ -5,7 +5,7 @@
 //!
 //! - [`Graph`] / [`UnderlayId`] — a weighted undirected graph whose edge
 //!   weights are link delays in milliseconds,
-//! - [`dijkstra`] / [`all_pairs`] — shortest-path routing,
+//! - [`dijkstra`] — single-source shortest-path routing,
 //! - [`TransitStubNetwork`] — the GT-ITM-style generator (transit domains,
 //!   per-transit-node stub domains, the paper's §5 delay ranges),
 //! - [`DelayOracle`] — exact member-to-member delay queries that exploit
@@ -33,7 +33,7 @@ mod graph;
 mod oracle;
 mod transit_stub;
 
-pub use dijkstra::{all_pairs, dijkstra, ShortestPaths};
+pub use dijkstra::{dijkstra, ShortestPaths};
 pub use graph::{Graph, Link, UnderlayId};
 pub use oracle::{DelayOracle, DelayRow};
 pub use transit_stub::{NodeKind, StubDomain, TransitStubConfig, TransitStubNetwork};

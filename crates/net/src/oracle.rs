@@ -55,13 +55,7 @@ impl DelayOracle {
         let graph = net.graph();
 
         let transit_dist: Vec<Vec<f64>> = (0..t)
-            .map(|i| {
-                let sp = dijkstra(graph, UnderlayId(i as u32));
-                graph
-                    .nodes()
-                    .map(|n| sp.distance(n).unwrap_or(f64::INFINITY))
-                    .collect()
-            })
+            .map(|i| dijkstra(graph, UnderlayId(i as u32)).dist)
             .collect();
 
         let domains = net.stub_domains();

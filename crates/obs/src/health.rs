@@ -1,11 +1,10 @@
 //! Per-member protocol health timelines, derived live from trace events.
 //!
-//! [`HealthSink`] tees the event stream: every event is forwarded
-//! verbatim to an inner sink (so the JSONL trace bytes are untouched) and
-//! simultaneously folded into a [`HealthAccumulator`], which maintains
-//! one [`MemberHealth`] record per member id it sees. After the run the
-//! [`HealthHandle`] serializes the records — id-ordered, sim-time only —
-//! as the deterministic `.health.jsonl` sidecar.
+//! An enabled [`Obs`](crate::Obs) folds every event it records into a
+//! [`HealthAccumulator`], which maintains one [`MemberHealth`] record per
+//! member id it sees. After the run the accumulator serializes the
+//! records — id-ordered, sim-time only — as the deterministic
+//! `.health.jsonl` sidecar.
 //!
 //! The records capture the paper's per-member longitudinal story
 //! (Figs. 4–14): time-to-first-packet, cumulative starving time, recovery
@@ -15,15 +14,13 @@
 //! action (`joined_secs` stays unset for them).
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json;
-use crate::trace::{FieldValue, Sink, Subsystem, TraceEvent};
+use crate::trace::{FieldValue, Subsystem, TraceEvent};
 
 /// One member's protocol health timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemberHealth {
+pub(crate) struct MemberHealth {
     /// Sim time of the member's first traced appearance.
     pub first_seen_secs: f64,
     /// Sim time of the first successful join, if traced.
@@ -113,7 +110,7 @@ fn push_opt_f64(out: &mut String, value: Option<f64>) {
 
 /// Folds trace events into per-member [`MemberHealth`] records.
 #[derive(Debug, Default)]
-pub struct HealthAccumulator {
+pub(crate) struct HealthAccumulator {
     members: BTreeMap<u64, MemberHealth>,
 }
 
@@ -132,12 +129,6 @@ fn f64_field(event: &TraceEvent, key: &str) -> Option<f64> {
 }
 
 impl HealthAccumulator {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        HealthAccumulator::default()
-    }
-
     fn member(&mut self, id: u64, now: f64) -> &mut MemberHealth {
         self.members.entry(id).or_insert_with(|| MemberHealth {
             first_seen_secs: now,
@@ -204,24 +195,6 @@ impl HealthAccumulator {
         }
     }
 
-    /// Number of members with a timeline.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no member has been seen.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The record for `id`, if seen.
-    #[must_use]
-    pub fn member_health(&self, id: u64) -> Option<&MemberHealth> {
-        self.members.get(&id)
-    }
-
     /// Serializes every record as JSONL, ascending by member id — the
     /// `.health.jsonl` sidecar body. Deterministic: every value derives
     /// from sim-time trace events.
@@ -236,67 +209,6 @@ impl HealthAccumulator {
     }
 }
 
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Read side of a [`HealthSink`], alive after the sink is boxed away.
-#[derive(Debug, Clone)]
-pub struct HealthHandle(Arc<Mutex<HealthAccumulator>>);
-
-impl HealthHandle {
-    /// The accumulated records as the `.health.jsonl` sidecar body.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        lock_unpoisoned(&self.0).to_jsonl()
-    }
-
-    /// Number of members with a timeline.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.0).len()
-    }
-
-    /// True when no member has been seen.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        lock_unpoisoned(&self.0).is_empty()
-    }
-}
-
-/// A tee sink: forwards every event to `inner` unchanged while folding it
-/// into a shared [`HealthAccumulator`].
-#[derive(Debug)]
-pub struct HealthSink<S> {
-    inner: S,
-    acc: Arc<Mutex<HealthAccumulator>>,
-}
-
-impl<S> HealthSink<S> {
-    /// Wraps `inner`, returning the sink and the read handle.
-    #[must_use]
-    pub fn new(inner: S) -> (HealthSink<S>, HealthHandle) {
-        let acc = Arc::new(Mutex::new(HealthAccumulator::new()));
-        let handle = HealthHandle(Arc::clone(&acc));
-        (HealthSink { inner, acc }, handle)
-    }
-}
-
-impl<S: Sink + fmt::Debug> Sink for HealthSink<S> {
-    fn record(&mut self, event: &TraceEvent) {
-        lock_unpoisoned(&self.acc).observe(event);
-        self.inner.record(event);
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,10 +219,10 @@ mod tests {
 
     #[test]
     fn join_after_rejection_yields_ttfp() {
-        let mut acc = HealthAccumulator::new();
+        let mut acc = HealthAccumulator::default();
         acc.observe(&ev(1.0, Subsystem::Churn, "join_rejected").u64("id", 7));
         acc.observe(&ev(4.5, Subsystem::Churn, "join").u64("id", 7).u64("parent", 1));
-        let m = acc.member_health(7).expect("seen");
+        let m = &acc.members[&7];
         assert_eq!(m.rejections, 1);
         assert_eq!(m.joins, 1);
         assert_eq!(m.ttfp_secs().map(f64::to_bits), Some(3.5_f64.to_bits()));
@@ -318,19 +230,19 @@ mod tests {
 
     #[test]
     fn switches_and_rejoins_count_as_parent_switches() {
-        let mut acc = HealthAccumulator::new();
+        let mut acc = HealthAccumulator::default();
         acc.observe(&ev(1.0, Subsystem::Churn, "join").u64("id", 3));
         acc.observe(&ev(2.0, Subsystem::Rost, "switch").u64("id", 3));
         acc.observe(&ev(3.0, Subsystem::Rost, "switch_busy").u64("id", 3));
         acc.observe(&ev(4.0, Subsystem::Churn, "rejoin").u64("id", 3));
-        let m = acc.member_health(3).expect("seen");
+        let m = &acc.members[&3];
         assert_eq!(m.parent_switches, 2);
         assert_eq!(m.control_msgs(), 4);
     }
 
     #[test]
     fn repairs_fold_latency_and_starving() {
-        let mut acc = HealthAccumulator::new();
+        let mut acc = HealthAccumulator::default();
         acc.observe(
             &ev(20.0, Subsystem::Cer, "repair")
                 .u64("member", 9)
@@ -343,7 +255,7 @@ mod tests {
                 .f64("latency_secs", 5.0)
                 .f64("starved_secs", 0.5),
         );
-        let m = acc.member_health(9).expect("seen");
+        let m = &acc.members[&9];
         assert_eq!(m.recovery_episodes, 2);
         assert_eq!(m.recovery_latency_max_secs.to_bits(), 15.0_f64.to_bits());
         assert_eq!(m.recovery_latency_sum_secs.to_bits(), 20.0_f64.to_bits());
@@ -352,7 +264,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_id_ordered_and_stable() {
-        let mut acc = HealthAccumulator::new();
+        let mut acc = HealthAccumulator::default();
         acc.observe(&ev(1.0, Subsystem::Churn, "join").u64("id", 42));
         acc.observe(&ev(2.0, Subsystem::Churn, "join").u64("id", 7));
         let text = acc.to_jsonl();
@@ -361,21 +273,5 @@ mod tests {
         assert!(lines[0].starts_with("{\"id\":7,"));
         assert!(lines[1].starts_with("{\"id\":42,"));
         assert_eq!(text, acc.to_jsonl());
-    }
-
-    #[test]
-    fn tee_sink_forwards_and_accumulates() {
-        use crate::trace::{JsonlSink, SharedBuffer, Tracer};
-        let buf = SharedBuffer::new();
-        let (sink, health) = HealthSink::new(JsonlSink::new(buf.clone()));
-        let mut tracer = Tracer::to_sink(Box::new(sink));
-        tracer.emit(ev(1.0, Subsystem::Churn, "join").u64("id", 5));
-        tracer.finish();
-        assert_eq!(health.len(), 1);
-        let plain = SharedBuffer::new();
-        let mut direct = Tracer::to_sink(Box::new(JsonlSink::new(plain.clone())));
-        direct.emit(ev(1.0, Subsystem::Churn, "join").u64("id", 5));
-        direct.finish();
-        assert_eq!(buf.contents(), plain.contents());
     }
 }

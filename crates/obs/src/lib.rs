@@ -5,18 +5,16 @@
 //! provides three pieces, all dependency-free and all clocked exclusively
 //! on *simulation* time:
 //!
-//! - a **structured trace layer** ([`TraceEvent`] written through the
-//!   [`Sink`] trait, with ring-buffer, JSONL and null
-//!   implementations, filterable by [`Subsystem`] and [`Level`]),
-//! - a **metrics registry** ([`MetricsRegistry`]: counters, gauges with
-//!   high-water marks, fixed-bucket histograms) snapshotable into
-//!   [`MetricsSnapshot`],
+//! - a **structured trace** ([`TraceEvent`], tagged by [`Subsystem`] and
+//!   [`Level`]) that an enabled [`Obs`] records as JSONL and folds into
+//!   per-member health timelines,
+//! - **metrics** (counters, gauges with high-water marks, fixed-bucket
+//!   histograms) snapshotable into [`MetricsSnapshot`],
 //! - **run provenance** ([`RunManifest`]: seed, config digest, crate
 //!   version, event counts, outcome) emitted alongside bench CSVs.
 //!
-//! The [`Obs`] handle bundles a tracer and a registry behind a single
-//! `active` flag so instrumented hot paths cost one branch when
-//! observability is off.
+//! The [`Obs`] handle is the one recorder: instrumented hot paths cost
+//! one branch when it is disabled.
 //!
 //! ## Determinism rules
 //!
@@ -35,16 +33,14 @@
 //! # Examples
 //!
 //! ```
-//! use rom_obs::{Level, Obs, RingSink, Subsystem, TraceEvent, Tracer};
+//! use rom_obs::{Obs, Subsystem, TraceEvent};
 //!
-//! let (sink, handle) = RingSink::new(16);
-//! let mut obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-//! if obs.enabled(Subsystem::Churn, Level::Info) {
+//! let mut obs = Obs::enabled();
+//! if obs.is_active() {
 //!     obs.emit(TraceEvent::new(1.5, Subsystem::Churn, "join").u64("id", 7));
 //! }
 //! obs.count("churn.joins", 1);
-//! obs.finish();
-//! assert_eq!(handle.len(), 1);
+//! assert_eq!(obs.trace_jsonl().lines().count(), 1);
 //! assert_eq!(obs.snapshot().counter("churn.joins"), 1);
 //! ```
 
@@ -56,31 +52,36 @@ mod mem;
 mod prof;
 mod trace;
 
-pub use health::{HealthAccumulator, HealthHandle, HealthSink, MemberHealth};
-pub use manifest::{fnv1a, RunManifest, SweepManifest};
-pub use metrics::{
-    GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_BUCKETS,
-};
-pub use mem::peak_rss_bytes;
-pub use prof::{Prof, ProfCore, ProfReport, SpanGuard, SpanStat, PROF_HIST_BUCKETS};
-pub use trace::{
-    FieldValue, JsonlSink, Level, NullSink, RingHandle, RingSink, SharedBuffer, Sink, Subsystem,
-    TraceEvent, Tracer,
-};
+use health::HealthAccumulator;
+use metrics::MetricsRegistry;
 
-/// A combined tracer + metrics handle that instrumented code threads
-/// through its hot paths.
+pub use manifest::{fnv1a, RunManifest, SweepManifest};
+pub use mem::peak_rss_bytes;
+pub use metrics::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
+pub use prof::{Prof, ProfReport, SpanGuard, SpanStat};
+pub use trace::{FieldValue, Level, Subsystem, TraceEvent};
+
+/// The trace and metrics recorder that instrumented code threads through
+/// its hot paths.
 ///
 /// A default-constructed (or [`Obs::disabled`]) handle is inert: every
-/// method is a single-branch no-op, no allocation, no sink. Construct one
-/// with [`Obs::new`] to activate both tracing and metrics, or with
-/// `Obs::new(Tracer::disabled())` to collect metrics without a trace sink.
+/// method is a single-branch no-op, no allocation. An [`Obs::enabled`]
+/// handle appends each emitted event to an in-memory JSONL trace, folds
+/// it into the per-member health timelines, and keeps the metrics.
 #[derive(Debug, Default)]
 pub struct Obs {
-    active: bool,
-    tracer: Tracer,
-    metrics: MetricsRegistry,
+    recording: Option<Recording>,
     prof: Prof,
+}
+
+/// What an enabled [`Obs`] has recorded so far.
+#[derive(Debug, Default)]
+struct Recording {
+    /// One JSON object per emitted event, each ending in a newline.
+    jsonl: String,
+    events: u64,
+    health: HealthAccumulator,
+    metrics: MetricsRegistry,
 }
 
 impl Obs {
@@ -90,21 +91,19 @@ impl Obs {
         Obs::default()
     }
 
-    /// An active handle tracing through `tracer` and collecting metrics.
+    /// A handle recording the trace, the health timelines and metrics.
     #[must_use]
-    pub fn new(tracer: Tracer) -> Self {
+    pub fn enabled() -> Self {
         Obs {
-            active: true,
-            tracer,
-            metrics: MetricsRegistry::new(),
+            recording: Some(Recording::default()),
             prof: Prof::disabled(),
         }
     }
 
     /// Attaches a span profiler (builder style). Profiling is orthogonal
-    /// to the `active` flag: spans are driven by the clones of this
-    /// handle that instrumented structures carry, and their wall-clock
-    /// numbers never enter the trace/metrics pipeline.
+    /// to recording: spans are driven by the clones of this handle that
+    /// instrumented structures carry, and their wall-clock numbers never
+    /// enter the trace or the metrics.
     #[must_use]
     pub fn with_prof(mut self, prof: Prof) -> Self {
         self.prof = prof;
@@ -119,58 +118,55 @@ impl Obs {
     }
 
     /// True if this handle records anything at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// True if a trace event for `subsystem` at `level` would be recorded.
     ///
     /// Guard event construction with this so the disabled path never
     /// allocates:
     ///
     /// ```
-    /// # use rom_obs::{Level, Obs, Subsystem, TraceEvent};
+    /// # use rom_obs::{Obs, Subsystem, TraceEvent};
     /// # let mut obs = Obs::disabled();
-    /// if obs.enabled(Subsystem::Rost, Level::Info) {
+    /// if obs.is_active() {
     ///     obs.emit(TraceEvent::new(0.0, Subsystem::Rost, "switch"));
     /// }
     /// ```
     #[inline]
     #[must_use]
-    pub fn enabled(&self, subsystem: Subsystem, level: Level) -> bool {
-        self.active && self.tracer.enabled(subsystem, level)
+    pub fn is_active(&self) -> bool {
+        self.recording.is_some()
     }
 
-    /// Records a trace event (if its subsystem/level pass the filter).
+    /// Records a trace event: its JSON line and its health fold.
     pub fn emit(&mut self, event: TraceEvent) {
-        if self.active {
-            self.tracer.emit(event);
+        if let Some(rec) = self.recording.as_mut() {
+            event.write_json(&mut rec.jsonl);
+            rec.jsonl.push('\n');
+            rec.health.observe(&event);
+            rec.events += 1;
         }
     }
 
     /// Adds `n` to the counter `name`.
     #[inline]
     pub fn count(&mut self, name: &'static str, n: u64) {
-        if self.active {
-            self.metrics.count(name, n);
+        if let Some(rec) = self.recording.as_mut() {
+            rec.metrics.count(name, n);
         }
     }
 
     /// Sets the gauge `name` to `value`, updating its high-water mark.
     #[inline]
     pub fn gauge(&mut self, name: &'static str, value: f64) {
-        if self.active {
-            self.metrics.gauge(name, value);
+        if let Some(rec) = self.recording.as_mut() {
+            rec.metrics.gauge(name, value);
         }
     }
 
     /// Records `value` into the histogram `name` (auto-registered with
-    /// [`DEFAULT_BUCKETS`] on first use).
+    /// the default buckets on first use).
     #[inline]
     pub fn observe(&mut self, name: &'static str, value: f64) {
-        if self.active {
-            self.metrics.observe(name, value);
+        if let Some(rec) = self.recording.as_mut() {
+            rec.metrics.observe(name, value);
         }
     }
 
@@ -178,26 +174,40 @@ impl Obs {
     /// before its first observation (no-op when inactive or already
     /// registered).
     pub fn register_histogram(&mut self, name: &'static str, bounds: &[f64]) {
-        if self.active {
-            self.metrics.register_histogram(name, bounds);
+        if let Some(rec) = self.recording.as_mut() {
+            rec.metrics.register_histogram(name, bounds);
         }
     }
 
-    /// Number of trace events actually recorded so far.
+    /// Number of trace events recorded so far.
     #[must_use]
     pub fn trace_events(&self) -> u64 {
-        self.tracer.emitted()
+        self.recording.as_ref().map_or(0, |rec| rec.events)
+    }
+
+    /// The trace recorded so far: one JSON object per line (empty when
+    /// disabled).
+    #[must_use]
+    pub fn trace_jsonl(&self) -> &str {
+        self.recording.as_ref().map_or("", |rec| rec.jsonl.as_str())
+    }
+
+    /// The per-member health timelines folded from the trace, one JSON
+    /// object per member in ascending id order — the `.health.jsonl`
+    /// sidecar body (empty when disabled).
+    #[must_use]
+    pub fn health_jsonl(&self) -> String {
+        self.recording
+            .as_ref()
+            .map_or_else(String::new, |rec| rec.health.to_jsonl())
     }
 
     /// A point-in-time copy of every metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Flushes the trace sink. Call once at end of run.
-    pub fn finish(&mut self) {
-        self.tracer.finish();
+        self.recording
+            .as_ref()
+            .map_or_else(MetricsSnapshot::default, |rec| rec.metrics.snapshot())
     }
 }
 
@@ -209,7 +219,6 @@ mod tests {
     fn disabled_handle_is_inert() {
         let mut obs = Obs::disabled();
         assert!(!obs.is_active());
-        assert!(!obs.enabled(Subsystem::Sim, Level::Warn));
         obs.count("c", 5);
         obs.gauge("g", 1.0);
         obs.observe("h", 1.0);
@@ -217,33 +226,35 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("c"), 0);
         assert_eq!(obs.trace_events(), 0);
+        assert!(obs.trace_jsonl().is_empty());
+        assert!(obs.health_jsonl().is_empty());
     }
 
     #[test]
-    fn disabled_tracer_still_collects_metrics() {
-        let mut obs = Obs::new(Tracer::disabled());
+    fn enabled_handle_records_lines_health_and_metrics() {
+        let events = [
+            TraceEvent::new(1.0, Subsystem::Churn, "join").u64("id", 4),
+            TraceEvent::new(2.5, Subsystem::Rost, "switch").u64("id", 4),
+            TraceEvent::new(3.0, Subsystem::Churn, "join")
+                .level(Level::Debug)
+                .u64("id", 2),
+        ];
+        let mut obs = Obs::enabled();
         assert!(obs.is_active());
-        assert!(!obs.enabled(Subsystem::Cer, Level::Warn));
-        obs.count("c", 2);
-        obs.count("c", 3);
-        assert_eq!(obs.snapshot().counter("c"), 5);
-        assert_eq!(obs.trace_events(), 0);
-    }
-
-    #[test]
-    fn active_handle_traces_and_counts() {
-        let (sink, handle) = RingSink::new(8);
-        let mut obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-        if obs.enabled(Subsystem::Churn, Level::Info) {
-            obs.emit(TraceEvent::new(2.0, Subsystem::Churn, "join").u64("id", 1));
+        let mut health = HealthAccumulator::default();
+        for event in &events {
+            obs.emit(event.clone());
+            health.observe(event);
         }
         obs.gauge("depth", 3.0);
         obs.gauge("depth", 1.0);
-        obs.finish();
-        assert_eq!(obs.trace_events(), 1);
-        assert_eq!(handle.len(), 1);
-        let snap = obs.snapshot();
-        let g = snap.gauge("depth").expect("gauge registered");
+
+        let lines: Vec<&str> = obs.trace_jsonl().lines().collect();
+        let expected: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
+        assert_eq!(lines, expected);
+        assert_eq!(obs.trace_events(), 3);
+        assert_eq!(obs.health_jsonl(), health.to_jsonl());
+        let g = obs.snapshot().gauge("depth").expect("gauge registered");
         assert_eq!(g.value.to_bits(), 1.0_f64.to_bits());
         assert_eq!(g.high_water.to_bits(), 3.0_f64.to_bits());
     }

@@ -8,7 +8,7 @@ use crate::json;
 
 /// Default histogram bucket upper bounds (seconds-ish scale), used when a
 /// histogram is observed before being registered explicitly.
-pub const DEFAULT_BUCKETS: [f64; 10] = [
+const DEFAULT_BUCKETS: [f64; 10] = [
     0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0,
 ];
 
@@ -90,19 +90,13 @@ pub struct HistogramSnapshot {
 /// `BTreeMap` so iteration (and therefore serialization) order is the
 /// lexicographic key order.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, Gauge>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     /// Adds `n` to the counter `name` (auto-registered at zero).
     #[inline]
     pub fn count(&mut self, name: &'static str, n: u64) {
@@ -174,8 +168,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A point-in-time copy of a [`MetricsRegistry`], comparable across runs
-/// and serializable to deterministic JSON.
+/// A point-in-time copy of a run's metrics, comparable across runs and
+/// serializable to deterministic JSON.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -273,7 +267,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.count("a", 1);
         m.count("a", 4);
         m.count("b", 2);
@@ -285,7 +279,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.gauge("depth", 3.0);
         m.gauge("depth", 9.0);
         m.gauge("depth", 2.0);
@@ -296,7 +290,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.register_histogram("lat", &[1.0, 10.0]);
         for v in [0.5, 0.9, 5.0, 99.0] {
             m.observe("lat", v);
@@ -310,7 +304,7 @@ mod tests {
 
     #[test]
     fn observe_auto_registers_with_default_buckets() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.observe("auto", 0.02);
         let snap = m.snapshot();
         let h = snap.histogram("auto").expect("auto-registered");
@@ -320,7 +314,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_deterministic_and_ordered() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.count("z", 1);
         m.count("a", 2);
         m.gauge("g", 1.5);

@@ -17,7 +17,7 @@
 //! seed-deterministic; every nanosecond field is explicitly not.
 //!
 //! A disabled handle (the default) costs one branch per span and never
-//! allocates or reads the clock — mirroring the disabled tracer path.
+//! allocates or reads the clock — mirroring the disabled trace path.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -28,7 +28,7 @@ use crate::json;
 
 /// Number of log₂ latency buckets: bucket `i` holds durations in
 /// `[2^i, 2^(i+1))` nanoseconds, with the last bucket open-ended.
-pub const PROF_HIST_BUCKETS: usize = 32;
+const PROF_HIST_BUCKETS: usize = 32;
 
 /// One aggregated node of the span tree.
 #[derive(Debug)]
@@ -49,7 +49,7 @@ struct SpanNode {
 
 /// The shared profiler state behind a [`Prof`] handle.
 #[derive(Debug, Default)]
-pub struct ProfCore {
+struct ProfCore {
     nodes: Vec<SpanNode>,
     /// Interns `(parent index + 1, name)` → node index (0 parent = root).
     index: BTreeMap<(u32, &'static str), u32>,

@@ -22,7 +22,6 @@ use crate::id::{Location, NodeId};
 /// assert_eq!(m.out_capacity(1.0), 3);
 /// assert_eq!(m.age(SimTime::from_secs(160.0)), 60.0);
 /// assert_eq!(m.btp(SimTime::from_secs(160.0)), 3.5 * 60.0);
-/// assert!(!m.is_free_rider(1.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemberProfile {
@@ -78,13 +77,6 @@ impl MemberProfile {
         (self.bandwidth / stream_rate).floor() as usize
     }
 
-    /// True if the member cannot forward even one full stream — the paper's
-    /// "free-rider" (§1: a large proportion of members are free-riders).
-    #[must_use]
-    pub fn is_free_rider(&self, stream_rate: f64) -> bool {
-        self.out_capacity(stream_rate) == 0
-    }
-
     /// Seconds this member has been in the overlay at `now`; clamped at 0
     /// for instants before the join.
     #[must_use]
@@ -122,12 +114,6 @@ mod tests {
         assert_eq!(member(7.9).out_capacity(1.0), 7);
         // Non-unit stream rates scale the capacity.
         assert_eq!(member(7.9).out_capacity(2.0), 3);
-    }
-
-    #[test]
-    fn free_rider_definition() {
-        assert!(member(0.5).is_free_rider(1.0));
-        assert!(!member(1.5).is_free_rider(1.0));
     }
 
     #[test]

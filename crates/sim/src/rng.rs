@@ -102,11 +102,6 @@ impl SimRng {
         result
     }
 
-    /// The next raw 32-bit output (upper half of a 64-bit step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 high bits → the standard dyadic-rational mapping onto [0, 1).

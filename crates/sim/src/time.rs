@@ -52,13 +52,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the time as whole minutes (useful for plotting against the
-    /// paper's minute-scaled time axes).
-    #[must_use]
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
     /// Elapsed seconds since `earlier`. Negative if `earlier` is later.
     #[must_use]
     pub fn since(self, earlier: SimTime) -> f64 {
@@ -174,7 +167,6 @@ mod tests {
         let t = SimTime::from_secs(10.0);
         assert_eq!((t + 5.0).as_secs(), 15.0);
         assert_eq!(t + 5.0 - t, 5.0);
-        assert_eq!((t + 50.0).as_minutes(), 1.0);
         let mut u = t;
         u += 2.5;
         assert_eq!(u.as_secs(), 12.5);

@@ -67,15 +67,6 @@ impl Ecdf {
         self.sorted[rank - 1]
     }
 
-    /// Evaluates the CDF on the given grid of x-values, returning
-    /// `(x, fraction ≤ x)` pairs — the series a plot needs.
-    #[must_use]
-    pub fn evaluate_on<I: IntoIterator<Item = f64>>(&self, grid: I) -> Vec<(f64, f64)> {
-        grid.into_iter()
-            .map(|x| (x, self.fraction_at_or_below(x)))
-            .collect()
-    }
-
     /// The power-of-two grid used by the paper's Fig. 5 x-axis
     /// (1, 2, 4, …, `max`).
     #[must_use]
@@ -144,16 +135,6 @@ mod tests {
     fn quantile_empty_panics() {
         let cdf = Ecdf::from_samples(std::iter::empty());
         let _ = cdf.quantile(0.5);
-    }
-
-    #[test]
-    fn grid_evaluation() {
-        let cdf = Ecdf::from_samples([1.0, 2.0, 4.0, 8.0]);
-        let series = cdf.evaluate_on(Ecdf::power_of_two_grid(8.0));
-        assert_eq!(
-            series,
-            vec![(1.0, 0.25), (2.0, 0.5), (4.0, 0.75), (8.0, 1.0)]
-        );
     }
 
     #[test]

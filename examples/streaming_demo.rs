@@ -9,7 +9,8 @@
 //! ```
 
 use rom::engine::{AlgorithmKind, ChurnConfig, RecoveryStrategy, StreamingConfig, StreamingSim};
-use rom::obs::{FieldValue, Level, Obs, RingSink, TraceEvent, Tracer};
+use rom::obs::Obs;
+use rom_bench::Json;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -22,7 +23,7 @@ fn main() {
          recovery group size K = {group_size}, residual helper bandwidth U(0, 9) pkt/s\n"
     );
 
-    let mut rost_cer_trace: Vec<TraceEvent> = Vec::new();
+    let mut rost_cer_trace = String::new();
     for (label, algorithm, strategy, traced) in [
         (
             "min-depth + single-source (baseline)",
@@ -50,14 +51,11 @@ fn main() {
         let mut cfg = StreamingConfig::paper(churn, group_size);
         cfg.strategy = strategy;
 
-        // The flagship run is traced (Info level, so the ring keeps the
-        // interesting events rather than every join); the timeline below
-        // is reconstructed purely from the trace.
+        // The flagship run is traced; the timeline below is reconstructed
+        // purely from its JSONL trace.
         let report = if traced {
-            let (sink, handle) = RingSink::new(500_000);
-            let tracer = Tracer::to_sink(Box::new(sink)).with_min_level(Level::Info);
-            let (report, _, _) = StreamingSim::new(cfg).run_observed(Obs::new(tracer), None);
-            rost_cer_trace = handle.events();
+            let (report, obs, _) = StreamingSim::new(cfg).run_observed(Obs::enabled(), None);
+            rost_cer_trace = obs.trace_jsonl().to_owned();
             report
         } else {
             StreamingSim::new(cfg).run()
@@ -92,58 +90,34 @@ fn main() {
 /// Reconstructs the anatomy of one recovery from the ROST+CER trace:
 /// an abrupt failure, the ELN suppressing redundant rejoins beneath it,
 /// the CER stripe plan, and the completed repair.
-fn print_failure_timeline(events: &[TraceEvent]) {
-    let Some(failure) = events.iter().find(|e| {
-        e.kind == "departure"
-            && field_u64(e, "descendants") > 0
-            && !matches!(e.fields.get("graceful"), Some(FieldValue::Bool(true)))
+fn print_failure_timeline(jsonl: &str) {
+    let events: Vec<(Json, &str)> = jsonl
+        .lines()
+        .map(|line| (Json::parse(line).expect("trace lines are JSON"), line))
+        .collect();
+    let is = |e: &Json, kind: &str| e.str_field("kind") == Some(kind);
+    let time = |e: &Json| e.f64_field("t").unwrap_or(0.0);
+    let Some(failure) = events.iter().find(|(e, _)| {
+        let fields = e.get("fields");
+        is(e, "departure")
+            && fields.and_then(|f| f.u64_field("descendants")).unwrap_or(0) > 0
+            && fields.and_then(|f| f.get("graceful")) != Some(&Json::Bool(true))
     }) else {
         println!("(no abrupt failure with descendants in the trace)\n");
         return;
     };
     println!("-- trace-derived timeline: first failure with descendants, and its recovery --");
     let mut picked = vec![failure];
-    for kind in ["outage", "eln_suppress", "stripe_plan", "repair"] {
+    for wanted in ["outage", "eln_suppress", "stripe_plan", "repair"] {
         picked.extend(
             events
                 .iter()
-                .find(|e| e.kind == kind && e.time >= failure.time),
+                .find(|(e, _)| is(e, wanted) && time(e) >= time(&failure.0)),
         );
     }
-    picked.sort_by(|a, b| a.time.total_cmp(&b.time));
-    for ev in picked {
-        print_event(ev);
+    picked.sort_by(|a, b| time(&a.0).total_cmp(&time(&b.0)));
+    for (_, line) in picked {
+        println!("  {line}");
     }
     println!();
-}
-
-fn print_event(ev: &TraceEvent) {
-    let fields: Vec<String> = ev
-        .fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", fmt_field(v)))
-        .collect();
-    println!(
-        "  t={:9.2}s  {:<9} {:<13} {}",
-        ev.time,
-        format!("[{}]", ev.subsystem.as_str()),
-        ev.kind,
-        fields.join(" ")
-    );
-}
-
-fn field_u64(ev: &TraceEvent, key: &str) -> u64 {
-    match ev.fields.get(key) {
-        Some(&FieldValue::U64(n)) => n,
-        _ => 0,
-    }
-}
-
-fn fmt_field(v: &FieldValue) -> String {
-    match *v {
-        FieldValue::U64(n) => n.to_string(),
-        FieldValue::F64(x) => format!("{x:.3}"),
-        FieldValue::Bool(b) => b.to_string(),
-        FieldValue::Str(s) => s.to_string(),
-    }
 }

@@ -8,7 +8,7 @@
 
 use rom::chaos::{InvariantRegistry, Scenario};
 use rom::engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
-use rom::obs::{JsonlSink, Obs, SharedBuffer, Tracer};
+use rom::obs::Obs;
 use rom_bench::{observed_cell, CellTrace, Sidecars};
 
 const SEEDS: [u64; 3] = [11, 23, 47];
@@ -29,11 +29,9 @@ fn config(scenario: Option<&str>, seed: u64) -> StreamingConfig {
 /// One fully-armed run: the JSONL trace bytes and the registry with
 /// whatever violations it accumulated.
 fn checked_run(scenario: &str, seed: u64) -> (Vec<u8>, InvariantRegistry) {
-    let buffer = SharedBuffer::new();
-    let obs = Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(buffer.clone()))));
-    let (_report, _obs, registry) = StreamingSim::new(config(Some(scenario), seed))
-        .run_observed(obs, Some(InvariantRegistry::with_all()));
-    (buffer.contents(), registry)
+    let (_report, obs, registry) = StreamingSim::new(config(Some(scenario), seed))
+        .run_observed(Obs::enabled(), Some(InvariantRegistry::with_all()));
+    (obs.trace_jsonl().as_bytes().to_vec(), registry)
 }
 
 #[test]
