@@ -1,11 +1,16 @@
 //! Micro-benchmarks of the underlay substrate: topology generation,
 //! oracle precomputation and delay queries, including the centralized
-//! min-depth fallback's nearest-parent scan over one free-slot layer.
+//! min-depth fallback's nearest-parent scan over one free-slot layer,
+//! and the two steps of every distributed join at 100k members: drawing
+//! the 100-member view and scanning it for the minimum-depth parent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rom_engine::OracleProximity;
+use rom_engine::{AlgorithmKind, ChurnConfig, OracleProximity, Workload};
 use rom_net::{dijkstra, DelayOracle, TransitStubConfig, TransitStubNetwork, UnderlayId};
-use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId, Proximity};
+use rom_overlay::algorithms::{min_depth_parent, JoinContext};
+use rom_overlay::{
+    paper_source, Location, MemberProfile, MulticastTree, NodeId, Proximity, ViewSampler,
+};
 use rom_sim::{SimRng, SimTime};
 use std::hint::black_box;
 
@@ -40,6 +45,7 @@ fn bench_underlay(c: &mut Criterion) {
     });
 
     bench_nearest_free(c);
+    bench_join_path(c);
 
     c.bench_function("dijkstra_full_graph", |b| {
         b.iter(|| black_box(dijkstra(net.graph(), UnderlayId(0))));
@@ -106,6 +112,85 @@ fn bench_nearest_free(c: &mut Criterion) {
             for &origin in &origins {
                 black_box(reference.nearest_free(origin, layer));
             }
+        });
+    });
+    group.finish();
+}
+
+/// The join path of `churn-rost-100k` and the 100k `fig_mega` cell,
+/// one call per timed sample, so each line reads directly against the
+/// `engine.view` and `overlay.min_depth_scan` spans' ns/op in that
+/// cell's profile. The tree is built the way the engine seeds it: 100k
+/// members of the paper's bandwidth distribution on random stub nodes
+/// of the 100k-member topology, joined in turn at the minimum-depth
+/// parent of a 100-member view, with network delay from the delay
+/// oracle breaking depth ties.
+fn bench_join_path(c: &mut Criterion) {
+    const MEMBERS: usize = 100_000;
+    let cfg = ChurnConfig::mega(AlgorithmKind::Rost, MEMBERS);
+    let mut rng = SimRng::seed_from(4);
+    let net = TransitStubNetwork::generate(&cfg.topology, &mut rng);
+    let oracle = DelayOracle::build(&net);
+    let prox = OracleProximity::new(&oracle);
+    let mut workload = Workload::new(
+        cfg.bandwidth,
+        cfg.lifetime,
+        cfg.arrival_rate(),
+        cfg.measure_secs,
+        &net,
+        rng.fork("workload"),
+    );
+    let sampler = ViewSampler::paper();
+    let mut tree = MulticastTree::new(paper_source(workload.random_location()), 1.0);
+    let mut live = vec![tree.root()];
+    for _ in 0..MEMBERS {
+        let member = workload.arrival(SimTime::ZERO);
+        let view = sampler.sample(&live, &mut rng);
+        let ctx = JoinContext {
+            tree: &tree,
+            joiner: &member,
+            candidates: &view,
+            now: SimTime::ZERO,
+        };
+        if let Some(parent) = min_depth_parent(&ctx, &prox) {
+            live.push(member.id);
+            tree.attach(member, parent)
+                .expect("the scan picks a member with a free slot");
+        }
+    }
+    assert!(tree.attached_count() > MEMBERS * 9 / 10);
+
+    // A call takes microseconds, so thousands of one-call samples fit
+    // the measurement budget and their mean is stable.
+    let mut group = c.benchmark_group("join_path");
+    group.sample_size(2_000);
+    let mut pos = 0;
+    group.bench_function("view_sample_100_of_100k", |b| {
+        b.iter(|| {
+            pos = (pos + 7_919) % live.len();
+            black_box(sampler.sample_excluding_at(&live, Some(pos), &mut rng))
+        });
+    });
+    // Pre-drawn views, each scanned about once over the run, so its
+    // members' id pages and arena slots are as cold as between the
+    // engine's joins.
+    let views: Vec<Vec<NodeId>> = (0..4_096)
+        .map(|_| sampler.sample(&live, &mut rng))
+        .collect();
+    let joiners: Vec<MemberProfile> = (0..4_096)
+        .map(|_| workload.arrival(SimTime::ZERO))
+        .collect();
+    let mut next = 0;
+    group.bench_function("min_depth_scan_100_of_100k", |b| {
+        b.iter(|| {
+            next = (next + 1) % views.len();
+            let ctx = JoinContext {
+                tree: &tree,
+                joiner: &joiners[next],
+                candidates: &views[next],
+                now: SimTime::ZERO,
+            };
+            black_box(min_depth_parent(&ctx, &prox))
         });
     });
     group.finish();

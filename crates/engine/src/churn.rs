@@ -453,6 +453,7 @@ impl ChurnSim {
 
     /// Seeds the equilibrium population and the initial event schedule.
     fn seed(&mut self, sim: &mut Simulation<Event>) {
+        let _span = self.obs.prof().span("engine.seed");
         // The source is a member of the group: it must be discoverable in
         // partial views (it never departs, so it is never untracked).
         let root = self.tree.root();
@@ -465,7 +466,10 @@ impl ChurnSim {
         // machinery — BO/TO evictions, ROST switching, longest-first's
         // oldest-parent rule — has to establish its characteristic
         // structure, as it would in an organically grown overlay.
-        let mut seed_members = self.workload.equilibrium_population(self.cfg.target_size);
+        let mut seed_members = {
+            let _span = self.obs.prof().span("engine.seed_population");
+            self.workload.equilibrium_population(self.cfg.target_size)
+        };
         self.rng.shuffle(&mut seed_members);
         for member in seed_members {
             let id = member.id;
@@ -565,6 +569,7 @@ impl ChurnSim {
         } else {
             // `live_pos` hands the sampler the joiner's slot so the view
             // costs O(view size), not an O(live) filter-and-copy.
+            let _span = self.obs.prof().span("engine.view");
             let pos = self.live_pos.get(joiner).copied();
             self.sampler
                 .sample_excluding_at(&self.live, pos, &mut self.rng)

@@ -499,7 +499,8 @@ impl StreamingState {
                         .u64("frames", frames)
                         .u64("lost", lost.len() as u64)
                         .u64("repaired", repaired_now)
-                        .u64("starved", starved_now),
+                        .u64("starved", starved_now)
+                        .f64("starved_secs", starved_now as f64 / self.clock.rate_pps()),
                 );
             }
         }

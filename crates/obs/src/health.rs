@@ -27,7 +27,9 @@ pub(crate) struct MemberHealth {
     pub joined_secs: Option<f64>,
     /// Sim time of the (last) departure, if traced.
     pub departed_secs: Option<f64>,
-    /// Cumulative starving time from repair accounting, seconds.
+    /// Cumulative starving time, seconds: the packets that missed their
+    /// deadline after an outage's repair or an access-link loss episode,
+    /// at the stream rate.
     pub starving_secs: f64,
     /// Closed failure-recovery episodes (one per `repair` event).
     pub recovery_episodes: u64,
@@ -191,6 +193,12 @@ impl HealthAccumulator {
                     m.starving_secs += starved;
                 }
             }
+            (Subsystem::Chaos, "link_episode_end") => {
+                if let Some(id) = u64_field(event, "member") {
+                    let starved = f64_field(event, "starved_secs").unwrap_or(0.0);
+                    self.member(id, now).starving_secs += starved;
+                }
+            }
             _ => {}
         }
     }
@@ -260,6 +268,32 @@ mod tests {
         assert_eq!(m.recovery_latency_max_secs.to_bits(), 15.0_f64.to_bits());
         assert_eq!(m.recovery_latency_sum_secs.to_bits(), 20.0_f64.to_bits());
         assert_eq!(m.starving_secs.to_bits(), 3.0_f64.to_bits());
+    }
+
+    #[test]
+    fn link_episode_starving_adds_to_repair_starving() {
+        let mut acc = HealthAccumulator::default();
+        acc.observe(
+            &ev(20.0, Subsystem::Cer, "repair")
+                .u64("member", 4)
+                .f64("latency_secs", 15.0)
+                .f64("starved_secs", 2.5),
+        );
+        acc.observe(
+            &ev(80.0, Subsystem::Chaos, "link_episode_end")
+                .u64("member", 4)
+                .u64("frames", 600)
+                .u64("lost", 40)
+                .u64("repaired", 25)
+                .u64("starved", 15)
+                .f64("starved_secs", 1.5),
+        );
+        let m = &acc.members[&4];
+        assert_eq!(m.starving_secs.to_bits(), 4.0_f64.to_bits());
+        assert_eq!(
+            m.recovery_episodes, 1,
+            "a link episode is not an outage repair"
+        );
     }
 
     #[test]

@@ -88,37 +88,39 @@ pub trait TreeAlgorithm: std::fmt::Debug {
 /// ROST's joins: the shallowest candidate with a free slot, breaking
 /// layer ties by network delay and then by id (§3.3). Candidates that
 /// are detached or not in the tree are skipped.
+///
+/// The scan makes two passes over the view. The first resolves every
+/// candidate's arena index; the lookups do not depend on one another, so
+/// their cache misses can overlap instead of queueing behind each
+/// candidate's slot reads and delay query. The second reads each
+/// resolved slot and keeps the minimum (depth, delay, id), querying a
+/// delay only for a candidate whose depth can still win.
 #[must_use]
 pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Option<NodeId> {
+    let tree = ctx.tree;
+    let _span = tree.prof().span("overlay.min_depth_scan");
+    let mut resolved = Vec::with_capacity(ctx.candidates.len());
+    resolved.extend(
+        ctx.candidates
+            .iter()
+            .filter_map(|&cand| tree.index_of(cand)),
+    );
     let mut best: Option<(usize, f64, NodeId)> = None;
-    for &cand in ctx.candidates {
-        // One id→index lookup per candidate; every later access is a
-        // direct arena read.
-        let Some(ix) = ctx.tree.index_of(cand) else {
+    for &ix in &resolved {
+        let Some(depth) = tree.depth_ix(ix).filter(|_| tree.has_free_slot_ix(ix)) else {
             continue;
         };
-        if !ctx.tree.has_free_slot_ix(ix) {
+        if best.is_some_and(|(best_depth, _, _)| depth > best_depth) {
             continue;
         }
-        let Some(depth) = ctx.tree.depth_ix(ix) else {
-            continue;
-        };
-        let key_delay = || {
-            let loc = ctx.tree.profile_ix(ix).location;
-            proximity.delay_ms(ctx.joiner.location, loc)
-        };
-        match best {
-            None => best = Some((depth, key_delay(), cand)),
-            Some((bd, bdelay, bid)) => {
-                if depth < bd {
-                    best = Some((depth, key_delay(), cand));
-                } else if depth == bd {
-                    let delay = key_delay();
-                    if delay < bdelay || (delay == bdelay && cand < bid) {
-                        best = Some((depth, delay, cand));
-                    }
-                }
-            }
+        let member = tree.profile_ix(ix);
+        let key = (
+            depth,
+            proximity.delay_ms(ctx.joiner.location, member.location),
+            member.id,
+        );
+        if best.is_none_or(|b| key < b) {
+            best = Some(key);
         }
     }
     best.map(|(_, _, id)| id)
@@ -149,6 +151,7 @@ mod tests {
     use super::*;
     use crate::id::Location;
     use crate::proximity::{IndexProximity, ZeroProximity};
+    use proptest::prelude::*;
 
     pub(crate) fn profile(id: u64, bw: f64, join_secs: f64, loc: u32) -> MemberProfile {
         MemberProfile::new(
@@ -203,5 +206,105 @@ mod tests {
             now: SimTime::from_secs(5.0),
         };
         assert_eq!(min_depth_parent(&ctx, &ZeroProximity), None);
+    }
+
+    /// The single-pass scan [`min_depth_parent`] replaced, kept as its
+    /// reference: each candidate in view order is looked up, checked and
+    /// compared with the best so far, its delay queried only when its
+    /// depth can still win.
+    fn single_pass_scan(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Option<NodeId> {
+        let mut best: Option<(usize, f64, NodeId)> = None;
+        for &cand in ctx.candidates {
+            let Some(ix) = ctx.tree.index_of(cand) else {
+                continue;
+            };
+            if !ctx.tree.has_free_slot_ix(ix) {
+                continue;
+            }
+            let Some(depth) = ctx.tree.depth_ix(ix) else {
+                continue;
+            };
+            let key_delay = || {
+                let loc = ctx.tree.profile_ix(ix).location;
+                proximity.delay_ms(ctx.joiner.location, loc)
+            };
+            match best {
+                None => best = Some((depth, key_delay(), cand)),
+                Some((bd, bdelay, bid)) => {
+                    if depth < bd {
+                        best = Some((depth, key_delay(), cand));
+                    } else if depth == bd {
+                        let delay = key_delay();
+                        if delay < bdelay || (delay == bdelay && cand < bid) {
+                            best = Some((depth, delay, cand));
+                        }
+                    }
+                }
+            }
+        }
+        best.map(|(_, _, id)| id)
+    }
+
+    /// A tree grown from `(parent pick, bandwidth, location)` triples,
+    /// each member attached under a pick among the attached members with
+    /// a free slot, then thinned by departures that orphan the leavers'
+    /// subtrees. Bandwidths 0–3 give capacities 0–3, so members fill up
+    /// and depths repeat; six locations make delay ties common under
+    /// [`IndexProximity`].
+    fn grown_tree(members: &[(u64, u32, u32)], departures: &[u64]) -> MulticastTree {
+        let mut tree = MulticastTree::new(profile(0, 3.0, 0.0, 0), 1.0);
+        for (id, &(pick, bw, loc)) in (1u64..).zip(members) {
+            let open: Vec<NodeId> = tree
+                .attached_by_depth()
+                .filter(|&m| tree.has_free_slot(m))
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            let parent = open[(pick % open.len() as u64) as usize];
+            tree.attach(profile(id, f64::from(bw), 0.0, loc), parent)
+                .expect("the parent has a free slot");
+        }
+        for &pick in departures {
+            let leaver = NodeId(1 + pick % members.len() as u64);
+            if tree.contains(leaver) {
+                tree.remove(leaver).expect("a present member can leave");
+            }
+        }
+        tree
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The resolve-first scan chooses what the single-pass scan
+        /// chooses over views holding attached members, detached members (whole
+        /// orphaned subtrees), unknown ids and repeated depths and
+        /// delays, under flat and distinguishable proximity.
+        #[test]
+        fn min_depth_parent_matches_single_pass_scan(
+            members in prop::collection::vec((any::<u64>(), 0u32..4, 0u32..6), 1..60),
+            departures in prop::collection::vec(any::<u64>(), 0..6),
+            view in prop::collection::vec(0u64..80, 0..100),
+            joiner_location in 0u32..6,
+        ) {
+            let tree = grown_tree(&members, &departures);
+            let joiner = profile(1_000, 1.0, 5.0, joiner_location);
+            let candidates: Vec<NodeId> = view.into_iter().map(NodeId).collect();
+            let ctx = JoinContext {
+                tree: &tree,
+                joiner: &joiner,
+                candidates: &candidates,
+                now: SimTime::from_secs(5.0),
+            };
+            prop_assert_eq!(
+                min_depth_parent(&ctx, &ZeroProximity),
+                single_pass_scan(&ctx, &ZeroProximity)
+            );
+            prop_assert_eq!(
+                min_depth_parent(&ctx, &IndexProximity),
+                single_pass_scan(&ctx, &IndexProximity)
+            );
+        }
     }
 }

@@ -44,11 +44,16 @@ fn split(id: NodeId) -> (u64, usize) {
 /// ids of a run cluster into a few dense runs. The map stores each run of
 /// 1 024 consecutive ids as one page, a flat slot array indexed by the
 /// id's low bits, and finds the page through a short directory of page
-/// numbers kept in ascending order. A lookup is a binary search over the
-/// pages followed by one array access, where an ordered map of the same
-/// ids descends one node per level. Iteration walks the pages in
-/// directory order and each page's slots in index order, so it yields
-/// ids in ascending order, the order a `BTreeMap` would give.
+/// numbers kept in ascending order. Because the page numbers are
+/// distinct, page n can sit no further into the directory than n minus
+/// the first page's number; the lookup probes that position first, so a
+/// directory without gaps below the page (the workload's id run, with
+/// or without a chaos page above it) answers in one probe plus one
+/// array access, where an ordered map of the same ids descends one node
+/// per level. A gap costs a binary search over the range the first and
+/// last page numbers leave open. Iteration walks the pages in directory
+/// order and each page's slots in index order, so it yields ids in
+/// ascending order, the order a `BTreeMap` would give.
 ///
 /// Every id takes the same path: a sparse id costs one page of its own,
 /// and a page is freed when its last entry leaves.
@@ -108,9 +113,37 @@ impl<V> IdMap<V> {
         self.len == 0
     }
 
-    /// The directory position of page `number`, if it is live.
+    /// The directory position of page `number`, if it is live, else the
+    /// position it would be inserted at.
+    ///
+    /// Page numbers are distinct and ascending, so page `number` sits at
+    /// most `number − first` entries after the first page and at most
+    /// `last − number` entries before the last. The search probes the
+    /// upper bound first, which is the page itself whenever the pages
+    /// from the first up to it are gap-free; otherwise it binary-searches
+    /// the range the two bounds leave open.
     fn find_page(&self, number: u64) -> Result<usize, usize> {
-        self.pages.binary_search_by_key(&number, |p| p.number)
+        let Some(first) = self.pages.first() else {
+            return Err(0);
+        };
+        let top = self.pages.len() - 1;
+        // A number below the first page wraps to a huge offset, so it
+        // probes the last page and searches from `lo` = 0.
+        let hi = usize::try_from(number.wrapping_sub(first.number)).map_or(top, |d| d.min(top));
+        if self.pages[hi].number == number {
+            return Ok(hi);
+        }
+        let last = self.pages[top].number;
+        if number > last {
+            return Err(self.pages.len());
+        }
+        // `pages[hi]` lies above `number`, and every page before `lo`
+        // below it.
+        let lo = usize::try_from(last - number).map_or(0, |d| top.saturating_sub(d));
+        self.pages[lo..hi]
+            .binary_search_by_key(&number, |p| p.number)
+            .map(|at| lo + at)
+            .map_err(|at| lo + at)
     }
 
     /// The directory position of page `number`, creating the page first
@@ -218,13 +251,15 @@ mod tests {
         GetMut(u64, u32),
     }
 
-    /// Ids near 0, straddling the first page boundary, and from 2⁴⁰ up
-    /// (the chaos id space). Each range is narrow enough that removes and
-    /// probes often hit live ids and pages empty out.
+    /// Ids at the start of each of the first six pages, straddling the
+    /// first page boundary, and from 2⁴⁰ up (the chaos id space). Each
+    /// cluster is narrow enough that removes and probes often hit live
+    /// ids, so pages empty out mid-directory and leave gaps below the
+    /// chaos page, the case where the first probe misses.
     fn id() -> impl Strategy<Value = u64> {
         let page = PAGE_LEN as u64;
         prop_oneof![
-            0..48u64,
+            (0..6u64, 0..8u64).prop_map(move |(number, slot)| number * page + slot),
             (page - 24)..(page + 24),
             (1u64 << 40)..((1u64 << 40) + 48),
         ]
@@ -266,6 +301,11 @@ mod tests {
                         id
                     }
                 };
+                let number = probe >> PAGE_BITS;
+                prop_assert_eq!(
+                    paged.find_page(number),
+                    paged.pages.binary_search_by_key(&number, |p| p.number)
+                );
                 prop_assert_eq!(paged.get(NodeId(probe)), model.get(&probe));
                 prop_assert_eq!(paged.contains_key(NodeId(probe)), model.contains_key(&probe));
                 prop_assert_eq!(paged.len(), model.len());

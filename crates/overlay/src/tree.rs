@@ -29,8 +29,9 @@
 //! member's [`NodeId`] is interned to a [`NodeIndex`] (a `u32` slot
 //! number) exactly once at insert, slots live in a flat `Vec`, and all
 //! parent/child links are index-typed. The id→index map is an [`IdMap`]:
-//! an id-keyed lookup is a binary search over a short directory of id
-//! pages plus one array read, and iterating the map yields ids in
+//! an id-keyed lookup is one probe into a short directory of id pages
+//! (a binary search only where the directory has a gap below the page)
+//! plus one array read, and iterating the map yields ids in
 //! ascending order, which defines every id-ordered output (member
 //! iteration, `attached_by_depth`, invariant checks). Everything else —
 //! walks, depth restamps, the per-event hot paths of the construction

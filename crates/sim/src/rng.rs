@@ -206,43 +206,34 @@ impl SimRng {
     /// drawn uniformly without replacement from `0..len`, in draw order.
     ///
     /// Both code paths run the same partial Fisher–Yates and therefore
-    /// draw an identical RNG stream and return identical indices; the
-    /// sparse path merely stores only the slots a swap has displaced, so
-    /// a bounded sample from a huge population costs O(k²) worst-case in
-    /// the (tiny) displacement map instead of materializing an O(len)
-    /// index vector. That bound is what keeps per-join view sampling
-    /// flat as the membership grows to 10^6. The crossover favours the
-    /// dense path generously: its sequential init beats sparse
-    /// bookkeeping until `len` is tens of times `k`.
+    /// draw an identical RNG stream and return identical indices. The
+    /// sparse path stores only the slots a swap has displaced, in an
+    /// open-addressed table of at least 2k entries, so each draw costs
+    /// one expected-O(1) probe whatever `len` is; that is what keeps
+    /// per-join view sampling flat as the membership grows to 10^6. The
+    /// dense path materializes `0..len` and swaps in place; its
+    /// sequential init beats the table's clearing and hashing until
+    /// `len` is tens of times `k`, so it serves `k · 64 ≥ len`.
     pub fn sample_indices(&mut self, len: usize, k: usize) -> Vec<usize> {
         let take = k.min(len);
         let mut picked = Vec::with_capacity(take);
         if take * 64 < len {
-            // Sparse permutation: slot p holds p unless an entry in the
-            // (position-sorted) displacement vec says otherwise. Slot i
-            // is dead after iteration i, so its entry is removed rather
-            // than read — the vec stays near-empty for uniform draws.
-            let mut displaced: Vec<(usize, usize)> = Vec::new();
+            // Sparse permutation: slot p holds p unless the displacement
+            // table says otherwise. Slot i is dead after iteration i (no
+            // later j reaches back to it), so entries are never deleted:
+            // the table holds at most one entry per draw.
+            let mut displaced = Displaced::with_room_for(take);
             for i in 0..take {
                 let j = i + self.index(len - i);
-                let swapped_out = match displaced.binary_search_by_key(&i, |e| e.0) {
-                    Ok(pos) => displaced.remove(pos).1,
-                    Err(_) => i,
-                };
+                let (at_i, value_i) = *displaced.slot(i);
+                let swapped_out = if at_i == i { value_i } else { i };
                 if j == i {
                     picked.push(swapped_out);
                     continue;
                 }
-                match displaced.binary_search_by_key(&j, |e| e.0) {
-                    Ok(pos) => {
-                        picked.push(displaced[pos].1);
-                        displaced[pos].1 = swapped_out;
-                    }
-                    Err(pos) => {
-                        picked.push(j);
-                        displaced.insert(pos, (j, swapped_out));
-                    }
-                }
+                let slot = displaced.slot(j);
+                picked.push(if slot.0 == j { slot.1 } else { j });
+                *slot = (j, swapped_out);
             }
         } else {
             let mut idx: Vec<usize> = (0..len).collect();
@@ -253,6 +244,42 @@ impl SimRng {
             picked.extend_from_slice(&idx[..take]);
         }
         picked
+    }
+}
+
+/// The sparse sampler's displacement table: `(position, value)` pairs
+/// under open addressing with linear probing, in a power-of-two array
+/// kept at most half full.
+struct Displaced {
+    /// `EMPTY` in the position field marks a free slot.
+    slots: Vec<(usize, usize)>,
+    /// `64 − log₂(slots.len())`: Fibonacci hashing keeps a product's top
+    /// bits, which spreads the sampler's sequential positions too.
+    shift: u32,
+}
+
+/// A position no sample can hold: positions are below `len`.
+const EMPTY: usize = usize::MAX;
+
+impl Displaced {
+    /// A table that stays at most half full through `draws` inserts.
+    fn with_room_for(draws: usize) -> Self {
+        let len = (2 * draws).next_power_of_two().max(2);
+        Displaced {
+            slots: vec![(EMPTY, 0); len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The slot of `pos`: its entry, or the free slot (position `EMPTY`)
+    /// where it would go.
+    fn slot(&mut self, pos: usize) -> &mut (usize, usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = ((pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        while self.slots[at].0 != pos && self.slots[at].0 != EMPTY {
+            at = (at + 1) & mask;
+        }
+        &mut self.slots[at]
     }
 }
 
@@ -363,13 +390,32 @@ mod tests {
         assert_eq!(too_many.len(), 50);
     }
 
+    /// Draws `k` of `len` through `sample_indices` and through the dense
+    /// partial Fisher–Yates it must reproduce bitwise: same RNG draws,
+    /// same picks, in the same order, and both generators left in the
+    /// same state.
+    fn assert_matches_dense_reference(seed: u64, len: usize, k: usize) {
+        let mut fast = SimRng::seed_from(seed);
+        let picked = fast.sample_indices(len, k);
+
+        let mut reference = SimRng::seed_from(seed);
+        let mut idx: Vec<usize> = (0..len).collect();
+        let take = k.min(len);
+        for i in 0..take {
+            let j = i + reference.index(len - i);
+            idx.swap(i, j);
+        }
+        assert_eq!(picked, idx[..take], "seed={seed} len={len} k={k}");
+        assert_eq!(fast.next_u64(), reference.next_u64());
+    }
+
     #[test]
     fn sparse_sample_matches_dense_reference() {
-        // The sparse partial Fisher–Yates must reproduce the dense
-        // original bitwise: same RNG draws, same picks, in the same
-        // order. Sweep across the take*64 < len threshold so both code
-        // paths are exercised against the reference, including the
-        // boundary (129, 2) where the sparse path barely engages.
+        // Sweep across the take*64 < len threshold so both code paths
+        // are exercised against the reference, including the boundaries
+        // len = 64·k + 1 where the sparse path barely engages, takes past
+        // 128 (a table of 512 slots and more), and a draw of thousands
+        // from 2²⁰, the scale of a chaos victim pick.
         for (len, k) in [
             (1usize, 1usize),
             (9, 1),
@@ -377,21 +423,20 @@ mod tests {
             (129, 2),
             (1000, 3),
             (5000, 100),
+            (6_401, 100),
             (20000, 100),
+            (19_201, 300),
+            (200_000, 1_000),
+            (1 << 20, 5_000),
         ] {
-            let mut fast = SimRng::seed_from(23);
-            let picked = fast.sample_indices(len, k);
-
-            let mut reference = SimRng::seed_from(23);
-            let mut idx: Vec<usize> = (0..len).collect();
-            let take = k.min(len);
-            for i in 0..take {
-                let j = i + reference.index(len - i);
-                idx.swap(i, j);
-            }
-            assert_eq!(picked, idx[..take], "len={len} k={k}");
-            // Both generators must end in the same state.
-            assert_eq!(fast.next_u64(), reference.next_u64());
+            assert_matches_dense_reference(23, len, k);
+        }
+        // A displaced value is read back only after two collisions: a
+        // draw lands inside the sample's prefix, and a later draw lands
+        // where that slot's value was moved. Takes of thousands at the
+        // sparse boundary make that likely within a few seeds.
+        for seed in 0..32 {
+            assert_matches_dense_reference(seed, 320_001, 5_000);
         }
     }
 
