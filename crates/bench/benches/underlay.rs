@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the underlay substrate: topology generation,
-//! oracle precomputation and delay queries, including the centralized
-//! min-depth fallback's nearest-parent scan over one free-slot layer,
-//! and the two steps of every distributed join at 100k members: drawing
-//! the 100-member view and scanning it for the minimum-depth parent.
+//! oracle precomputation at paper scale and delay queries, including the
+//! centralized min-depth fallback's nearest-parent scan over one
+//! free-slot layer, and the two steps of every distributed join at 100k
+//! members: drawing the 100-member view and scanning it for the
+//! minimum-depth parent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rom_engine::{AlgorithmKind, ChurnConfig, OracleProximity, Workload};
-use rom_net::{dijkstra, DelayOracle, TransitStubConfig, TransitStubNetwork, UnderlayId};
+use rom_net::{DelayOracle, TransitStubConfig, TransitStubNetwork, UnderlayId};
 use rom_overlay::algorithms::{min_depth_parent, JoinContext};
 use rom_overlay::{
     paper_source, Location, MemberProfile, MulticastTree, NodeId, Proximity, ViewSampler,
@@ -28,10 +29,17 @@ fn bench_underlay(c: &mut Criterion) {
         });
     });
 
+    // The 15 600-node underlay both churn workloads of the benchmark
+    // build (`churn-rost-100k`'s, at seed 42), so a build reads directly
+    // against perfbench's `net.oracle_s`.
+    let paper = TransitStubNetwork::generate(
+        &ChurnConfig::mega(AlgorithmKind::Rost, 100_000).topology,
+        &mut SimRng::seed_from(42).fork("topology"),
+    );
     let mut group = c.benchmark_group("oracle");
     group.sample_size(20);
     group.bench_function("build", |b| {
-        b.iter(|| black_box(DelayOracle::build(&net)));
+        b.iter(|| black_box(DelayOracle::build(&paper)));
     });
     group.finish();
 
@@ -46,21 +54,6 @@ fn bench_underlay(c: &mut Criterion) {
 
     bench_nearest_free(c);
     bench_join_path(c);
-
-    c.bench_function("dijkstra_full_graph", |b| {
-        b.iter(|| black_box(dijkstra(net.graph(), UnderlayId(0))));
-    });
-
-    // Exercises the lazy-deletion guard in `dijkstra`: starting from a stub
-    // leaf, the search relaxes through the stub domain before reaching the
-    // transit mesh, so many heap entries are superseded before they pop and
-    // the stale-entry skip (`dist > best` → continue) does real work. A
-    // regression there shows up here long before it moves the oracle-build
-    // numbers.
-    c.bench_function("dijkstra_stale_entry_skip", |b| {
-        let src = *stubs.last().expect("network has stub nodes");
-        b.iter(|| black_box(dijkstra(net.graph(), src)));
-    });
 }
 
 /// Proximity with only `delay_ms`, so `nearest_free` is the trait's

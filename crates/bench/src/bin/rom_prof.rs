@@ -9,9 +9,11 @@
 //! rom_prof diff <old.profile.json> <new.profile.json> [--fail-above PCT]
 //! ```
 //!
-//! `report` prints the span hotspots: top-k spans by self time (the
-//! targeting data for hot-path work) and the per-phase breakdown over
-//! root spans (`engine.*` event handlers). `health` summarizes the
+//! `report` states under its header how much of the run's wall time the
+//! root spans cover (and how many ms open no span), then prints the span
+//! hotspots: top-k spans by self time (the targeting data for hot-path
+//! work) and the per-phase breakdown over root spans (`engine.*` event
+//! handlers). `health` summarizes the
 //! per-member protocol timelines: time-to-first-packet, starving-ratio
 //! distribution (Fig 12 semantics), recovery latency and control
 //! overhead. `diff` compares run throughput and per-span self time
@@ -125,6 +127,22 @@ fn report(path: &str, top: usize) {
 
     let mut spans = spans_of(&doc, path);
     let recorded_ns: u64 = spans.iter().map(|s| s.self_ns).sum();
+    // Root spans never overlap, so their totals sum to the wall time
+    // they cover; the rest of the run (set-up, mostly) opens no span.
+    let covered_ns: u64 = spans
+        .iter()
+        .filter(|s| !s.path.contains('/'))
+        .map(|s| s.total_ns)
+        .sum();
+    println!(
+        "# coverage: root spans cover {:.1}% of wall time, {:.3} ms outside any span",
+        if wall_ns == 0 {
+            0.0
+        } else {
+            covered_ns as f64 / wall_ns as f64 * 100.0
+        },
+        ms(wall_ns.saturating_sub(covered_ns))
+    );
 
     println!("\n## top {top} spans by self time");
     println!("rank,span,count,self_ms,self_%,ns_per_op,total_ms");
@@ -151,14 +169,13 @@ fn report(path: &str, top: usize) {
     // their totals partition the instrumented run by event type.
     let mut roots: Vec<&Span> = spans.iter().filter(|s| !s.path.contains('/')).collect();
     roots.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.path.cmp(&b.path)));
-    let root_total: u64 = roots.iter().map(|s| s.total_ns).sum();
     println!("\n## per-phase breakdown (root spans by total time)");
     println!("phase,count,total_ms,total_%");
     for s in roots {
-        let share = if root_total == 0 {
+        let share = if covered_ns == 0 {
             0.0
         } else {
-            s.total_ns as f64 / root_total as f64 * 100.0
+            s.total_ns as f64 / covered_ns as f64 * 100.0
         };
         println!("{},{},{:.3},{:.1}", s.path, s.count, ms(s.total_ns), share);
     }
