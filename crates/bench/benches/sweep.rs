@@ -17,7 +17,7 @@ fn replicate(jobs: usize) -> usize {
         cfg.measure_secs = 400.0;
         CellOut::plain(ChurnSim::new(cfg).run())
     });
-    out.into_single_point().len()
+    out.reports[0].len()
 }
 
 fn bench_sweep(c: &mut Criterion) {

@@ -7,7 +7,7 @@
 //! switching overhead rises and the tree loses bandwidth ordering (taller,
 //! slower), for no reliability gain.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, row, run_grid, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -31,20 +31,22 @@ fn main() {
             "switches".into(),
         ])
     );
-    for (name, guard) in [("guarded (paper)", true), ("unguarded", false)] {
-        // --trace/--profile capture the paper (guarded) variant.
-        let reports = replicate_churn_traced(
-            "ablation_a2_guarded",
-            |seed| {
-                let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);
-                if !guard {
-                    cfg.rost = cfg.rost.clone().without_bandwidth_guard();
-                }
-                cfg
-            },
-            scale,
-            scale.sidecars().when(guard),
-        );
+    // --trace/--profile capture the paper (guarded) variant.
+    let variants = [("guarded (paper)", true), ("unguarded", false)];
+    let grid = run_grid(
+        "ablation_a2_guarded",
+        &variants,
+        0,
+        |&(_, guard), seed| {
+            let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);
+            if !guard {
+                cfg.rost = cfg.rost.clone().without_bandwidth_guard();
+            }
+            cfg
+        },
+        scale,
+    );
+    for ((name, _), reports) in variants.into_iter().zip(grid) {
         println!(
             "{}",
             row([

@@ -5,7 +5,7 @@
 //! fraction to show how cooperative departures shrink the problem ROST
 //! solves — and that ROST still wins on whatever abrupt remainder exists.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, product, row, run_grid, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -21,34 +21,30 @@ fn main() {
         "{}",
         row(["graceful_%".into(), "min-depth".into(), "rost".into()])
     );
-    for graceful in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
-        // --trace/--profile capture the all-abrupt ROST point (the
-        // paper's extreme case).
-        let run = |alg: AlgorithmKind| {
-            replicate_churn_traced(
-                "ablation_a3_abrupt_rost",
-                |seed| {
-                    let mut cfg = churn_config(alg, size, seed);
-                    cfg.graceful_fraction = graceful;
-                    cfg
-                },
-                scale,
-                scale
-                    .sidecars()
-                    .when(graceful.to_bits() == (0.0f64).to_bits() && alg == AlgorithmKind::Rost),
-            )
-        };
-        println!(
-            "{}",
-            row([
-                fmt(graceful * 100.0),
-                fmt(mean_over(&run(AlgorithmKind::MinimumDepth), |r| {
-                    r.disruptions_per_mean_lifetime()
-                })),
-                fmt(mean_over(&run(AlgorithmKind::Rost), |r| {
-                    r.disruptions_per_mean_lifetime()
-                })),
-            ])
+    // One point per (fraction, algorithm); --trace/--profile capture the
+    // all-abrupt ROST point (the paper's extreme case).
+    let fractions = [0.0f64, 0.25, 0.5, 0.75, 1.0];
+    let points = product(
+        &fractions,
+        &[AlgorithmKind::MinimumDepth, AlgorithmKind::Rost],
+    );
+    let grid = run_grid(
+        "ablation_a3_abrupt_rost",
+        &points,
+        1,
+        |&(graceful, alg), seed| {
+            let mut cfg = churn_config(alg, size, seed);
+            cfg.graceful_fraction = graceful;
+            cfg
+        },
+        scale,
+    );
+    for (graceful, pair) in fractions.into_iter().zip(grid.chunks(2)) {
+        let mut cells = vec![fmt(graceful * 100.0)];
+        cells.extend(
+            pair.iter()
+                .map(|reports| fmt(mean_over(reports, |r| r.disruptions_per_mean_lifetime()))),
         );
+        println!("{}", row(cells));
     }
 }

@@ -7,8 +7,8 @@
 //! for uniform random selection at equal group sizes, keeping everything
 //! else fixed.
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
-use rom_engine::{AlgorithmKind, ChurnConfig, GroupSelection, StreamingConfig};
+use rom_bench::{banner, churn_config, fmt, mean_over, product, row, run_grid, Scale};
+use rom_engine::{AlgorithmKind, GroupSelection, StreamingConfig};
 
 fn main() {
     let scale = Scale::from_args();
@@ -28,31 +28,28 @@ fn main() {
             "mlc_advantage_%".into(),
         ])
     );
-    for k in 1..=4usize {
-        // --trace/--profile capture the MLC K=1 cell.
-        let run = |selection: GroupSelection| {
-            replicate_streaming_traced(
-                "ablation_a1_mlc_k1",
-                |seed| {
-                    let mut cfg = StreamingConfig::paper(
-                        ChurnConfig::paper(AlgorithmKind::MinimumDepth, size).with_seed(seed),
-                        k,
-                    );
-                    cfg.selection = selection;
-                    cfg
-                },
-                scale,
-                scale
-                    .sidecars()
-                    .when(k == 1 && selection == GroupSelection::MinimumLossCorrelation),
-            )
-        };
-        let mlc = mean_over(&run(GroupSelection::MinimumLossCorrelation), |r| {
-            r.starving_ratio_percent.mean()
-        });
-        let random = mean_over(&run(GroupSelection::Random), |r| {
-            r.starving_ratio_percent.mean()
-        });
+    // One point per (K, selection); --trace/--profile capture the MLC
+    // K=1 cell.
+    let selections = [
+        GroupSelection::MinimumLossCorrelation,
+        GroupSelection::Random,
+    ];
+    let points = product(&[1, 2, 3, 4], &selections);
+    let grid = run_grid(
+        "ablation_a1_mlc_k1",
+        &points,
+        0,
+        |&(k, selection), seed| {
+            let mut cfg =
+                StreamingConfig::paper(churn_config(AlgorithmKind::MinimumDepth, size, seed), k);
+            cfg.selection = selection;
+            cfg
+        },
+        scale,
+    );
+    for (k, pair) in (1..).zip(grid.chunks(2)) {
+        let [mlc, random] = [&pair[0], &pair[1]]
+            .map(|reports| mean_over(reports, |r| r.starving_ratio_percent.mean()));
         let advantage = if random > 0.0 {
             (1.0 - mlc / random) * 100.0
         } else {

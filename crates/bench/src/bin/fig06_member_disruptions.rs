@@ -5,10 +5,8 @@
 //! climbs the tree; under the time-blind algorithms it keeps a roughly
 //! constant slope.
 
-use rom_bench::{
-    banner, churn_config, fmt, instrumented_churn_cell, row, write_sidecars, CellOut, Scale,
-};
-use rom_engine::{AlgorithmKind, ObserverSpec};
+use rom_bench::{banner, fmt, observer_traces, row, Scale};
+use rom_engine::AlgorithmKind;
 
 fn main() {
     let scale = Scale::from_args();
@@ -24,34 +22,9 @@ fn main() {
         "{}",
         row(["algorithm".into(), "minute:cumulative...".into()])
     );
-    // The observer trace is one fixed-seed run per algorithm, so the
-    // sweep parallelizes over the algorithm axis: five points, one seed.
-    // --trace/--profile capture the ROST point.
-    let out = scale.sweep().run(AlgorithmKind::ALL.len(), 1, |cell| {
-        let alg = AlgorithmKind::ALL[cell.point];
-        let mut cfg = churn_config(alg, size, 1);
-        cfg.measure_secs = horizon_min * 60.0;
-        cfg.observer = Some(ObserverSpec {
-            bandwidth: 2.0,
-            lifetime_secs: horizon_min * 60.0 + 600.0,
-        });
-        let (report, trace, profile) = instrumented_churn_cell(
-            "fig06_rost_observer",
-            cfg,
-            cell.seed,
-            scale.sidecars().when(alg == AlgorithmKind::Rost),
-        );
-        CellOut {
-            report,
-            warnings: Vec::new(),
-            trace,
-            profile,
-        }
-    });
-    write_sidecars(&out, "fig06_rost_observer", scale.sidecars());
-    for (alg, reports) in AlgorithmKind::ALL.into_iter().zip(out.reports) {
-        let report = reports.into_iter().next().expect("one seed per point");
-        let trace = report.observer.expect("observer configured");
+    // --trace/--profile capture the ROST run.
+    let traces = observer_traces("fig06_rost_observer", scale);
+    for (alg, trace) in AlgorithmKind::ALL.into_iter().zip(traces) {
         let mut cells = vec![alg.name().to_string()];
         for (i, minute) in trace.disruption_minutes.iter().enumerate() {
             cells.push(format!("{}:{}", fmt(*minute), i + 1));

@@ -6,7 +6,7 @@
 //! stretch at a modest overhead cost (≤ ~0.15 reconnections per lifetime
 //! even at the smallest interval).
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, row, run_grid, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -28,19 +28,21 @@ fn main() {
             "reconnections".into(),
         ])
     );
-    for interval in [480.0f64, 960.0, 1200.0, 1800.0] {
-        // --trace/--profile capture the shortest-interval point (the
-        // most switching activity).
-        let reports = replicate_churn_traced(
-            "fig11_interval_480",
-            |seed| {
-                let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);
-                cfg.rost = cfg.rost.with_switching_interval(interval);
-                cfg
-            },
-            scale,
-            scale.sidecars().when(interval.to_bits() == (480.0f64).to_bits()),
-        );
+    // --trace/--profile capture the shortest-interval point (the most
+    // switching activity).
+    let intervals = [480.0f64, 960.0, 1200.0, 1800.0];
+    let grid = run_grid(
+        "fig11_interval_480",
+        &intervals,
+        0,
+        |&interval, seed| {
+            let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);
+            cfg.rost = cfg.rost.with_switching_interval(interval);
+            cfg
+        },
+        scale,
+    );
+    for (interval, reports) in intervals.into_iter().zip(grid) {
         println!(
             "{}",
             row([

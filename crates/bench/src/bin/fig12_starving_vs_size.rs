@@ -4,8 +4,8 @@
 //! Expected shape: a small increase in group size cuts the starving ratio
 //! dramatically — group size 3 roughly an order of magnitude below size 1.
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
-use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
+use rom_bench::{banner, churn_config, fmt, mean_over, product, row, run_grid, Scale};
+use rom_engine::{AlgorithmKind, StreamingConfig};
 
 fn main() {
     let scale = Scale::from_args();
@@ -24,27 +24,25 @@ fn main() {
             "K=4".into(),
         ])
     );
-    let smallest = scale.sizes()[0];
-    for size in scale.sizes() {
+    // One point per (size, K); --trace/--profile capture the smallest
+    // K=1 point (smallest artifacts).
+    let sizes = scale.sizes();
+    let points = product(&sizes, &[1, 2, 3, 4]);
+    let grid = run_grid(
+        "fig12_k1_smallest",
+        &points,
+        0,
+        |&(size, k), seed| {
+            StreamingConfig::paper(churn_config(AlgorithmKind::MinimumDepth, size, seed), k)
+        },
+        scale,
+    );
+    for (size, by_k) in sizes.iter().zip(grid.chunks(4)) {
         let mut cells = vec![size.to_string()];
-        for k in 1..=4usize {
-            // --trace/--profile capture the smallest K=1 point (smallest
-            // artifacts).
-            let reports = replicate_streaming_traced(
-                "fig12_k1_smallest",
-                |seed| {
-                    StreamingConfig::paper(
-                        ChurnConfig::paper(AlgorithmKind::MinimumDepth, size).with_seed(seed),
-                        k,
-                    )
-                },
-                scale,
-                scale.sidecars().when(k == 1 && size == smallest),
-            );
-            cells.push(fmt(mean_over(&reports, |r| {
-                r.starving_ratio_percent.mean()
-            })));
-        }
+        cells.extend(
+            by_k.iter()
+                .map(|reports| fmt(mean_over(reports, |r| r.starving_ratio_percent.mean()))),
+        );
         println!("{}", row(cells));
     }
 }

@@ -4,8 +4,8 @@
 //! Expected shape: larger buffers help, but adding one recovery node is
 //! worth tens of seconds of buffer (K=2 at 5 s ≈ K=1 at ~27 s).
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
-use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
+use rom_bench::{banner, churn_config, fmt, mean_over, product, row, run_grid, Scale};
+use rom_engine::{AlgorithmKind, StreamingConfig};
 
 fn main() {
     let scale = Scale::from_args();
@@ -20,28 +20,28 @@ fn main() {
         "{}",
         row(["buffer_s".into(), "K=1".into(), "K=2".into(), "K=3".into()])
     );
-    for buffer in [5.0f64, 10.0, 15.0, 20.0, 25.0, 30.0] {
+    // One point per (buffer, K); --trace/--profile capture the hardest
+    // cell: the smallest buffer with a single recovery source.
+    let buffers = [5.0f64, 10.0, 15.0, 20.0, 25.0, 30.0];
+    let points = product(&buffers, &[1, 2, 3]);
+    let grid = run_grid(
+        "fig13_buffer5_k1",
+        &points,
+        0,
+        |&(buffer, k), seed| {
+            let mut cfg =
+                StreamingConfig::paper(churn_config(AlgorithmKind::MinimumDepth, size, seed), k);
+            cfg.buffer_secs = buffer;
+            cfg
+        },
+        scale,
+    );
+    for (buffer, by_k) in buffers.into_iter().zip(grid.chunks(3)) {
         let mut cells = vec![fmt(buffer)];
-        for k in 1..=3usize {
-            // --trace/--profile capture the hardest cell: the smallest
-            // buffer with a single recovery source.
-            let reports = replicate_streaming_traced(
-                "fig13_buffer5_k1",
-                |seed| {
-                    let mut cfg = StreamingConfig::paper(
-                        ChurnConfig::paper(AlgorithmKind::MinimumDepth, size).with_seed(seed),
-                        k,
-                    );
-                    cfg.buffer_secs = buffer;
-                    cfg
-                },
-                scale,
-                scale.sidecars().when(buffer.to_bits() == (5.0f64).to_bits() && k == 1),
-            );
-            cells.push(fmt(mean_over(&reports, |r| {
-                r.starving_ratio_percent.mean()
-            })));
-        }
+        cells.extend(
+            by_k.iter()
+                .map(|reports| fmt(mean_over(reports, |r| r.starving_ratio_percent.mean()))),
+        );
         println!("{}", row(cells));
     }
 }

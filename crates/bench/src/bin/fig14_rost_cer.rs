@@ -5,8 +5,8 @@
 //! order of magnitude at each group size; ROST+CER at K=1 already beats
 //! the baseline at K=2.
 
-use rom_bench::{banner, fmt, replicate_streaming_traced, row, Scale, Sidecars};
-use rom_engine::{AlgorithmKind, ChurnConfig, RecoveryStrategy, StreamingConfig};
+use rom_bench::{banner, churn_config, fmt, product, row, run_grid, Scale};
+use rom_engine::{AlgorithmKind, RecoveryStrategy, StreamingConfig, StreamingReport};
 use rom_stats::Summary;
 
 fn main() {
@@ -28,33 +28,28 @@ fn main() {
             "rost_cer_ci95".into(),
         ])
     );
-    for k in 1..=3usize {
-        let baseline = pooled(replicate_streaming_traced(
-            "fig14_mindepth_single",
-            |seed| {
-                let mut cfg = StreamingConfig::paper(
-                    ChurnConfig::paper(AlgorithmKind::MinimumDepth, size).with_seed(seed),
-                    k,
-                );
-                cfg.strategy = RecoveryStrategy::SingleSource;
-                cfg
-            },
-            scale,
-            Sidecars::none(),
-        ));
-        // --trace/--profile capture the flagship configuration:
-        // ROST+CER at K=1.
-        let rost_cer = pooled(replicate_streaming_traced(
-            "fig14_rost_cer_k1",
-            |seed| {
-                StreamingConfig::paper(
-                    ChurnConfig::paper(AlgorithmKind::Rost, size).with_seed(seed),
-                    k,
-                )
-            },
-            scale,
-            scale.sidecars().when(k == 1),
-        ));
+    // Two points per K, the baseline before ROST+CER; --trace/--profile
+    // capture the flagship configuration: ROST+CER at K=1.
+    let schemes = [
+        (AlgorithmKind::MinimumDepth, RecoveryStrategy::SingleSource),
+        (AlgorithmKind::Rost, RecoveryStrategy::Cooperative),
+    ];
+    let points = product(&[1, 2, 3], &schemes);
+    let grid = run_grid(
+        "fig14_rost_cer_k1",
+        &points,
+        1,
+        |&(k, (alg, strategy)), seed| {
+            let churn = churn_config(alg, size, seed);
+            StreamingConfig {
+                strategy,
+                ..StreamingConfig::paper(churn, k)
+            }
+        },
+        scale,
+    );
+    for (k, pair) in (1..).zip(grid.chunks(2)) {
+        let (baseline, rost_cer) = (pooled(&pair[0]), pooled(&pair[1]));
         println!(
             "{}",
             row([
@@ -69,9 +64,9 @@ fn main() {
 }
 
 /// Pools the per-member ratio summaries of replicated runs.
-fn pooled(reports: Vec<rom_engine::StreamingReport>) -> Summary {
+fn pooled(reports: &[StreamingReport]) -> Summary {
     let mut pooled = Summary::new();
-    for r in &reports {
+    for r in reports {
         pooled.merge(&r.starving_ratio_percent);
     }
     pooled

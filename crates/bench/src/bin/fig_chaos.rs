@@ -129,8 +129,9 @@ fn main() {
     }
     write_sidecars(&out, &name, args.sidecars);
     let (report, registry) = out
-        .into_single_point()
+        .reports
         .into_iter()
+        .flatten()
         .next()
         .expect("one cell ran");
 

@@ -5,7 +5,7 @@
 //! indices that span was the sweep's dominant cost — an O(M) layer scan
 //! per placement. Not a paper figure; a perf-observability bin.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, row, run_grid, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -24,18 +24,20 @@ fn main() {
         ])
     );
     let size = scale.focus_size();
-    let reports = replicate_churn_traced(
+    let grid = run_grid(
         "prof_relaxed_bw",
-        |seed| churn_config(AlgorithmKind::RelaxedBandwidthOrdered, size, seed),
+        &[size],
+        0,
+        |&size, seed| churn_config(AlgorithmKind::RelaxedBandwidthOrdered, size, seed),
         scale,
-        scale.sidecars(),
     );
+    let reports = &grid[0];
     println!(
         "{}",
         row(vec![
             size.to_string(),
-            fmt(mean_over(&reports, |r| r.population.mean())),
-            fmt(mean_over(&reports, |r| r.disruptions_per_mean_lifetime())),
+            fmt(mean_over(reports, |r| r.population.mean())),
+            fmt(mean_over(reports, |r| r.disruptions_per_mean_lifetime())),
         ])
     );
 }

@@ -1,9 +1,13 @@
 //! # rom-bench: figure regeneration and benchmark harness
 //!
-//! One binary per evaluation figure of the paper (`fig04_disruptions` …
-//! `fig14_rost_cer`), each printing the same series the paper plots as
-//! CSV rows, plus criterion micro-benchmarks. No binary or bench here
-//! writes files other than the ones its flags name; performance
+//! One binary per evaluation figure of the paper (`fig06_member_disruptions`
+//! … `fig14_rost_cer`), each printing the same series the paper plots as
+//! CSV rows, except `churn_figures`, which writes Figs. 4, 5, 7, 8 and 10
+//! and the headline claims from one run of their shared churn grid into
+//! the required `--out DIR` (no other binary accepts `--out`); plus
+//! criterion micro-benchmarks. Each binary runs its whole grid of
+//! configurations × seeds as one [`run_grid`] sweep. No binary or bench
+//! here writes files other than the ones its flags name; performance
 //! baselines live in the `perfbench` package.
 //!
 //! Every binary accepts:
@@ -14,9 +18,9 @@
 //! - `--seeds N` — number of replicated runs per point (default 3, at
 //!   least 1; each uses an independent seed and the printed value is the
 //!   mean).
-//! - `--jobs N` — number of worker threads for the replicate sweep
-//!   (default: available parallelism). Output is byte-identical for any
-//!   `N`; `--jobs 1` runs the cells inline on the calling thread.
+//! - `--jobs N` — number of worker threads for the sweep (default:
+//!   available parallelism). Output is byte-identical for any `N`;
+//!   `--jobs 1` runs the cells inline on the calling thread.
 //! - `--trace PATH` — write a structured JSONL trace of one designated
 //!   run (binary-specific; typically the flagship configuration at seed
 //!   1) to `PATH`, with the aggregate [`rom_obs::SweepManifest`] at
@@ -37,7 +41,7 @@ pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 
 use rom_chaos::InvariantRegistry;
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
-use rom_engine::{ChurnReport, StreamingReport};
+use rom_engine::{ChurnReport, ObserverSpec, ObserverTrace, StreamingReport};
 use rom_obs::{fnv1a, Obs, Prof, RunManifest};
 use rom_sim::RunOutcome;
 use rom_stats::Summary;
@@ -51,7 +55,7 @@ pub struct Scale {
     pub paper: bool,
     /// Number of replicated seeds per data point.
     pub seeds: u64,
-    /// Worker threads for the replicate sweep (`--jobs N`, default:
+    /// Worker threads for the grid sweep (`--jobs N`, default:
     /// available parallelism; 1 = serial).
     pub jobs: usize,
     /// JSONL trace output path (`--trace PATH`); tracing is off when
@@ -63,11 +67,26 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Parses `--paper`, `--seeds N`, `--jobs N` and `--trace PATH` from
-    /// the process arguments. Unknown arguments and zero counts abort
-    /// with a usage message.
+    /// Parses `--paper`, `--seeds N`, `--jobs N`, `--trace PATH` and
+    /// `--profile PATH` from the process arguments. Unknown arguments
+    /// (`--out` among them) and zero counts abort with a usage message.
     #[must_use]
     pub fn from_args() -> Self {
+        Self::parse(false).0
+    }
+
+    /// [`from_args`](Self::from_args) plus the `--out DIR` that
+    /// `churn_figures` requires: the scale and the output directory.
+    /// A missing `--out` aborts with the usage message.
+    #[must_use]
+    pub fn from_args_with_out() -> (Self, String) {
+        let (scale, out) = Self::parse(true);
+        (scale, out.unwrap_or_else(|| usage()))
+    }
+
+    /// The shared parser; `--out` is a usage error unless `accept_out`.
+    fn parse(accept_out: bool) -> (Self, Option<String>) {
+        let mut out = None;
         let mut scale = Scale {
             paper: false,
             seeds: 3,
@@ -103,22 +122,16 @@ impl Scale {
                     let path = args.next().unwrap_or_else(|| usage());
                     scale.profile = Some(Box::leak(path.into_boxed_str()));
                 }
-                "--help" | "-h" => usage(),
+                "--out" if accept_out => out = Some(args.next().unwrap_or_else(|| usage())),
                 _ => usage(),
             }
         }
-        scale
-    }
-
-    /// The sweep engine configured with this scale's worker count.
-    #[must_use]
-    pub fn sweep(self) -> Sweep {
-        Sweep::with_jobs(self.jobs)
+        (scale, out)
     }
 
     /// The sidecar requests (`--trace`/`--profile`) of this invocation,
-    /// for handing to [`replicate_churn_traced`] /
-    /// [`replicate_streaming_traced`] or an [`observed_cell`].
+    /// for [`run_grid`] to attach to its designated cell, or for an
+    /// [`observed_cell`].
     #[must_use]
     pub fn sidecars(self) -> Sidecars {
         Sidecars {
@@ -128,7 +141,7 @@ impl Scale {
     }
 
     /// The steady-state sizes swept by the size-axis figures
-    /// (Figs. 4, 7, 8, 10, 12).
+    /// (Figs. 4, 7, 8, 10, 12), [`focus_size`](Self::focus_size) among them.
     #[must_use]
     pub fn sizes(self) -> Vec<usize> {
         if self.paper {
@@ -189,7 +202,8 @@ pub fn calibration_spin_ns() -> f64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: <figure-binary> [--paper] [--seeds N] [--jobs N] [--trace PATH] [--profile PATH]"
+        "usage: <figure-binary> [--paper] [--seeds N] [--jobs N] [--trace PATH] [--profile PATH]\n       \
+         churn_figures --out DIR [same options]"
     );
     std::process::exit(2)
 }
@@ -212,18 +226,6 @@ impl Sidecars {
     pub fn none() -> Self {
         Sidecars::default()
     }
-
-    /// These sidecars when `designated` is true, none otherwise — for
-    /// binaries that replicate several configurations and must attach the
-    /// sidecars to exactly one of them.
-    #[must_use]
-    pub fn when(self, designated: bool) -> Self {
-        if designated {
-            self
-        } else {
-            Sidecars::none()
-        }
-    }
 }
 
 /// The §5 churn configuration for one data point.
@@ -232,62 +234,117 @@ pub fn churn_config(algorithm: AlgorithmKind, size: usize, seed: u64) -> ChurnCo
     ChurnConfig::paper(algorithm, size).with_seed(seed)
 }
 
-/// Runs one churn configuration per seed (in parallel over `scale.jobs`
-/// workers) and returns the reports in seed order, instrumenting the
-/// seed-1 run with the requested sidecars: the merged trace JSONL lands
-/// at `sidecars.trace` with its aggregate manifest, metrics and health
-/// siblings (see [`SweepOutput::write_trace`]), and the span profile at
-/// `sidecars.profile` (see [`SweepOutput::write_profile`]). `name`
-/// labels the run in its manifest and profile.
+/// The points of a two-axis grid, `outer`-major: `chunks(inner.len())`
+/// of a [`run_grid`] result are then its rows.
 #[must_use]
-pub fn replicate_churn_traced(
-    name: &str,
-    make: impl Fn(u64) -> ChurnConfig + Sync,
-    scale: Scale,
-    sidecars: Sidecars,
-) -> Vec<ChurnReport> {
-    replicate(
-        name,
-        make,
-        |cfg, obs| ChurnSim::new(cfg).run_observed(obs, None),
-        scale,
-        sidecars,
-    )
+pub fn product<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
+    outer
+        .iter()
+        .flat_map(|&a| inner.iter().map(move |&b| (a, b)))
+        .collect()
 }
 
-/// Streaming variant of [`replicate_churn_traced`].
-#[must_use]
-pub fn replicate_streaming_traced(
-    name: &str,
-    make: impl Fn(u64) -> StreamingConfig + Sync,
-    scale: Scale,
-    sidecars: Sidecars,
-) -> Vec<StreamingReport> {
-    replicate(
-        name,
-        make,
-        |cfg, obs| StreamingSim::new(cfg).run_observed(obs, None),
-        scale,
-        sidecars,
-    )
+/// A configuration one sweep cell runs: the churn and the streaming
+/// simulators' configs, so that one grid function and one instrumented
+/// cell serve both.
+pub trait CellConfig: Debug {
+    /// The report the run returns.
+    type Report: AsRef<ChurnReport> + Debug + Send;
+
+    /// Builds the simulator from this config and runs it observed by
+    /// `obs`, with no invariant registry armed.
+    fn run_observed(self, obs: Obs) -> (Self::Report, Obs, InvariantRegistry);
 }
 
-/// The body of both `replicate_*_traced`: one [`observed_cell`] per seed.
-fn replicate<C: Debug, R: AsRef<ChurnReport> + Send>(
+impl CellConfig for ChurnConfig {
+    type Report = ChurnReport;
+
+    fn run_observed(self, obs: Obs) -> (ChurnReport, Obs, InvariantRegistry) {
+        ChurnSim::new(self).run_observed(obs, None)
+    }
+}
+
+impl CellConfig for StreamingConfig {
+    type Report = StreamingReport;
+
+    fn run_observed(self, obs: Obs) -> (StreamingReport, Obs, InvariantRegistry) {
+        StreamingSim::new(self).run_observed(obs, None)
+    }
+}
+
+/// Runs a binary's whole grid — every point of `points` × seeds
+/// `1..=scale.seeds` — in one sweep over `scale.jobs` workers and returns
+/// the reports indexed `[point][seed - 1]`. `make` builds each cell's
+/// config from its point and seed.
+///
+/// The `--trace`/`--profile` sidecars of `scale` instrument the seed-1
+/// cell of point `designated` alone: its trace JSONL lands at the trace
+/// path with the aggregate manifest, metrics and health siblings (see
+/// [`SweepOutput::write_trace`]), and its span profile at the profile
+/// path (see [`SweepOutput::write_profile`]). `name` labels that run in
+/// its manifest and profile, and every cell in its truncation warning.
+#[must_use]
+pub fn run_grid<P: Sync, C: CellConfig>(
     name: &str,
-    make: impl Fn(u64) -> C + Sync,
-    run: impl Fn(C, Obs) -> (R, Obs, InvariantRegistry) + Sync,
+    points: &[P],
+    designated: usize,
+    make: impl Fn(&P, u64) -> C + Sync,
     scale: Scale,
-    sidecars: Sidecars,
-) -> Vec<R> {
-    let out = scale.sweep().run(1, scale.seeds, |cell| {
-        let sidecars = sidecars.when(cell.seed == 1);
-        observed_cell(name, make(cell.seed), cell.seed, sidecars, &run)
-    });
-    write_sidecars(&out, name, sidecars);
-    out.into_single_point()
+) -> Vec<Vec<C::Report>> {
+    let out = sweep_grid(name, points, designated, make, scale);
+    write_sidecars(&out, name, scale.sidecars());
+    out.reports
         .into_iter()
-        .map(|(report, _)| report)
+        .map(|seeds| seeds.into_iter().map(|(report, _)| report).collect())
+        .collect()
+}
+
+/// The sweep of [`run_grid`], before its sidecars are written.
+fn sweep_grid<P: Sync, C: CellConfig>(
+    name: &str,
+    points: &[P],
+    designated: usize,
+    make: impl Fn(&P, u64) -> C + Sync,
+    scale: Scale,
+) -> SweepOutput<(C::Report, InvariantRegistry)> {
+    Sweep::with_jobs(scale.jobs).run(points.len(), scale.seeds, |cell| {
+        let sidecars = if cell.point == designated && cell.seed == 1 {
+            scale.sidecars()
+        } else {
+            Sidecars::none()
+        };
+        let cfg = make(&points[cell.point], cell.seed);
+        observed_cell(name, cfg, cell.seed, sidecars, C::run_observed)
+    })
+}
+
+/// The typical member's trace under each algorithm, in
+/// [`AlgorithmKind::ALL`] order, for the member-trace figures (Figs. 6
+/// and 9): one seed-1 run per algorithm at the focus size, in which a
+/// member of moderate bandwidth and long lifetime is observed for
+/// [`Scale::observer_minutes`]. `--trace`/`--profile` capture the ROST
+/// run; `name` labels it.
+#[must_use]
+pub fn observer_traces(name: &str, scale: Scale) -> Vec<ObserverTrace> {
+    let horizon_secs = scale.observer_minutes() * 60.0;
+    let rost = AlgorithmKind::ALL
+        .iter()
+        .position(|&alg| alg == AlgorithmKind::Rost)
+        .expect("ROST is one of the algorithms");
+    let make = |&alg: &AlgorithmKind, seed| {
+        let mut cfg = churn_config(alg, scale.focus_size(), seed);
+        cfg.measure_secs = horizon_secs;
+        cfg.observer = Some(ObserverSpec {
+            bandwidth: 2.0,
+            lifetime_secs: horizon_secs + 600.0,
+        });
+        cfg
+    };
+    let one_seed = Scale { seeds: 1, ..scale };
+    let grid = run_grid(name, &AlgorithmKind::ALL, rost, make, one_seed);
+    grid.into_iter()
+        .flatten()
+        .map(|report| report.observer.expect("observer configured"))
         .collect()
 }
 
@@ -311,9 +368,7 @@ pub fn instrumented_churn_cell(
     seed: u64,
     sidecars: Sidecars,
 ) -> (ChurnReport, Option<CellTrace>, Option<String>) {
-    let out = observed_cell(name, cfg, seed, sidecars, |cfg, obs| {
-        ChurnSim::new(cfg).run_observed(obs, None)
-    });
+    let out = observed_cell(name, cfg, seed, sidecars, ChurnConfig::run_observed);
     (out.report.0, out.trace, out.profile)
 }
 
@@ -325,9 +380,7 @@ pub fn instrumented_streaming_cell(
     seed: u64,
     sidecars: Sidecars,
 ) -> (StreamingReport, Option<CellTrace>, Option<String>) {
-    let out = observed_cell(name, cfg, seed, sidecars, |cfg, obs| {
-        StreamingSim::new(cfg).run_observed(obs, None)
-    });
+    let out = observed_cell(name, cfg, seed, sidecars, StreamingConfig::run_observed);
     (out.report.0, out.trace, out.profile)
 }
 
@@ -371,7 +424,7 @@ pub fn observed_cell<C: Debug, R: AsRef<ChurnReport>>(
         jsonl: obs.trace_jsonl().as_bytes().to_vec(),
         metrics_json: obs.snapshot().to_json(),
         manifest: run_manifest(name, seed, config_digest, &obs, events, outcome),
-        health: Some(obs.health_jsonl()),
+        health: obs.health_jsonl(),
     });
     let profile = obs
         .prof()
@@ -430,16 +483,22 @@ pub fn mean_over<R>(reports: &[R], f: impl Fn(&R) -> f64) -> f64 {
 
 /// Prints the standard figure banner.
 pub fn banner(figure: &str, caption: &str, scale: Scale) {
-    println!("# {figure} — {caption}");
-    println!(
-        "# scale: {} | seeds per point: {}",
+    println!("{}", banner_text(figure, caption, scale));
+}
+
+/// The text of the standard figure banner: two `#` lines, without a
+/// trailing newline.
+#[must_use]
+pub fn banner_text(figure: &str, caption: &str, scale: Scale) -> String {
+    format!(
+        "# {figure} — {caption}\n# scale: {} | seeds per point: {}",
         if scale.paper {
             "paper (§5)"
         } else {
             "reduced (use --paper for full scale)"
         },
         scale.seeds
-    );
+    )
 }
 
 /// Formats a float with enough precision for the tables.
@@ -477,6 +536,7 @@ mod tests {
         };
         assert_eq!(s.sizes(), vec![500, 1_000, 2_000, 4_000]);
         assert_eq!(s.focus_size(), 2_000);
+        assert!(s.sizes().contains(&s.focus_size()));
         assert_eq!(s.sidecars(), Sidecars::none());
         let p = Scale {
             paper: true,
@@ -487,6 +547,7 @@ mod tests {
         };
         assert_eq!(p.sizes().last(), Some(&14_000));
         assert_eq!(p.focus_size(), 8_000);
+        assert!(p.sizes().contains(&p.focus_size()));
         assert_eq!(p.observer_minutes(), 300.0);
         assert!(default_jobs() >= 1);
     }
@@ -505,6 +566,73 @@ mod tests {
         let c = churn_config(AlgorithmKind::Rost, 1_000, 7);
         assert_eq!(c.seed, 7);
         assert_eq!(c.target_size, 1_000);
+    }
+
+    fn tiny_cell(&algorithm: &AlgorithmKind, seed: u64) -> ChurnConfig {
+        let mut cfg = ChurnConfig::quick(algorithm, 40).with_seed(seed);
+        cfg.warmup_secs = 60.0;
+        cfg.measure_secs = 120.0;
+        cfg
+    }
+
+    #[test]
+    fn grid_instruments_only_the_designated_cell() {
+        // Three points at two seeds, both sidecars requested, designating
+        // the middle point.
+        let points = [
+            AlgorithmKind::MinimumDepth,
+            AlgorithmKind::Rost,
+            AlgorithmKind::LongestFirst,
+        ];
+        let grid = |jobs| {
+            let scale = Scale {
+                paper: false,
+                seeds: 2,
+                jobs,
+                trace: Some("in-memory"),
+                profile: Some("in-memory"),
+            };
+            let out = sweep_grid("tiny", &points, 1, tiny_cell, scale);
+            let reports: Vec<Vec<String>> = out
+                .reports
+                .iter()
+                .map(|seeds| seeds.iter().map(|(r, _)| format!("{r:?}")).collect())
+                .collect();
+            (reports, out)
+        };
+        // The cells that carry a trace and a profile.
+        let instrumented = |out: &SweepOutput<_>| -> (Vec<CellId>, Vec<CellId>) {
+            (
+                out.traces.iter().map(|t| t.0).collect(),
+                out.profiles.iter().map(|p| p.0).collect(),
+            )
+        };
+        let designated = vec![CellId { point: 1, seed: 1 }];
+        let (reports, serial) = grid(1);
+        assert_eq!(instrumented(&serial), (designated.clone(), designated));
+        assert!(!serial.merged_health().is_empty());
+
+        // Slot [p][s] holds point p at seed s + 1, and the seeds differ,
+        // so a swapped slot would show.
+        assert_eq!(reports.len(), points.len());
+        for (seeds, alg) in reports.iter().zip(&points) {
+            assert_ne!(seeds[0], seeds[1]);
+            for (seed, report) in (1..).zip(seeds) {
+                let alone = ChurnSim::new(tiny_cell(alg, seed)).run();
+                assert_eq!(*report, format!("{alone:?}"));
+            }
+        }
+
+        let (parallel_reports, parallel) = grid(3);
+        assert_eq!(parallel_reports, reports);
+        assert_eq!(parallel.merged_jsonl(), serial.merged_jsonl());
+        assert_eq!(
+            parallel.merged_manifest("tiny").to_json(),
+            serial.merged_manifest("tiny").to_json()
+        );
+        assert_eq!(parallel.merged_metrics(), serial.merged_metrics());
+        assert_eq!(parallel.merged_health(), serial.merged_health());
+        assert_eq!(instrumented(&parallel), instrumented(&serial));
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub struct CellTrace {
     /// The run's metrics snapshot, serialized.
     pub metrics_json: String,
     /// Per-member health timeline records (one JSON object per member,
-    /// id-ascending); every cell traced through `observed_cell` has them.
-    pub health: Option<String>,
+    /// id-ascending).
+    pub health: String,
 }
 
 /// Everything a worker hands back for one cell.
@@ -198,13 +198,6 @@ pub struct SweepOutput<R> {
 }
 
 impl<R> SweepOutput<R> {
-    /// Flattens the per-point report vectors of a single-point sweep (the
-    /// shape every `replicate_*` call produces).
-    #[must_use]
-    pub fn into_single_point(self) -> Vec<R> {
-        self.reports.into_iter().next().unwrap_or_default()
-    }
-
     /// The traced cells' JSONL bytes concatenated in `(point, seed)`
     /// order — with one traced cell, exactly that cell's trace.
     #[must_use]
@@ -240,18 +233,14 @@ impl<R> SweepOutput<R> {
     }
 
     /// The traced cells' per-member health timelines concatenated in
-    /// `(point, seed)` order, or `None` when no traced cell carries any.
+    /// `(point, seed)` order.
     #[must_use]
-    pub fn merged_health(&self) -> Option<String> {
+    pub fn merged_health(&self) -> String {
         let mut merged = String::new();
-        let mut any = false;
         for (_, trace) in &self.traces {
-            if let Some(health) = &trace.health {
-                merged.push_str(health);
-                any = true;
-            }
+            merged.push_str(&trace.health);
         }
-        any.then_some(merged)
+        merged
     }
 
     /// The profiled cells' sidecar bodies, one JSON object per line in
@@ -268,8 +257,8 @@ impl<R> SweepOutput<R> {
 
     /// Writes the merged trace artifacts: the concatenated JSONL at
     /// `path`, the aggregate manifest at `path.manifest.json`, the merged
-    /// metrics at `path.metrics.json` and — when any cell carried health
-    /// records — the per-member timelines at `path.health.jsonl`.
+    /// metrics at `path.metrics.json` and the per-member timelines at
+    /// `path.health.jsonl`.
     ///
     /// Aborts the process when the trace itself cannot be written (the
     /// bench-appropriate policy — a requested trace that silently goes
@@ -279,16 +268,14 @@ impl<R> SweepOutput<R> {
             eprintln!("error: cannot write trace file {path}: {err}");
             std::process::exit(2)
         }
-        let mut sidecars = vec![
+        let sidecars = [
             (
                 format!("{path}.manifest.json"),
                 self.merged_manifest(name).to_json(),
             ),
             (format!("{path}.metrics.json"), self.merged_metrics()),
+            (format!("{path}.health.jsonl"), self.merged_health()),
         ];
-        if let Some(health) = self.merged_health() {
-            sidecars.push((format!("{path}.health.jsonl"), health));
-        }
         for (file, contents) in sidecars {
             if let Err(err) = std::fs::write(&file, contents) {
                 eprintln!("warning: cannot write {file}: {err}");
@@ -325,8 +312,7 @@ mod tests {
             assert!(out.traces.is_empty());
             assert!(out.merged_jsonl().is_empty());
         }
-        let none: Vec<(usize, u64)> = Sweep::with_jobs(1).run(0, 5, echo).into_single_point();
-        assert!(none.is_empty());
+        assert!(Sweep::with_jobs(1).run(0, 5, echo).reports.is_empty());
     }
 
     #[test]
@@ -361,7 +347,7 @@ mod tests {
                 jsonl: format!("{{\"p\":{},\"s\":{}}}\n", cell.point, cell.seed).into_bytes(),
                 manifest: RunManifest::new("cell", cell.seed),
                 metrics_json: format!("{{\"point\":{}}}", cell.point),
-                health: Some(format!("{{\"h\":{}}}\n", cell.seed)),
+                health: format!("{{\"h\":{}}}\n", cell.seed),
             }),
             profile: Some(format!("{{\"prof\":{}}}", cell.point)),
         };
@@ -381,8 +367,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "{\"p\":0,\"s\":1}");
         assert_eq!(lines[5], "{\"p\":1,\"s\":3}");
-        let health = serial.merged_health().expect("health recorded");
-        assert!(health.starts_with("{\"h\":1}\n"));
+        assert!(serial.merged_health().starts_with("{\"h\":1}\n"));
         let merged_profiles = serial.merged_profiles();
         let profiles: Vec<&str> = merged_profiles.lines().map(str::trim).collect();
         assert_eq!(profiles.len(), 6);
@@ -393,7 +378,7 @@ mod tests {
     fn plain_cells_yield_no_sidecars() {
         let out = Sweep::with_jobs(2).run(2, 2, echo);
         assert!(out.profiles.is_empty());
-        assert!(out.merged_health().is_none());
+        assert!(out.merged_health().is_empty());
         assert!(out.merged_profiles().is_empty());
     }
 

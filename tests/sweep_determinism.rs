@@ -9,7 +9,7 @@
 //! traced, so any cross-thread interleaving or ordering leak would show
 //! up directly in the merged bytes.
 
-use rom_bench::{instrumented_churn_cell, instrumented_streaming_cell, CellOut, Sidecars, Sweep};
+use rom_bench::{observed_cell, CellConfig, Sidecars, Sweep};
 use rom_chaos::Scenario;
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
@@ -28,7 +28,7 @@ struct Observed {
     jsonl: Vec<u8>,
     manifest: String,
     metrics: String,
-    health: Option<String>,
+    health: String,
 }
 
 /// A small-but-real churn configuration (mirrors `tests/determinism.rs`).
@@ -39,99 +39,68 @@ fn quick_churn(algorithm: AlgorithmKind, seed: u64) -> ChurnConfig {
     cfg
 }
 
-/// Runs a 2-algorithm × 3-seed churn sweep with every cell traced.
-fn churn_sweep(jobs: usize) -> Observed {
-    const ALGS: [AlgorithmKind; 2] = [AlgorithmKind::MinimumDepth, AlgorithmKind::Rost];
-    let out = Sweep::with_jobs(jobs).run(ALGS.len(), 3, |cell| {
-        let cfg = quick_churn(ALGS[cell.point], cell.seed);
-        let (report, trace, _) = instrumented_churn_cell("churn_det", cfg, cell.seed, TRACED);
-        CellOut {
-            report,
-            warnings: Vec::new(),
-            trace,
-            profile: None,
-        }
+/// Runs a `points` × `seeds` grid with every cell traced, through the
+/// observed cell the figure binaries' `run_grid` uses.
+fn traced_sweep<C: CellConfig>(
+    name: &str,
+    points: usize,
+    seeds: u64,
+    jobs: usize,
+    make: impl Fn(usize, u64) -> C + Sync,
+) -> Observed {
+    let out = Sweep::with_jobs(jobs).run(points, seeds, |cell| {
+        let cfg = make(cell.point, cell.seed);
+        observed_cell(name, cfg, cell.seed, TRACED, C::run_observed)
     });
+    let reports: Vec<Vec<&C::Report>> = out
+        .reports
+        .iter()
+        .map(|seeds| seeds.iter().map(|(report, _)| report).collect())
+        .collect();
     Observed {
-        reports: format!("{:?}", out.reports),
+        reports: format!("{reports:?}"),
         jsonl: out.merged_jsonl(),
-        manifest: out.merged_manifest("churn_det").to_json(),
+        manifest: out.merged_manifest(name).to_json(),
         metrics: out.merged_metrics(),
         health: out.merged_health(),
     }
+}
+
+/// Runs a 2-algorithm × 3-seed churn sweep with every cell traced.
+fn churn_sweep(jobs: usize) -> Observed {
+    const ALGS: [AlgorithmKind; 2] = [AlgorithmKind::MinimumDepth, AlgorithmKind::Rost];
+    traced_sweep("churn_det", ALGS.len(), 3, jobs, |point, seed| {
+        quick_churn(ALGS[point], seed)
+    })
 }
 
 /// Runs a 3-seed streaming sweep with every cell traced.
 fn streaming_sweep(jobs: usize) -> Observed {
-    let out = Sweep::with_jobs(jobs).run(1, 3, |cell| {
-        let cfg = StreamingConfig::paper(quick_churn(AlgorithmKind::MinimumDepth, cell.seed), 2);
-        let (report, trace, _) =
-            instrumented_streaming_cell("streaming_det", cfg, cell.seed, TRACED);
-        CellOut {
-            report,
-            warnings: Vec::new(),
-            trace,
-            profile: None,
-        }
-    });
-    Observed {
-        reports: format!("{:?}", out.reports),
-        jsonl: out.merged_jsonl(),
-        manifest: out.merged_manifest("streaming_det").to_json(),
-        metrics: out.merged_metrics(),
-        health: out.merged_health(),
-    }
+    traced_sweep("streaming_det", 1, 3, jobs, |_, seed| {
+        StreamingConfig::paper(quick_churn(AlgorithmKind::MinimumDepth, seed), 2)
+    })
 }
 
-/// Runs a 2-scenario × 2-seed chaos sweep with every cell traced.
+/// Runs a 2-scenario × 2-seed streaming sweep under chaos with every
+/// cell traced.
+fn scenario_sweep(name: &str, scenarios: [&str; 2], jobs: usize) -> Observed {
+    traced_sweep(name, scenarios.len(), 2, jobs, |point, seed| {
+        let mut churn = quick_churn(AlgorithmKind::Rost, seed);
+        churn.chaos = Scenario::by_name(scenarios[point], 180.0, 300.0);
+        StreamingConfig::paper(churn, 2)
+    })
+}
+
+/// The structural chaos actions.
 fn chaos_sweep(jobs: usize) -> Observed {
-    const SCENARIOS: [&str; 2] = ["correlated-failures", "flash-crowd"];
-    let out = Sweep::with_jobs(jobs).run(SCENARIOS.len(), 2, |cell| {
-        let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
-        churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
-        let cfg = StreamingConfig::paper(churn, 2);
-        let (report, trace, _) = instrumented_streaming_cell("chaos_det", cfg, cell.seed, TRACED);
-        CellOut {
-            report,
-            warnings: Vec::new(),
-            trace,
-            profile: None,
-        }
-    });
-    Observed {
-        reports: format!("{:?}", out.reports),
-        jsonl: out.merged_jsonl(),
-        manifest: out.merged_manifest("chaos_det").to_json(),
-        metrics: out.merged_metrics(),
-        health: out.merged_health(),
-    }
+    scenario_sweep("chaos_det", ["correlated-failures", "flash-crowd"], jobs)
 }
 
-/// Runs a 2-pathology-scenario × 2-seed sweep with every cell traced —
-/// the link-pathology layer (Gilbert–Elliott bursts, capacity traces,
+/// The link-pathology layer (Gilbert–Elliott bursts, capacity traces,
 /// bufferbloat, mobile handover) must be as jobs-invariant as the
 /// structural chaos actions.
 fn burst_sweep(jobs: usize) -> Observed {
-    const SCENARIOS: [&str; 2] = ["bursty-loss", "mobile-member"];
-    let out = Sweep::with_jobs(jobs).run(SCENARIOS.len(), 2, |cell| {
-        let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
-        churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
-        let cfg = StreamingConfig::paper(churn, 2);
-        let (report, trace, _) = instrumented_streaming_cell("burst_det", cfg, cell.seed, TRACED);
-        CellOut {
-            report,
-            warnings: Vec::new(),
-            trace,
-            profile: None,
-        }
-    });
-    Observed {
-        reports: format!("{:?}", out.reports),
-        jsonl: out.merged_jsonl(),
-        manifest: out.merged_manifest("burst_det").to_json(),
-        metrics: out.merged_metrics(),
-        health: out.merged_health(),
-    }
+    scenario_sweep("burst_det", ["bursty-loss", "mobile-member"], jobs)
 }
 
 /// Asserts one sweep family is byte-identical across worker counts, and
@@ -143,10 +112,7 @@ fn assert_jobs_invariant(name: &str, sweep: impl Fn(usize) -> Observed) {
         "{name}: serial baseline produced no trace bytes"
     );
     assert!(
-        baseline
-            .health
-            .as_deref()
-            .is_some_and(|h| !h.is_empty()),
+        !baseline.health.is_empty(),
         "{name}: serial baseline produced no health records"
     );
     assert!(
