@@ -16,7 +16,7 @@ use std::hint::black_box;
 /// ancestor records — the working set a member builds its MLC group from
 /// (§4.1).
 fn setup() -> (MulticastTree, Vec<NodeId>, Vec<AncestorRecord>) {
-    let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+    let mut tree = MulticastTree::new(paper_source(Location(0)));
     let mut rng = SimRng::seed_from(1);
     for id in 1..=1_000u64 {
         let profile = MemberProfile::new(NodeId(id), 2.0, SimTime::ZERO, 1e9, Location(id as u32));

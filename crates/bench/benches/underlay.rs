@@ -80,7 +80,7 @@ fn bench_nearest_free(c: &mut Criterion) {
     let oracle = DelayOracle::build(&net);
     let stubs: Vec<Location> = net.stub_nodes().map(|n| Location(n.0)).collect();
     let member = |id, bw, loc| MemberProfile::new(NodeId(id), bw, SimTime::ZERO, 1e6, loc);
-    let mut tree = MulticastTree::with_order_index(member(0, 1_600.0, stubs[0]), 1.0);
+    let mut tree = MulticastTree::with_order_index(member(0, 1_600.0, stubs[0]));
     for id in 1..=1_600 {
         let loc = stubs[rng.index(stubs.len())];
         tree.attach(member(id, 2.0, loc), NodeId(0))
@@ -134,7 +134,7 @@ fn bench_join_path(c: &mut Criterion) {
         rng.fork("workload"),
     );
     let sampler = ViewSampler::paper();
-    let mut tree = MulticastTree::new(paper_source(workload.random_location()), 1.0);
+    let mut tree = MulticastTree::new(paper_source(workload.random_location()));
     let mut live = vec![tree.root()];
     for _ in 0..MEMBERS {
         let member = workload.arrival(SimTime::ZERO);

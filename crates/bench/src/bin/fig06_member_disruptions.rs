@@ -5,19 +5,19 @@
 //! climbs the tree; under the time-blind algorithms it keeps a roughly
 //! constant slope.
 
-use rom_bench::{banner, fmt, observer_traces, row, Scale};
+use rom_bench::{fmt, observer_banner, observer_traces, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
     let scale = Scale::from_args();
-    banner(
-        "Figure 6",
-        "accumulative disruptions of a typical member over time (minutes)",
-        scale,
+    println!(
+        "{}",
+        observer_banner(
+            "Figure 6",
+            "accumulative disruptions of a typical member over time (minutes)",
+            scale
+        )
     );
-    let size = scale.focus_size();
-    let horizon_min = scale.observer_minutes();
-    println!("# focus size: {size} members, horizon: {horizon_min} minutes");
     println!(
         "{}",
         row(["algorithm".into(), "minute:cumulative...".into()])

@@ -4,19 +4,19 @@
 //! it ages (rising tree position); under the other algorithms it
 //! fluctuates without converging.
 
-use rom_bench::{banner, fmt, observer_traces, row, Scale};
+use rom_bench::{fmt, observer_banner, observer_traces, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
     let scale = Scale::from_args();
-    banner(
-        "Figure 9",
-        "service delay (ms) of a typical member over time (minutes)",
-        scale,
+    println!(
+        "{}",
+        observer_banner(
+            "Figure 9",
+            "service delay (ms) of a typical member over time (minutes)",
+            scale
+        )
     );
-    let size = scale.focus_size();
-    let horizon_min = scale.observer_minutes();
-    println!("# focus size: {size} members, horizon: {horizon_min} minutes");
     println!("{}", row(["algorithm".into(), "minute:delay_ms...".into()]));
     // --trace/--profile capture the ROST run.
     let traces = observer_traces("fig09_rost_observer", scale);

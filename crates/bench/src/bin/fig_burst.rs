@@ -19,9 +19,8 @@
 //! — including the CSV on stdout — is byte-identical at any worker
 //! count and across repeated runs of the same seed.
 
-use rom_bench::{default_jobs, observed_cell, write_sidecars, Sidecars, Sweep};
-use rom_chaos::{ChaosAction, Injection, InvariantRegistry, Scenario};
-use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
+use rom_bench::{exit_on_violations, ChaosRun};
+use rom_chaos::{ChaosAction, Injection, LinkProfile, Scenario, Victims};
 
 /// The burst-factor grid; β = 1 is the uniform-loss control.
 const BETAS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
@@ -30,54 +29,9 @@ const AVG_LOSS: f64 = 0.1;
 /// Fraction of attached members whose access links turn bursty.
 const FRACTION: f64 = 0.4;
 
-struct Args {
-    seed: u64,
-    paper: bool,
-    jobs: usize,
-    sidecars: Sidecars,
-}
-
 fn usage() -> ! {
     eprintln!("usage: fig_burst [--seed N] [--paper] [--jobs N] [--trace PATH] [--profile PATH]");
     std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        seed: 42,
-        paper: false,
-        jobs: default_jobs(),
-        sidecars: Sidecars::none(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                parsed.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--paper" => parsed.paper = true,
-            "--jobs" => {
-                parsed.jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--trace" => parsed.sidecars.trace = Some(leak(args.next())),
-            "--profile" => parsed.sidecars.profile = Some(leak(args.next())),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    parsed
-}
-
-/// A path argument as the `'static` string [`Sidecars`] holds.
-fn leak(path: Option<String>) -> &'static str {
-    Box::leak(path.unwrap_or_else(|| usage()).into_boxed_str())
 }
 
 /// One bursty-loss injection covering the middle of the measurement
@@ -87,56 +41,34 @@ fn burst_scenario(start_secs: f64, span_secs: f64, burst_factor: f64) -> Scenari
         name: "fig-burst",
         injections: vec![Injection {
             at_secs: start_secs + 0.1 * span_secs,
-            action: ChaosAction::BurstyLoss {
-                fraction: FRACTION,
-                avg_loss: AVG_LOSS,
-                burst_factor,
-                duration_secs: 0.6 * span_secs,
+            action: ChaosAction::Link {
+                victims: Victims::Fraction(FRACTION),
+                profile: LinkProfile::bursty_loss(AVG_LOSS, burst_factor, 0.6 * span_secs),
             },
         }],
     }
 }
 
 fn main() {
-    let args = parse_args();
-    let (size, start_secs, span_secs) = if args.paper {
-        (2_000, 2_400.0, 2_400.0)
-    } else {
-        (250, 450.0, 600.0)
-    };
-
-    let mut out = Sweep::with_jobs(args.jobs).run(BETAS.len(), 1, |cell| {
-        let mut churn = if args.paper {
-            ChurnConfig::paper(AlgorithmKind::Rost, size)
-        } else {
-            ChurnConfig::quick(AlgorithmKind::Rost, size)
-        }
-        .with_seed(args.seed);
-        churn.chaos = Some(burst_scenario(start_secs, span_secs, BETAS[cell.point]));
-        let cfg = StreamingConfig::paper(churn, 2);
-        observed_cell("fig_burst", cfg, args.seed, args.sidecars, |cfg, obs| {
-            StreamingSim::new(cfg).run_observed(obs, Some(InvariantRegistry::with_all()))
-        })
-    });
-    // Every cell ran the user's --seed; the grid point already encodes β.
-    for (id, _) in &mut out.traces {
-        id.seed = args.seed;
-    }
-    write_sidecars(&out, "fig_burst", args.sidecars);
+    let chaos = ChaosRun::from_args(usage, |_, _| usage());
+    let (start_secs, span_secs) = chaos.window();
+    let scenarios: Vec<Scenario> = BETAS
+        .iter()
+        .map(|&beta| burst_scenario(start_secs, span_secs, beta))
+        .collect();
+    let cells = chaos.run("fig_burst", &scenarios);
 
     println!(
         "# fig_burst — GE burst factor sweep at matched {:.0}% average loss \
          (fraction {FRACTION}, seed {}, β=1 is the uniform baseline)",
         AVG_LOSS * 100.0,
-        args.seed
+        chaos.seed
     );
     println!(
         "model,burst_factor,seed,outcome,starving_ratio_mean_pct,outages,\
          repaired_on_time,starved,repair_success_pct,violations"
     );
-    let mut tripped = Vec::new();
-    for (point, mut reports) in out.reports.into_iter().enumerate() {
-        let (report, registry) = reports.remove(0);
+    for (point, (report, registry)) in cells.iter().enumerate() {
         let beta = BETAS[point];
         let model = if point == 0 { "uniform" } else { "bursty" };
         let repaired = report.packets_repaired_on_time;
@@ -152,29 +84,17 @@ fn main() {
         };
         println!(
             "{model},{beta},{},{:?},{:.4},{},{repaired},{starved},{success_pct:.2},{}",
-            args.seed,
+            chaos.seed,
             report.outcome(),
             report.starving_ratio_percent.mean(),
             report.outages,
             registry.violations().len()
         );
-        if !registry.is_clean() {
-            tripped.push((beta, registry));
-        }
     }
-
-    if !tripped.is_empty() {
-        for (beta, registry) in &tripped {
-            for v in registry.violations() {
-                let subject = v
-                    .subject
-                    .map_or(String::new(), |id| format!(" member={}", id.0));
-                eprintln!(
-                    "violation: β={beta} t={:.3}s invariant={}{subject}: {}",
-                    v.time, v.invariant, v.detail
-                );
-            }
-        }
-        std::process::exit(1)
-    }
+    exit_on_violations(
+        BETAS
+            .iter()
+            .zip(&cells)
+            .map(|(beta, (_, registry))| (format!("β={beta} "), registry)),
+    );
 }

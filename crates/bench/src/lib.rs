@@ -39,7 +39,7 @@ mod sweep;
 pub use jsonv::Json;
 pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 
-use rom_chaos::InvariantRegistry;
+use rom_chaos::{InvariantRegistry, Scenario};
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, ObserverSpec, ObserverTrace, StreamingReport};
 use rom_obs::{fnv1a, Obs, Prof, RunManifest};
@@ -162,6 +162,14 @@ impl Scale {
         }
     }
 
+    /// The scale the member-trace figures (Figs. 6, 9) run at: this one
+    /// at a single seed, because each observer trace is one seed-1 run
+    /// per algorithm (see [`observer_traces`]).
+    #[must_use]
+    pub fn observer(self) -> Self {
+        Scale { seeds: 1, ..self }
+    }
+
     /// The observer horizon for the member-trace figures (Figs. 6, 9):
     /// the paper plots 300 minutes.
     #[must_use]
@@ -254,10 +262,18 @@ pub trait CellConfig: Debug {
     /// Builds the simulator from this config and runs it observed by
     /// `obs`, with no invariant registry armed.
     fn run_observed(self, obs: Obs) -> (Self::Report, Obs, InvariantRegistry);
+
+    /// The steady-state member count the config sets: what a cell costs,
+    /// to a first approximation.
+    fn members(&self) -> usize;
 }
 
 impl CellConfig for ChurnConfig {
     type Report = ChurnReport;
+
+    fn members(&self) -> usize {
+        self.target_size
+    }
 
     fn run_observed(self, obs: Obs) -> (ChurnReport, Obs, InvariantRegistry) {
         ChurnSim::new(self).run_observed(obs, None)
@@ -267,6 +283,10 @@ impl CellConfig for ChurnConfig {
 impl CellConfig for StreamingConfig {
     type Report = StreamingReport;
 
+    fn members(&self) -> usize {
+        self.churn.target_size
+    }
+
     fn run_observed(self, obs: Obs) -> (StreamingReport, Obs, InvariantRegistry) {
         StreamingSim::new(self).run_observed(obs, None)
     }
@@ -275,7 +295,9 @@ impl CellConfig for StreamingConfig {
 /// Runs a binary's whole grid — every point of `points` × seeds
 /// `1..=scale.seeds` — in one sweep over `scale.jobs` workers and returns
 /// the reports indexed `[point][seed - 1]`. `make` builds each cell's
-/// config from its point and seed.
+/// config from its point and seed. The cells are handed out largest
+/// [`members`](CellConfig::members) first, so that the sweep does not
+/// end on its biggest cells with workers idle.
 ///
 /// The `--trace`/`--profile` sidecars of `scale` instrument the seed-1
 /// cell of point `designated` alone: its trace JSONL lands at the trace
@@ -307,7 +329,8 @@ fn sweep_grid<P: Sync, C: CellConfig>(
     make: impl Fn(&P, u64) -> C + Sync,
     scale: Scale,
 ) -> SweepOutput<(C::Report, InvariantRegistry)> {
-    Sweep::with_jobs(scale.jobs).run(points.len(), scale.seeds, |cell| {
+    let members: Vec<usize> = points.iter().map(|p| make(p, 1).members()).collect();
+    Sweep::with_jobs(scale.jobs).run_heaviest_first(&members, scale.seeds, |cell| {
         let sidecars = if cell.point == designated && cell.seed == 1 {
             scale.sidecars()
         } else {
@@ -340,8 +363,7 @@ pub fn observer_traces(name: &str, scale: Scale) -> Vec<ObserverTrace> {
         });
         cfg
     };
-    let one_seed = Scale { seeds: 1, ..scale };
-    let grid = run_grid(name, &AlgorithmKind::ALL, rost, make, one_seed);
+    let grid = run_grid(name, &AlgorithmKind::ALL, rost, make, scale.observer());
     grid.into_iter()
         .flatten()
         .map(|report| report.observer.expect("observer configured"))
@@ -356,6 +378,124 @@ pub fn write_sidecars<R>(out: &SweepOutput<R>, name: &str, sidecars: Sidecars) {
     }
     if let Some(path) = sidecars.profile {
         out.write_profile(path);
+    }
+}
+
+/// A checked chaos run, as `fig_chaos` and `fig_burst` take it from
+/// their flags: the scale, the seed every cell runs, the sweep's worker
+/// count and the sidecars every cell is observed with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosRun {
+    /// Full scale (2 000 members) instead of the reduced 250.
+    pub paper: bool,
+    /// The seed of every cell.
+    pub seed: u64,
+    /// Worker threads for the sweep.
+    pub jobs: usize,
+    /// Trace and profile outputs, merged over the cells.
+    pub sidecars: Sidecars,
+}
+
+impl ChaosRun {
+    /// Parses the flags both chaos harnesses take — `--seed N` (default
+    /// 42), `--paper`, `--jobs N`, `--trace PATH`, `--profile PATH` —
+    /// from the process arguments, handing any other argument to `other`
+    /// with the arguments after it. `usage` aborts on a missing or
+    /// malformed value.
+    pub fn from_args(
+        usage: fn() -> !,
+        mut other: impl FnMut(&str, &mut dyn Iterator<Item = String>),
+    ) -> Self {
+        let mut run = ChaosRun {
+            paper: false,
+            seed: 42,
+            jobs: default_jobs(),
+            sidecars: Sidecars::none(),
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().unwrap_or_else(|| usage());
+            match arg.as_str() {
+                "--seed" => run.seed = value().parse().unwrap_or_else(|_| usage()),
+                "--paper" => run.paper = true,
+                "--jobs" => {
+                    run.jobs = value()
+                        .parse()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage());
+                }
+                "--trace" => run.sidecars.trace = Some(Box::leak(value().into_boxed_str())),
+                "--profile" => run.sidecars.profile = Some(Box::leak(value().into_boxed_str())),
+                _ => other(&arg, &mut args),
+            }
+        }
+        run
+    }
+
+    /// The injection window `(start_secs, span_secs)`: after warm-up has
+    /// settled and well inside the measurement window (reduced: 300 s
+    /// warm-up + 900 s measured; paper: 1 800 s + 3 600 s).
+    #[must_use]
+    pub fn window(self) -> (f64, f64) {
+        if self.paper {
+            (2_400.0, 2_400.0)
+        } else {
+            (450.0, 600.0)
+        }
+    }
+
+    /// Runs one checked cell per scenario in one sweep: ROST streaming
+    /// with recovery groups of two (K = 2), 250 members on the reduced
+    /// config or 2 000 on the paper's, with every invariant armed. The
+    /// merged sidecars are written under `name`, with the seed stamped
+    /// into the manifest (the grid point encodes only the scenario).
+    /// Returns each scenario's report and registry, in order.
+    #[must_use]
+    pub fn run(
+        self,
+        name: &str,
+        scenarios: &[Scenario],
+    ) -> Vec<(StreamingReport, InvariantRegistry)> {
+        let mut out = Sweep::with_jobs(self.jobs).run(scenarios.len(), 1, |cell| {
+            let mut churn = if self.paper {
+                ChurnConfig::paper(AlgorithmKind::Rost, 2_000)
+            } else {
+                ChurnConfig::quick(AlgorithmKind::Rost, 250)
+            }
+            .with_seed(self.seed);
+            churn.chaos = Some(scenarios[cell.point].clone());
+            let cfg = StreamingConfig::paper(churn, 2);
+            observed_cell(name, cfg, self.seed, self.sidecars, |cfg, obs| {
+                StreamingSim::new(cfg).run_observed(obs, Some(InvariantRegistry::with_all()))
+            })
+        });
+        for (id, _) in &mut out.traces {
+            id.seed = self.seed;
+        }
+        write_sidecars(&out, name, self.sidecars);
+        out.reports.into_iter().flatten().collect()
+    }
+}
+
+/// Prints every violation the registries recorded to stderr, one line
+/// each after its cell's `label`, and exits 1 if there was any.
+pub fn exit_on_violations<'a>(cells: impl IntoIterator<Item = (String, &'a InvariantRegistry)>) {
+    let mut tripped = false;
+    for (label, registry) in cells {
+        for v in registry.violations() {
+            let subject = v
+                .subject
+                .map_or(String::new(), |id| format!(" member={}", id.0));
+            eprintln!(
+                "violation: {label}t={:.3}s invariant={}{subject}: {}",
+                v.time, v.invariant, v.detail
+            );
+            tripped = true;
+        }
+    }
+    if tripped {
+        std::process::exit(1)
     }
 }
 
@@ -501,6 +641,18 @@ pub fn banner_text(figure: &str, caption: &str, scale: Scale) -> String {
     )
 }
 
+/// The header of a member-trace figure (Figs. 6, 9): the banner of the
+/// one-seed scale its runs use, then the focus size and the horizon.
+#[must_use]
+pub fn observer_banner(figure: &str, caption: &str, scale: Scale) -> String {
+    format!(
+        "{}\n# focus size: {} members, horizon: {} minutes",
+        banner_text(figure, caption, scale.observer()),
+        scale.focus_size(),
+        scale.observer_minutes()
+    )
+}
+
 /// Formats a float with enough precision for the tables.
 #[must_use]
 pub fn fmt(v: f64) -> String {
@@ -550,6 +702,29 @@ mod tests {
         assert!(p.sizes().contains(&p.focus_size()));
         assert_eq!(p.observer_minutes(), 300.0);
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn member_trace_banners_state_the_one_seed_they_run() {
+        for (paper, scale_text, focus, minutes) in [
+            (false, "reduced (use --paper for full scale)", 2_000, 120),
+            (true, "paper (§5)", 8_000, 300),
+        ] {
+            let scale = Scale {
+                paper,
+                seeds: 3,
+                jobs: 2,
+                trace: None,
+                profile: None,
+            };
+            assert_eq!(
+                observer_banner("Figure 6", "caption", scale),
+                format!(
+                    "# Figure 6 — caption\n# scale: {scale_text} | seeds per point: 1\n\
+                     # focus size: {focus} members, horizon: {minutes} minutes"
+                )
+            );
+        }
     }
 
     #[test]

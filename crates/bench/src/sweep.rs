@@ -117,19 +117,37 @@ impl Sweep {
         seeds: u64,
         run_cell: impl Fn(CellId) -> CellOut<R> + Sync,
     ) -> SweepOutput<R> {
+        self.run_heaviest_first(&vec![0; points], seeds, run_cell)
+    }
+
+    /// [`run`](Self::run) over one point per entry of `weights`, handing
+    /// the cells out in descending order of their point's weight, ties in
+    /// grid order. A sweep whose points cost very different amounts
+    /// (network sizes, say) then ends on its cheapest cells instead of
+    /// leaving workers idle behind its largest. The hand-out order is
+    /// unobservable: results still land in their grid slots.
+    pub fn run_heaviest_first<R: Send>(
+        self,
+        weights: &[usize],
+        seeds: u64,
+        run_cell: impl Fn(CellId) -> CellOut<R> + Sync,
+    ) -> SweepOutput<R> {
+        let points = weights.len();
         let seeds_per_point = usize::try_from(seeds).unwrap_or(usize::MAX);
         let total = points.saturating_mul(seeds_per_point);
         let cell_of = |index: usize| CellId {
             point: index / seeds_per_point.max(1),
             seed: (index % seeds_per_point.max(1)) as u64 + 1,
         };
+        let mut order: Vec<usize> = (0..total).collect();
+        order.sort_by_key(|&index| std::cmp::Reverse(weights[cell_of(index).point]));
 
         let mut slots: Vec<Option<CellOut<R>>> = (0..total).map(|_| None).collect();
         let workers = self.jobs.min(total);
         if workers <= 1 {
-            // The serial path: cells run inline, in grid order.
-            for (index, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_cell(cell_of(index)));
+            // The serial path: cells run inline.
+            for &index in &order {
+                slots[index] = Some(run_cell(cell_of(index)));
             }
         } else {
             let cursor = AtomicUsize::new(0);
@@ -137,15 +155,14 @@ impl Sweep {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();
-                    let cursor = &cursor;
+                    let (cursor, order) = (&cursor, &order);
                     let run_cell = &run_cell;
-                    scope.spawn(move || loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
-                            break;
-                        }
-                        if tx.send((index, run_cell(cell_of(index)))).is_err() {
-                            break;
+                    let next = move || order.get(cursor.fetch_add(1, Ordering::Relaxed));
+                    scope.spawn(move || {
+                        while let Some(&index) = next() {
+                            if tx.send((index, run_cell(cell_of(index)))).is_err() {
+                                break;
+                            }
                         }
                     });
                 }
@@ -335,6 +352,29 @@ mod tests {
             for (slot, &(p, s)) in seeds.iter().enumerate() {
                 assert_eq!((p, s), (point, slot as u64 + 1));
             }
+        }
+    }
+
+    #[test]
+    fn cells_go_out_heaviest_point_first() {
+        let weights = [500, 4_000, 1_000, 4_000];
+        let order = std::sync::Mutex::new(Vec::new());
+        let out = Sweep::with_jobs(1).run_heaviest_first(&weights, 2, |cell| {
+            order.lock().expect("unpoisoned").push(cell);
+            echo(cell)
+        });
+        // Descending weight, ties (points 1 and 3) in grid order, seeds
+        // ascending within a point.
+        let order = order.into_inner().expect("unpoisoned");
+        let points: Vec<usize> = order.iter().map(|c| c.point).collect();
+        let seeds: Vec<u64> = order.iter().map(|c| c.seed).collect();
+        assert_eq!(points, [1, 1, 3, 3, 2, 2, 0, 0]);
+        assert_eq!(seeds, [1, 2, 1, 2, 1, 2, 1, 2]);
+        // The results still land in their grid slots.
+        assert_eq!(out.reports, Sweep::with_jobs(1).run(4, 2, echo).reports);
+        for jobs in [2, 3, 8] {
+            let parallel = Sweep::with_jobs(jobs).run_heaviest_first(&weights, 2, echo);
+            assert_eq!(parallel.reports, out.reports);
         }
     }
 

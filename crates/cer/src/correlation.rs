@@ -23,7 +23,7 @@ use rom_overlay::{MulticastTree, NodeId};
 /// use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 /// use rom_sim::SimTime;
 ///
-/// let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+/// let mut tree = MulticastTree::new(paper_source(Location(0)));
 /// let m = |id: u64| MemberProfile::new(NodeId(id), 2.0, SimTime::ZERO, 1e6, Location(id as u32));
 /// tree.attach(m(1), NodeId(0))?;
 /// tree.attach(m(2), NodeId(1))?;
@@ -70,7 +70,7 @@ mod tests {
     ///        │       └── 5
     ///        └─ 3 ── 6
     fn sample_tree() -> MulticastTree {
-        let mut t = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut t = MulticastTree::new(paper_source(Location(0)));
         t.attach(profile(1, 3.0), NodeId(0)).unwrap();
         t.attach(profile(2, 3.0), NodeId(1)).unwrap();
         t.attach(profile(3, 3.0), NodeId(0)).unwrap();

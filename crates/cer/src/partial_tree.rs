@@ -577,7 +577,7 @@ mod tests {
 
     #[test]
     fn from_full_tree_roundtrip() {
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         let m = |id: u64| MemberProfile::new(NodeId(id), 2.0, SimTime::ZERO, 1e6, Location(0));
         tree.attach(m(1), NodeId(0)).unwrap();
         tree.attach(m(2), NodeId(1)).unwrap();
@@ -624,7 +624,7 @@ mod tests {
         assert_eq!(t.root(), None);
         assert_eq!(t.node_count(), 0);
         assert!(t.level(0).is_empty());
-        let tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let tree = MulticastTree::new(paper_source(Location(0)));
         let walked = PartialTree::from_tree(&tree, ids(&[5]));
         assert_eq!(walked.root(), None);
         assert_eq!(walked.node_count(), 0);

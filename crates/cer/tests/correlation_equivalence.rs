@@ -23,7 +23,7 @@ fn profile(id: u64, bw: f64) -> MemberProfile {
 /// Builds a tree from attach picks, then detaches some subtrees so the
 /// queries also cover members without a root path.
 fn build_tree(attach_picks: &[(u8, u8)], remove_picks: &[u8]) -> MulticastTree {
-    let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
+    let mut tree = MulticastTree::new(profile(0, 4.0));
     let mut next_id = 1u64;
     for &(bw_tenths, pick) in attach_picks {
         let parents: Vec<NodeId> = tree

@@ -281,7 +281,7 @@ fn profile(id: u64, bw: f64) -> MemberProfile {
 /// A tree shaped by a random mix of attaches, removals (which orphan the
 /// victim's children) and reattaches of orphaned subtrees.
 fn build_tree(ops: &[(u8, u8, u8)]) -> MulticastTree {
-    let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
+    let mut tree = MulticastTree::new(profile(0, 4.0));
     let mut next_id = 1u64;
     for &(op, pick, bw_tenths) in ops {
         let parents: Vec<NodeId> = tree

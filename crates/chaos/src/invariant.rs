@@ -307,7 +307,7 @@ impl Invariant for TreeStructure {
 }
 
 /// Out-degree never exceeds the bandwidth budget: every member serves at
-/// most `⌊bandwidth / stream_rate⌋` children.
+/// most `⌊bandwidth⌋` children (bandwidth in stream-rate units).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DegreeBudget;
 
@@ -551,7 +551,7 @@ mod tests {
     use rom_overlay::{paper_source, Location, MemberProfile};
 
     fn small_tree() -> MulticastTree {
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         for i in 1..=4u64 {
             let profile = MemberProfile::new(NodeId(i), 4.0, SimTime::ZERO, 1e6, Location(0));
             tree.attach(profile, tree.root()).expect("attach");

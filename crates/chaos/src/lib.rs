@@ -10,11 +10,13 @@
 //!   failures, flash-crowd join bursts, flapping membership, bandwidth
 //!   degradation over time, and per-member link-pathology episodes;
 //! - a **link-pathology layer** ([`GilbertElliott`], [`CapacityTrace`],
-//!   [`DelaySpikes`], [`MobileProfile`]): bursty loss with a
-//!   matched-average-rate parameterization, time-varying capacity
-//!   traces, bufferbloat spikes, and the composite mobile-member
-//!   handover profile — deterministic state machines advanced on sim
-//!   time, drawing only caller-supplied uniforms;
+//!   [`DelaySpikes`], [`LinkProfile`], [`LinkEpisode`]): bursty loss
+//!   with a matched-average-rate parameterization, time-varying capacity
+//!   traces and bufferbloat spikes, composed into one access-link
+//!   profile per episode (the mobile member's handover link has all
+//!   three) and armed on a member's link as an episode — deterministic
+//!   state machines advanced on sim time, drawing only from the
+//!   caller's RNG;
 //! - an **invariant layer** ([`Invariant`], [`InvariantRegistry`]):
 //!   cross-cutting checkers evaluated during event dispatch — tree
 //!   acyclicity and single-parent, out-degree within the bandwidth
@@ -63,9 +65,9 @@ pub use invariant::{
     InvariantRegistry, RecoveryGroupConsistent, RejoinCause, Signal, TreeStructure, Violation,
 };
 pub use pathology::{
-    CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, MobileProfile,
+    CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, LinkEpisode, LinkProfile,
 };
-pub use scenario::{pick_attached, pick_cluster, ChaosAction, Injection, Scenario};
+pub use scenario::{pick_attached, pick_cluster, ChaosAction, Injection, Scenario, Victims};
 
 /// Base for ids of members created by chaos injections (flash crowds,
 /// flap replacements). Far above anything the workload's sequential id

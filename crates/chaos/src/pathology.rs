@@ -1,5 +1,6 @@
 //! Link-level pathology models: bursty loss, time-varying capacity,
-//! delay spikes and the composite "mobile member" access-link profile.
+//! delay spikes, and the access-link profile and armed episode that
+//! compose them.
 //!
 //! The paper evaluates CER under uniform, independent packet loss, but
 //! real access links fail in bursts: wireless fades, handovers and
@@ -15,14 +16,22 @@
 //!   nominal capacity, advanced on sim time;
 //! - [`DelaySpikes`] — a periodic bufferbloat schedule adding a fixed
 //!   extra latency while a spike is active;
-//! - [`MobileProfile`] — the composite of all three on a handover
-//!   schedule (degrade → outage → recover, repeated).
+//! - [`LinkProfile`] — one episode's link: its length plus any of the
+//!   three above, e.g. all three on a handover schedule (degrade →
+//!   outage → recover, repeated) for a mobile member;
+//! - [`LinkEpisode`] — a profile armed on one member's link, applied to
+//!   the data and repair frames that cross it.
 //!
 //! None of the models owns randomness: [`GilbertElliott::classify`]
-//! consumes a caller-supplied uniform draw and everything else is a pure
-//! function of sim time. The caller (the engine's streaming layer) draws
-//! from its dedicated `"chaos-link"` RNG fork, so pathology stays
-//! seed-deterministic and jobs-invariant.
+//! consumes a caller-supplied uniform draw, an episode draws from the
+//! caller's RNG, and everything else is a pure function of sim time. The
+//! caller (the engine's streaming layer) passes its dedicated
+//! `"chaos-link"` RNG fork, so pathology stays seed-deterministic and
+//! jobs-invariant.
+
+use std::ops::Range;
+
+use rom_sim::{SimRng, SimTime};
 
 /// A two-state Gilbert–Elliott bursty-loss chain.
 ///
@@ -474,31 +483,73 @@ impl DelaySpikes {
     }
 }
 
-/// The composite "mobile member" access link: a handover capacity
-/// schedule, matched-average bursty loss and periodic bufferbloat, all
-/// advanced on sim time from the episode start. The engine arms all
-/// three on the victim's access link for the duration of the capacity
-/// trace.
+/// The access-link profile of one pathology episode: its length plus up
+/// to three impairments, each advanced on sim time from the episode
+/// start. An absent part is an exact identity — no loss draw, capacity
+/// factor `1.0`, no extra latency — so the single-impairment shapes are
+/// this profile with two parts absent, and the mobile member's handover
+/// link is the one with all three.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MobileProfile {
-    /// The handover capacity schedule; its duration is the episode
-    /// length.
-    pub capacity: CapacityTrace,
-    /// Average packet-loss rate of the access link, in `[0, 1)`.
-    pub avg_loss: f64,
-    /// Gilbert–Elliott burst factor (≥ 1; 1 = uniform loss).
-    pub burst_factor: f64,
-    /// Bufferbloat schedule (seconds).
-    pub spikes: DelaySpikes,
+pub struct LinkProfile {
+    /// Trace label of the episode (`bursty_loss`, `shape_capacity`,
+    /// `bufferbloat` or `mobile_member`).
+    pub kind: &'static str,
+    /// Episode length in seconds (> 0).
+    pub duration_secs: f64,
+    /// Bursty loss on the link, as a fresh chain (good state, no frames).
+    pub loss: Option<GilbertElliott>,
+    /// Capacity multiplier over the link's nominal rate.
+    pub capacity: Option<CapacityTrace>,
+    /// Bufferbloat schedule, in seconds.
+    pub spikes: Option<DelaySpikes>,
 }
 
-impl MobileProfile {
-    /// A handover profile: capacity follows
-    /// [`CapacityTrace::handover`], loss is
+impl LinkProfile {
+    /// Bursty loss at a matched average rate (see
+    /// [`GilbertElliott::matched`], which panics on invalid parameters)
+    /// for `duration_secs`.
+    #[must_use]
+    pub fn bursty_loss(avg_loss: f64, burst_factor: f64, duration_secs: f64) -> Self {
+        LinkProfile {
+            kind: "bursty_loss",
+            duration_secs,
+            loss: Some(GilbertElliott::matched(avg_loss, burst_factor)),
+            capacity: None,
+            spikes: None,
+        }
+    }
+
+    /// Time-varying capacity; the episode lasts the trace's duration.
+    #[must_use]
+    pub fn shaped_capacity(trace: CapacityTrace) -> Self {
+        LinkProfile {
+            kind: "shape_capacity",
+            duration_secs: trace.duration(),
+            loss: None,
+            capacity: Some(trace),
+            spikes: None,
+        }
+    }
+
+    /// Periodic bufferbloat for `duration_secs`.
+    #[must_use]
+    pub fn bufferbloat(spikes: DelaySpikes, duration_secs: f64) -> Self {
+        LinkProfile {
+            kind: "bufferbloat",
+            duration_secs,
+            loss: None,
+            capacity: None,
+            spikes: Some(spikes),
+        }
+    }
+
+    /// The mobile member's handover link for the duration of its capacity
+    /// trace: capacity follows [`CapacityTrace::handover`], loss is
     /// [`GilbertElliott::matched`]`(avg_loss, burst_factor)`, and the
     /// bloat spikes are aligned with the handovers — one spike of
     /// `ramp + outage + ramp` seconds per cycle, opening when the
-    /// ramp-down starts, adding `bloat_secs` of latency.
+    /// ramp-down starts (see [`spike_offset_secs`](Self::spike_offset_secs)),
+    /// adding `bloat_secs` of latency.
     ///
     /// # Panics
     ///
@@ -517,32 +568,90 @@ impl MobileProfile {
         burst_factor: f64,
         bloat_secs: f64,
     ) -> Self {
-        // Validate the loss parameters eagerly (the chain itself is
-        // built by the engine when the episode is armed).
-        let _ = GilbertElliott::matched(avg_loss, burst_factor);
         let cycle = dwell_secs + ramp_secs + outage_secs + ramp_secs;
-        let spikes = DelaySpikes::new(cycle, ramp_secs + outage_secs + ramp_secs, bloat_secs);
-        // Shift is impossible with a pure modulo schedule, so open the
-        // period at the ramp-down instead: the spike schedule starts at
-        // the *first ramp*, i.e. the episode clock of the spikes is
-        // offset by the initial dwell. The engine applies that offset
-        // when it evaluates the schedule.
-        MobileProfile {
-            capacity: CapacityTrace::handover(dwell_secs, ramp_secs, outage_secs, degraded, cycles),
-            avg_loss,
-            burst_factor,
-            spikes,
+        let span = ramp_secs + outage_secs + ramp_secs;
+        let capacity =
+            CapacityTrace::handover(dwell_secs, ramp_secs, outage_secs, degraded, cycles);
+        LinkProfile {
+            kind: "mobile_member",
+            duration_secs: capacity.duration(),
+            loss: Some(GilbertElliott::matched(avg_loss, burst_factor)),
+            capacity: Some(capacity),
+            spikes: Some(DelaySpikes::new(cycle, span, bloat_secs)),
         }
     }
 
-    /// The offset (seconds into the episode) at which the spike
-    /// schedule starts: the first ramp-down, after the initial dwell.
+    /// The offset (seconds into the episode) at which the spike schedule
+    /// opens: the capacity trace's leading full-rate dwell, if it starts
+    /// with a step, so that spikes line up with the first ramp-down; 0
+    /// otherwise. A modulo schedule cannot be shifted, so the episode
+    /// evaluates the spikes on a clock delayed by this much.
     #[must_use]
     pub fn spike_offset_secs(&self) -> f64 {
-        match self.capacity.segments().first() {
+        match self.capacity.as_ref().and_then(|c| c.segments().first()) {
             Some(CapacitySegment::Step { secs, .. }) => *secs,
             _ => 0.0,
         }
+    }
+}
+
+/// A [`LinkProfile`] armed on one member's access link from `start`
+/// until [`end`](Self::end): what the data and the repair frames crossing
+/// that link meet. The only randomness is the uniforms the caller feeds
+/// the loss chain from its dedicated `"chaos-link"` RNG fork; outside the
+/// window, or without a loss chain, nothing is drawn.
+#[derive(Debug, Clone)]
+pub struct LinkEpisode {
+    /// The armed profile; its loss chain advances with every classified
+    /// frame.
+    pub profile: LinkProfile,
+    /// When the episode was armed.
+    pub start: SimTime,
+}
+
+impl LinkEpisode {
+    /// The exclusive end of the episode.
+    #[must_use]
+    pub fn end(&self) -> SimTime {
+        self.start + self.profile.duration_secs
+    }
+
+    /// Classifies the data frames `seqs` that crossed the link through
+    /// the loss chain, one `link_rng` uniform per frame in order, and
+    /// returns the lost ones. Without a loss chain nothing is lost and
+    /// nothing is drawn.
+    pub fn lost_frames(&mut self, link_rng: &mut SimRng, seqs: Range<u64>) -> Vec<u64> {
+        let Some(chain) = self.profile.loss.as_mut() else {
+            return Vec::new();
+        };
+        seqs.filter(|_| chain.classify(link_rng.uniform()))
+            .collect()
+    }
+
+    /// What a repair frame crossing the link at instant `t` meets: the
+    /// capacity multiplier, the extra spike latency, and whether the loss
+    /// chain drops the frame. Outside the episode this is exactly
+    /// `(1.0, 0.0, false)`, so pathology-free arithmetic is bit-identical
+    /// to the baseline (`pps * 1.0 == pps`, `x + 0.0 == x`). Draws exactly
+    /// one `link_rng` uniform when (and only when) the episode is active
+    /// and has a loss chain.
+    pub fn repair_frame(&mut self, link_rng: &mut SimRng, t: SimTime) -> (f64, f64, bool) {
+        if t < self.start || t >= self.end() {
+            return (1.0, 0.0, false);
+        }
+        let offset = t - self.start;
+        let spike_clock = offset - self.profile.spike_offset_secs();
+        let profile = &mut self.profile;
+        let factor = profile
+            .capacity
+            .as_ref()
+            .map_or(1.0, |c| c.factor_at(offset));
+        let extra = profile.spikes.map_or(0.0, |s| s.extra_at(spike_clock));
+        let lost = profile
+            .loss
+            .as_mut()
+            .is_some_and(|chain| chain.classify(link_rng.uniform()));
+        (factor, extra, lost)
     }
 }
 
@@ -673,10 +782,91 @@ mod tests {
 
     #[test]
     fn mobile_profile_composes() {
-        let profile = MobileProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.1, 6.0, 1.5);
+        let profile = LinkProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.1, 6.0, 1.5);
+        assert_eq!(profile.kind, "mobile_member");
         assert_eq!(profile.spike_offset_secs(), 20.0);
-        assert_eq!(profile.spikes.period, 40.0);
-        assert_eq!(profile.spikes.span, 20.0);
-        assert_eq!(profile.capacity.duration(), 2.0 * 40.0 + 20.0);
+        let spikes = profile.spikes.expect("handover spikes");
+        assert_eq!(spikes.period, 40.0);
+        assert_eq!(spikes.span, 20.0);
+        assert_eq!(profile.duration_secs, 2.0 * 40.0 + 20.0);
+        assert_eq!(profile.capacity.map(|c| c.duration()), Some(100.0));
+    }
+
+    fn armed(profile: LinkProfile, start_secs: f64) -> LinkEpisode {
+        let start = SimTime::from_secs(start_secs);
+        LinkEpisode { profile, start }
+    }
+
+    /// Counts the uniforms `f` draws from a `"chaos-link"` stream by
+    /// comparing the stream's next value with an untouched copy's.
+    fn draws(f: impl FnOnce(&mut SimRng)) -> usize {
+        let mut rng = SimRng::seed_from(5).fork("chaos-link");
+        let reference = rng.clone();
+        f(&mut rng);
+        let next = rng.uniform();
+        let mut probe = reference;
+        (0..64)
+            .position(|_| probe.uniform().to_bits() == next.to_bits())
+            .expect("fewer than 64 draws")
+    }
+
+    #[test]
+    fn repair_frame_is_the_identity_outside_the_episode() {
+        let profile = LinkProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.3, 4.0, 1.5);
+        let mut episode = armed(profile, 100.0);
+        assert_eq!(episode.end(), SimTime::from_secs(200.0));
+        for t in [0.0, 99.999, 200.0, 1e6] {
+            let n = draws(|rng| {
+                let (factor, extra, lost) = episode.repair_frame(rng, SimTime::from_secs(t));
+                assert_eq!(
+                    (factor.to_bits(), extra.to_bits(), lost),
+                    (1.0f64.to_bits(), 0.0f64.to_bits(), false)
+                );
+            });
+            assert_eq!(n, 0, "no draw at t = {t}");
+        }
+    }
+
+    #[test]
+    fn a_loss_only_episode_draws_one_uniform_per_frame() {
+        let mut episode = armed(LinkProfile::bursty_loss(0.2, 4.0, 50.0), 10.0);
+        for frames in 1..=5_u32 {
+            let n = draws(|rng| {
+                for i in 0..frames {
+                    let t = SimTime::from_secs(10.0 + f64::from(i));
+                    let (factor, extra, _) = episode.repair_frame(rng, t);
+                    assert_eq!((factor, extra), (1.0, 0.0));
+                }
+            });
+            assert_eq!(n, frames as usize);
+        }
+        assert_eq!(draws(|rng| drop(episode.lost_frames(rng, 40..47))), 7);
+        let bloat = LinkProfile::bufferbloat(DelaySpikes::new(30.0, 10.0, 2.0), 50.0);
+        let mut quiet = armed(bloat, 0.0);
+        let lost = draws(|rng| assert!(quiet.lost_frames(rng, 0..100).is_empty()));
+        assert_eq!(lost, 0);
+    }
+
+    #[test]
+    fn repair_frame_reads_the_trace_and_the_shifted_spikes() {
+        let profile = LinkProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.3, 4.0, 1.5);
+        let capacity = profile.capacity.clone().expect("handover capacity");
+        let spikes = profile.spikes.expect("handover spikes");
+        let offset = profile.spike_offset_secs();
+        assert_eq!(offset, 20.0);
+        let start = 100.0;
+        let mut episode = armed(profile, start);
+        let mut rng = SimRng::seed_from(5).fork("chaos-link");
+        for i in 0..400 {
+            let t = SimTime::from_secs(start + f64::from(i) * 0.25);
+            let at = t - SimTime::from_secs(start);
+            let (factor, extra, _) = episode.repair_frame(&mut rng, t);
+            let expected = (capacity.factor_at(at), spikes.extra_at(at - offset));
+            assert_eq!(
+                (factor.to_bits(), extra.to_bits()),
+                (expected.0.to_bits(), expected.1.to_bits()),
+                "t = {t}"
+            );
+        }
     }
 }

@@ -9,7 +9,7 @@
 use rom_overlay::{MulticastTree, NodeId};
 use rom_sim::SimRng;
 
-use crate::pathology::{CapacitySegment, CapacityTrace, DelaySpikes, MobileProfile};
+use crate::pathology::{CapacitySegment, CapacityTrace, DelaySpikes, LinkProfile};
 
 /// One fault-injection primitive. Scenarios compose these freely.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,51 +54,27 @@ pub enum ChaosAction {
         /// Multiplier applied to each victim's bandwidth, in `(0, 1)`.
         factor: f64,
     },
-    /// Gilbert–Elliott bursty loss on the access links of a random
-    /// `fraction` of attached members for `duration_secs`: data packets
-    /// and CER repair traffic crossing those links are lost in
-    /// correlated bursts at the given *average* rate.
-    BurstyLoss {
-        /// Fraction of attached members hit, in `(0, 1]`.
-        fraction: f64,
-        /// Stationary (average) loss rate of the chain, in `[0, 1)`.
-        avg_loss: f64,
-        /// Burst factor (≥ 1; 1 degenerates to uniform loss).
-        burst_factor: f64,
-        /// Episode length in seconds (> 0).
-        duration_secs: f64,
+    /// A link-pathology episode: the access links of the members
+    /// `victims` picks follow `profile` for its duration. Data packets
+    /// and CER repair traffic crossing such a link meet the profile's
+    /// bursty loss, its capacity factor (repair service rates) and its
+    /// bloat spikes (repair latency).
+    Link {
+        /// Whom the episode hits.
+        victims: Victims,
+        /// The access-link profile armed on each victim.
+        profile: LinkProfile,
     },
-    /// Time-varying access-link capacity on a random `fraction` of
-    /// attached members: CER repair service rates over those links are
-    /// scaled by the trace's factor while the episode runs (the episode
-    /// length is the trace's duration).
-    ShapeCapacity {
-        /// Fraction of attached members hit, in `(0, 1]`.
-        fraction: f64,
-        /// The step/ramp capacity schedule.
-        trace: CapacityTrace,
-    },
-    /// Periodic bufferbloat on the access links of a random `fraction`
-    /// of attached members for `duration_secs`: repair traffic crossing
-    /// an active spike window arrives late by the spike's extra latency.
-    Bufferbloat {
-        /// Fraction of attached members hit, in `(0, 1]`.
-        fraction: f64,
-        /// The spike schedule, in seconds.
-        spikes: DelaySpikes,
-        /// Episode length in seconds (> 0).
-        duration_secs: f64,
-    },
-    /// `count` random attached members become "mobile": their access
-    /// links follow the composite handover profile (capacity collapse
-    /// and recovery, bursty loss, bloat spikes) for the profile's
-    /// duration.
-    MobileMember {
-        /// Number of members turned mobile.
-        count: usize,
-        /// The composite access-link profile.
-        profile: MobileProfile,
-    },
+}
+
+/// Whom a [`ChaosAction::Link`] episode hits, drawn from the attached
+/// members (never the root).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Victims {
+    /// A fraction of the attached members, in `(0, 1]`, rounded up.
+    Fraction(f64),
+    /// A fixed number of attached members.
+    Count(usize),
 }
 
 impl ChaosAction {
@@ -110,10 +86,7 @@ impl ChaosAction {
             ChaosAction::FlashCrowd { .. } => "flash_crowd",
             ChaosAction::Flap { .. } => "flap",
             ChaosAction::DegradeBandwidth { .. } => "degrade_bandwidth",
-            ChaosAction::BurstyLoss { .. } => "bursty_loss",
-            ChaosAction::ShapeCapacity { .. } => "shape_capacity",
-            ChaosAction::Bufferbloat { .. } => "bufferbloat",
-            ChaosAction::MobileMember { .. } => "mobile_member",
+            ChaosAction::Link { profile, .. } => profile.kind,
         }
     }
 }
@@ -289,20 +262,16 @@ impl Scenario {
             injections: vec![
                 inject(
                     at(0.15),
-                    ChaosAction::BurstyLoss {
-                        fraction: 0.25,
-                        avg_loss: 0.08,
-                        burst_factor: 6.0,
-                        duration_secs: span_secs * 0.25,
+                    ChaosAction::Link {
+                        victims: Victims::Fraction(0.25),
+                        profile: LinkProfile::bursty_loss(0.08, 6.0, span_secs * 0.25),
                     },
                 ),
                 inject(
                     at(0.55),
-                    ChaosAction::BurstyLoss {
-                        fraction: 0.25,
-                        avg_loss: 0.12,
-                        burst_factor: 10.0,
-                        duration_secs: span_secs * 0.25,
+                    ChaosAction::Link {
+                        victims: Victims::Fraction(0.25),
+                        profile: LinkProfile::bursty_loss(0.12, 10.0, span_secs * 0.25),
                     },
                 ),
             ],
@@ -335,9 +304,9 @@ impl Scenario {
             name: "capacity-ramp",
             injections: vec![inject(
                 at(0.20),
-                ChaosAction::ShapeCapacity {
-                    fraction: 0.3,
-                    trace,
+                ChaosAction::Link {
+                    victims: Victims::Fraction(0.3),
+                    profile: LinkProfile::shaped_capacity(trace),
                 },
             )],
         }
@@ -352,10 +321,12 @@ impl Scenario {
             name: "bufferbloat",
             injections: vec![inject(
                 at(0.20),
-                ChaosAction::Bufferbloat {
-                    fraction: 0.3,
-                    spikes: DelaySpikes::new(30.0, 10.0, 2.0),
-                    duration_secs: span_secs * 0.5,
+                ChaosAction::Link {
+                    victims: Victims::Fraction(0.3),
+                    profile: LinkProfile::bufferbloat(
+                        DelaySpikes::new(30.0, 10.0, 2.0),
+                        span_secs * 0.5,
+                    ),
                 },
             )],
         }
@@ -371,9 +342,9 @@ impl Scenario {
             name: "mobile-member",
             injections: vec![inject(
                 at(0.15),
-                ChaosAction::MobileMember {
-                    count: 12,
-                    profile: MobileProfile::handover(20.0, 5.0, 10.0, 0.2, 3, 0.15, 8.0, 1.0),
+                ChaosAction::Link {
+                    victims: Victims::Count(12),
+                    profile: LinkProfile::handover(20.0, 5.0, 10.0, 0.2, 3, 0.15, 8.0, 1.0),
                 },
             )],
         }
@@ -412,11 +383,9 @@ impl Scenario {
                 ),
                 inject(
                     at(0.55),
-                    ChaosAction::BurstyLoss {
-                        fraction: 0.2,
-                        avg_loss: 0.08,
-                        burst_factor: 6.0,
-                        duration_secs: span_secs * 0.2,
+                    ChaosAction::Link {
+                        victims: Victims::Fraction(0.2),
+                        profile: LinkProfile::bursty_loss(0.08, 6.0, span_secs * 0.2),
                     },
                 ),
                 inject(at(0.70), ChaosAction::CorrelatedFailure { radius: 2 }),
@@ -494,7 +463,7 @@ mod tests {
 
     fn chain_tree(n: usize) -> MulticastTree {
         // Root -> 1 -> 2 -> ... -> n, everyone with generous capacity.
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         let mut parent = tree.root();
         for i in 1..=n {
             let id = NodeId(i as u64);
@@ -545,7 +514,7 @@ mod tests {
 
     #[test]
     fn pick_attached_on_empty_tree_is_empty() {
-        let tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let tree = MulticastTree::new(paper_source(Location(0)));
         assert!(pick_attached(&tree, 3, &mut SimRng::seed_from(1)).is_empty());
         assert!(pick_cluster(&tree, 2, &mut SimRng::seed_from(1)).is_empty());
     }

@@ -6,7 +6,7 @@
 //! changing a model or the RNG fork discipline is *supposed* to trip
 //! them.
 
-use rom_chaos::{CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, MobileProfile};
+use rom_chaos::{CapacitySegment, CapacityTrace, DelaySpikes, GilbertElliott, LinkProfile};
 use rom_sim::SimRng;
 
 /// Drives `chain` with `frames` uniforms from the `"chaos-link"` fork of
@@ -166,18 +166,21 @@ fn delay_spikes_have_exact_window_boundaries() {
 
 #[test]
 fn mobile_profile_composes_all_three_pathologies() {
-    let profile = MobileProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.15, 8.0, 1.5);
-    let trace = &profile.capacity;
+    let profile = LinkProfile::handover(20.0, 5.0, 10.0, 0.2, 2, 0.15, 8.0, 1.5);
+    let trace = profile
+        .capacity
+        .as_ref()
+        .expect("a handover shapes capacity");
     // Two full handover cycles (dwell + ramp-down + outage + ramp-up)
-    // plus the trailing clean dwell.
+    // plus the trailing clean dwell, which is also the episode length.
     assert_eq!(trace.duration(), 2.0 * (20.0 + 5.0 + 10.0 + 5.0) + 20.0);
+    assert_eq!(profile.duration_secs, trace.duration());
     // Mid-dwell is clean, mid-handover sits at the degraded floor, and
     // the loss chain and bufferbloat spikes carry the requested knobs.
     assert_eq!(trace.factor_at(1.0), 1.0);
     assert_eq!(trace.factor_at(20.0 + 5.0 + 2.0), 0.2);
-    assert!((profile.avg_loss - 0.15).abs() < 1e-12);
-    assert!((profile.burst_factor - 8.0).abs() < 1e-12);
-    assert_eq!(profile.spikes.extra, 1.5);
+    assert_eq!(profile.loss, Some(GilbertElliott::matched(0.15, 8.0)));
+    assert_eq!(profile.spikes.map(|s| s.extra), Some(1.5));
     // The spike schedule is phase-aligned with the first handover.
     assert_eq!(profile.spike_offset_secs(), 20.0);
 }

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 
 use rom_chaos::{
-    pick_attached, pick_cluster, ChaosAction, GilbertElliott, InvariantRegistry, RejoinCause,
-    Scenario, Signal, CHAOS_ID_BASE,
+    pick_attached, pick_cluster, ChaosAction, InvariantRegistry, LinkEpisode, RejoinCause,
+    Scenario, Signal, Victims, CHAOS_ID_BASE,
 };
 use rom_net::{DelayOracle, TransitStubNetwork, UnderlayId};
 use rom_overlay::algorithms::{JoinContext, JoinDecision};
@@ -28,11 +28,9 @@ use rom_rost::{OpId, SwitchOutcome, SwitchingProtocol};
 use rom_sim::{RunOutcome, Schedule, SimRng, SimTime, Simulation};
 use rom_stats::Summary;
 
-use crate::config::{
-    AlgorithmKind, ChurnConfig, StreamingConfig, HISTORY_SECS, RETRY_SECS, STREAM_RATE,
-};
+use crate::config::{AlgorithmKind, ChurnConfig, StreamingConfig, HISTORY_SECS, RETRY_SECS};
 use crate::proximity::OracleProximity;
-use crate::streaming::{LinkEpisode, StreamingState};
+use crate::streaming::{Ctx, StreamingState};
 use crate::workload::Workload;
 
 /// Events of the churn simulation.
@@ -279,9 +277,9 @@ impl ChurnSim {
         // Only the centralized algorithms query the order index; every
         // other run moves subtrees without re-keying it.
         let tree = if cfg.algorithm.rule().is_centralized() {
-            MulticastTree::with_order_index(source, STREAM_RATE)
+            MulticastTree::with_order_index(source)
         } else {
-            MulticastTree::new(source, STREAM_RATE)
+            MulticastTree::new(source)
         };
         let sampler = ViewSampler::paper();
         let rng = root_rng.fork("decisions");
@@ -816,32 +814,9 @@ impl ChurnSim {
                 self.try_place(member, now, sched);
             }
 
-            Event::Departure(id) => {
-                self.untrack_live(id);
-                if self.pending.remove(&id).is_some() {
-                    // Never made it into the tree.
-                    self.tallies.remove(id);
-                    return;
-                }
-                let graceful =
-                    self.cfg.graceful_fraction > 0.0 && self.rng.chance(self.cfg.graceful_fraction);
-                self.depart(id, graceful, now, sched);
-            }
+            Event::Departure(id) => self.depart(id, false, now, sched),
 
-            Event::ChaosFail(id) => {
-                // Forced failures are always abrupt (§3.3's uncooperative
-                // extreme) and never consult the decisions stream, so the
-                // organic run's draws stay aligned.
-                if id == self.tree.root() {
-                    return; // the source never fails
-                }
-                self.untrack_live(id);
-                if self.pending.remove(&id).is_some() {
-                    self.tallies.remove(id);
-                    return;
-                }
-                self.depart(id, false, now, sched);
-            }
+            Event::ChaosFail(id) => self.depart(id, true, now, sched),
 
             Event::ChaosInject(index) => self.chaos_inject(index, now, sched),
 
@@ -850,17 +825,7 @@ impl ChurnSim {
             Event::ChaosFlap(spec) => self.chaos_flap(&spec, sched),
 
             Event::ChaosLinkEnd(member) => {
-                if let Some(st) = self.streaming.as_mut() {
-                    st.on_link_episode_end(
-                        &self.tree,
-                        &self.oracle,
-                        &self.live,
-                        member,
-                        now,
-                        &mut self.obs,
-                        self.invariants.as_mut(),
-                    );
-                }
+                self.with_streaming(|st, cx| st.on_link_episode_end(cx, member, now));
             }
 
             Event::Rejoin(orphan) => {
@@ -872,17 +837,7 @@ impl ChurnSim {
                     self.obs.count("churn.rejoins", 1);
                     self.trace_join(now, orphan, "rejoin");
                     self.signal_invariants(now, &Signal::Reattached { member: orphan });
-                    if let Some(st) = self.streaming.as_mut() {
-                        st.on_restore(
-                            &self.tree,
-                            &self.oracle,
-                            &self.live,
-                            orphan,
-                            now,
-                            &mut self.obs,
-                            self.invariants.as_mut(),
-                        );
-                    }
+                    self.with_streaming(|st, cx| st.on_restore(cx, orphan, now));
                 } else {
                     self.obs.count("churn.rejoin_retries", 1);
                     if self.in_window(now) {
@@ -959,11 +914,41 @@ impl ChurnSim {
         }
     }
 
-    /// Removes `id` from the tree and books the departure — the graceful
-    /// hand-off or the abrupt failure with its ELN scope accounting.
-    /// Shared by organic departures and chaos-forced failures (which are
-    /// always abrupt).
-    fn depart(&mut self, id: NodeId, graceful: bool, now: SimTime, sched: &mut Schedule<'_, Event>) {
+    /// Runs a repair hook of the streaming layer, if there is one, with
+    /// the run state the hook reads.
+    fn with_streaming(&mut self, hook: impl FnOnce(&mut StreamingState, &mut Ctx<'_>)) {
+        if let Some(st) = self.streaming.as_mut() {
+            let mut cx = Ctx {
+                tree: &self.tree,
+                oracle: &self.oracle,
+                live: &self.live,
+                obs: &mut self.obs,
+                invariants: self.invariants.as_mut(),
+            };
+            hook(st, &mut cx);
+        }
+    }
+
+    /// A member's session ends, organically or by a chaos-`forced`
+    /// failure: it leaves the live set, and a member still waiting to
+    /// join just goes; otherwise it is removed from the tree and the
+    /// departure is booked — the graceful hand-off or the abrupt failure
+    /// with its ELN scope accounting. A forced failure is always abrupt
+    /// (§3.3's uncooperative extreme) and never consults the decisions
+    /// stream, so the organic run's draws stay aligned.
+    fn depart(&mut self, id: NodeId, forced: bool, now: SimTime, sched: &mut Schedule<'_, Event>) {
+        if id == self.tree.root() {
+            return; // the source never fails
+        }
+        self.untrack_live(id);
+        if self.pending.remove(&id).is_some() {
+            // Never made it into the tree.
+            self.tallies.remove(id);
+            return;
+        }
+        let graceful = !forced
+            && self.cfg.graceful_fraction > 0.0
+            && self.rng.chance(self.cfg.graceful_fraction);
         let Ok(removed) = self.tree.remove(id) else {
             return; // defensive: already gone
         };
@@ -1112,86 +1097,25 @@ impl ChurnSim {
             ChaosAction::DegradeBandwidth { fraction, factor } => {
                 self.degrade_bandwidth(fraction, factor, now);
             }
-            ChaosAction::BurstyLoss {
-                fraction,
-                avg_loss,
-                burst_factor,
-                duration_secs,
-            } => {
-                let victims = self.pick_fraction(fraction);
-                self.arm_link_episodes(
-                    LinkEpisode {
-                        kind: "bursty_loss",
-                        start: now,
-                        end: now + duration_secs,
-                        loss: Some(GilbertElliott::matched(avg_loss, burst_factor)),
-                        capacity: None,
-                        spikes: None,
-                        spike_offset: 0.0,
-                    },
-                    &victims,
-                    sched,
-                );
-            }
-            ChaosAction::ShapeCapacity { fraction, trace } => {
-                let victims = self.pick_fraction(fraction);
-                self.arm_link_episodes(
-                    LinkEpisode {
-                        kind: "shape_capacity",
-                        start: now,
-                        end: now + trace.duration(),
-                        loss: None,
-                        capacity: Some(trace),
-                        spikes: None,
-                        spike_offset: 0.0,
-                    },
-                    &victims,
-                    sched,
-                );
-            }
-            ChaosAction::Bufferbloat {
-                fraction,
-                spikes,
-                duration_secs,
-            } => {
-                let victims = self.pick_fraction(fraction);
-                self.arm_link_episodes(
-                    LinkEpisode {
-                        kind: "bufferbloat",
-                        start: now,
-                        end: now + duration_secs,
-                        loss: None,
-                        capacity: None,
-                        spikes: Some(spikes),
-                        spike_offset: 0.0,
-                    },
-                    &victims,
-                    sched,
-                );
-            }
-            ChaosAction::MobileMember { count, profile } => {
-                let victims = {
-                    let Some(chaos) = self.chaos.as_mut() else {
-                        return;
-                    };
-                    pick_attached(&self.tree, count, &mut chaos.rng)
+            ChaosAction::Link { victims, profile } => {
+                let victims = match victims {
+                    Victims::Fraction(fraction) => self.pick_fraction(fraction),
+                    Victims::Count(count) => self.pick_members(count),
                 };
-                self.arm_link_episodes(
-                    LinkEpisode {
-                        kind: "mobile_member",
-                        start: now,
-                        end: now + profile.capacity.duration(),
-                        loss: Some(GilbertElliott::matched(
-                            profile.avg_loss,
-                            profile.burst_factor,
-                        )),
-                        spike_offset: profile.spike_offset_secs(),
-                        capacity: Some(profile.capacity),
-                        spikes: Some(profile.spikes),
-                    },
-                    &victims,
-                    sched,
-                );
+                // Each victim's episode carries its own window, so a stale
+                // end event (after a newer episode replaced this one) is
+                // ignored by the handler.
+                let episode = LinkEpisode {
+                    profile,
+                    start: now,
+                };
+                let duration = episode.end() - episode.start;
+                for &victim in &victims {
+                    if let Some(st) = self.streaming.as_mut() {
+                        st.on_link_episode_start(victim, episode.clone(), now, &mut self.obs);
+                    }
+                    sched.after(duration, Event::ChaosLinkEnd(victim));
+                }
             }
         }
     }
@@ -1199,32 +1123,19 @@ impl ChurnSim {
     /// Picks roughly `fraction` of the attached membership (never the
     /// root) from the chaos RNG stream.
     fn pick_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return Vec::new();
-        };
         let eligible = self.tree.attached_count().saturating_sub(1);
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let count = ((eligible as f64) * fraction).ceil() as usize;
-        pick_attached(&self.tree, count, &mut chaos.rng)
+        self.pick_members(count)
     }
 
-    /// Arms one pathology episode per victim on the streaming layer and
-    /// schedules the matching end events. The episode carries its own
-    /// window, so a stale end event (after a newer episode replaced this
-    /// one) is ignored by the handler.
-    fn arm_link_episodes(
-        &mut self,
-        episode: LinkEpisode,
-        victims: &[NodeId],
-        sched: &mut Schedule<'_, Event>,
-    ) {
-        let duration = episode.end - episode.start;
-        for &victim in victims {
-            if let Some(st) = self.streaming.as_mut() {
-                st.on_link_episode_start(victim, episode.clone(), episode.start, &mut self.obs);
-            }
-            sched.after(duration, Event::ChaosLinkEnd(victim));
-        }
+    /// Picks up to `count` attached members (never the root) from the
+    /// chaos RNG stream.
+    fn pick_members(&mut self, count: usize) -> Vec<NodeId> {
+        let Some(chaos) = self.chaos.as_mut() else {
+            return Vec::new();
+        };
+        pick_attached(&self.tree, count, &mut chaos.rng)
     }
 
     /// A chaos-born member arrives: fresh id from the reserved chaos id
@@ -1258,12 +1169,7 @@ impl ChurnSim {
         if cycles_left == 0 {
             return;
         }
-        let victims = {
-            let Some(chaos) = self.chaos.as_mut() else {
-                return;
-            };
-            pick_attached(&self.tree, members, &mut chaos.rng)
-        };
+        let victims = self.pick_members(members);
         for &victim in &victims {
             sched.now_next(Event::ChaosFail(victim));
         }

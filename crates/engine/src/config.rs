@@ -8,10 +8,6 @@ use rom_overlay::algorithms::{
 use rom_rost::RostConfig;
 use rom_stats::{BoundedPareto, LogNormal};
 
-/// Media stream rate in bandwidth units; §5 normalizes it to 1, so a
-/// member's out-degree is its bandwidth rounded down.
-pub(crate) const STREAM_RATE: f64 = 1.0;
-
 /// Virtual history `H` in seconds: seeded member ages follow the
 /// stationary age distribution truncated at this horizon, as if the
 /// overlay had been running organically for four hours (DESIGN decision

@@ -27,7 +27,7 @@ use rom_cer::{
     find_mlc_group, random_group, MlcOptions, PartialTree, RecoveryGroup, SeqRangeSet, StreamClock,
     StripePlan,
 };
-use rom_chaos::{CapacityTrace, DelaySpikes, GilbertElliott, InvariantRegistry, Signal};
+use rom_chaos::{InvariantRegistry, LinkEpisode, Signal};
 use rom_net::{DelayOracle, UnderlayId};
 use rom_obs::{Obs, Subsystem, TraceEvent};
 use rom_overlay::{MulticastTree, NodeId, ViewSampler};
@@ -84,58 +84,6 @@ impl StreamingReport {
     }
 }
 
-/// An armed link-pathology episode on one member's access link (see
-/// `rom_chaos::pathology`): bursty loss for the member's data stream,
-/// capacity scaling and bloat spikes for the CER repair traffic that
-/// crosses the same link. Pure sim-time state machines; the only
-/// randomness is the uniforms the streaming layer feeds the loss chain
-/// from its dedicated `"chaos-link"` RNG fork.
-#[derive(Debug, Clone)]
-pub(crate) struct LinkEpisode {
-    /// The injecting action's name, for traces.
-    pub(crate) kind: &'static str,
-    /// Episode window on the sim clock.
-    pub(crate) start: SimTime,
-    /// Exclusive episode end.
-    pub(crate) end: SimTime,
-    /// Bursty loss on the member's access link, if any.
-    pub(crate) loss: Option<GilbertElliott>,
-    /// Capacity multiplier over the link's nominal rate, if any.
-    pub(crate) capacity: Option<CapacityTrace>,
-    /// Bufferbloat schedule (seconds), if any.
-    pub(crate) spikes: Option<DelaySpikes>,
-    /// Offset into the episode at which the spike schedule opens (the
-    /// mobile profile aligns spikes with handovers, after the first
-    /// dwell).
-    pub(crate) spike_offset: f64,
-}
-
-impl LinkEpisode {
-    /// What a repair frame crossing the link at instant `t` meets: the
-    /// capacity multiplier, the extra spike latency, and whether the loss
-    /// chain drops the frame. Outside the episode this is exactly
-    /// `(1.0, 0.0, false)`, so pathology-free arithmetic is bit-identical
-    /// to the baseline (`pps * 1.0 == pps`, `x + 0.0 == x`). Draws exactly
-    /// one `"chaos-link"` uniform from `link_rng` when (and only when) a
-    /// lossy episode is active.
-    fn repair_frame(&mut self, link_rng: &mut SimRng, t: SimTime) -> (f64, f64, bool) {
-        if t < self.start || t >= self.end {
-            return (1.0, 0.0, false);
-        }
-        let offset = t - self.start;
-        let factor = self.capacity.as_ref().map_or(1.0, |c| c.factor_at(offset));
-        let extra = self
-            .spikes
-            .as_ref()
-            .map_or(0.0, |s| s.extra_at(offset - self.spike_offset));
-        let lost = self
-            .loss
-            .as_mut()
-            .is_some_and(|chain| chain.classify(link_rng.uniform()));
-        (factor, extra, lost)
-    }
-}
-
 /// When repaired packets become requestable in `serve_repairs`.
 enum RepairTiming {
     /// The whole gap becomes repairable at once (an outage closing).
@@ -143,6 +91,18 @@ enum RepairTiming {
     /// Each packet's loss is detected [`LOSS_DETECTION_SECS`] after its
     /// generation (link-level losses under an armed pathology episode).
     PerPacket,
+}
+
+/// What the streaming layer's repair hooks read and report to, besides
+/// its own state: the tree, the underlay, the live membership (the
+/// population recovery-group views are drawn from), the observer and the
+/// armed invariants.
+pub(crate) struct Ctx<'a> {
+    pub(crate) tree: &'a MulticastTree,
+    pub(crate) oracle: &'a DelayOracle,
+    pub(crate) live: &'a [NodeId],
+    pub(crate) obs: &'a mut Obs,
+    pub(crate) invariants: Option<&'a mut InvariantRegistry>,
 }
 
 /// The link-level losses of an ended pathology episode, held until the
@@ -299,47 +259,19 @@ impl StreamingState {
     /// of every member in it and run recovery for the missed range, then
     /// repair the link losses a member's episode left while it was
     /// detached.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_restore(
-        &mut self,
-        tree: &MulticastTree,
-        oracle: &DelayOracle,
-        live: &[NodeId],
-        orphan: NodeId,
-        now: SimTime,
-        obs: &mut Obs,
-        mut invariants: Option<&mut InvariantRegistry>,
-    ) {
+    pub(crate) fn on_restore(&mut self, cx: &mut Ctx<'_>, orphan: NodeId, now: SimTime) {
         let mut subtree = vec![orphan];
-        tree.descendants_into(orphan, &mut subtree);
+        cx.tree.descendants_into(orphan, &mut subtree);
         for member in subtree {
             let Some(stream) = self.members.get_mut(&member) else {
                 continue;
             };
             let (outage, losses) = (stream.outage_since.take(), stream.link_losses.take());
             if let Some(t0) = outage {
-                self.repair_outage(
-                    tree,
-                    oracle,
-                    live,
-                    member,
-                    t0,
-                    now,
-                    obs,
-                    invariants.as_deref_mut(),
-                );
+                self.repair_outage(cx, member, t0, now);
             }
             if let Some(losses) = losses {
-                self.repair_link_losses(
-                    tree,
-                    oracle,
-                    live,
-                    member,
-                    losses,
-                    now,
-                    obs,
-                    invariants.as_deref_mut(),
-                );
+                self.repair_link_losses(cx, member, losses, now);
             }
         }
     }
@@ -362,8 +294,8 @@ impl StreamingState {
             obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode")
                     .u64("member", member.0)
-                    .str("kind", episode.kind)
-                    .f64("duration_secs", episode.end - episode.start),
+                    .str("kind", episode.profile.kind)
+                    .f64("duration_secs", episode.end() - episode.start),
             );
         }
         self.pathology.insert(member, episode);
@@ -376,22 +308,12 @@ impl StreamingState {
     /// then disarm the episode. A detached member has no recovery group
     /// to choose yet: its losses wait, with the episode armed, for
     /// [`Self::on_restore`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_link_episode_end(
-        &mut self,
-        tree: &MulticastTree,
-        oracle: &DelayOracle,
-        live: &[NodeId],
-        member: NodeId,
-        now: SimTime,
-        obs: &mut Obs,
-        invariants: Option<&mut InvariantRegistry>,
-    ) {
+    pub(crate) fn on_link_episode_end(&mut self, cx: &mut Ctx<'_>, member: NodeId, now: SimTime) {
         let losses = {
             let Some(ep) = self.pathology.get_mut(&member) else {
                 return; // member departed, or a newer episode already ended
             };
-            if ep.end > now {
+            if ep.end() > now {
                 return; // stale end event: a newer episode replaced this one
             }
             // Only packets the member actually streamed cross its link:
@@ -408,7 +330,7 @@ impl StreamingState {
             if stream.view_start > start.as_secs() {
                 start = SimTime::from_secs(stream.view_start);
             }
-            let mut end = if ep.end < now { ep.end } else { now };
+            let mut end = if ep.end() < now { ep.end() } else { now };
             if let Some(t0) = stream.outage_since {
                 if t0 < end {
                     end = t0;
@@ -416,105 +338,58 @@ impl StreamingState {
             }
             let s0 = self.clock.seq_at(start);
             let s1 = self.clock.seq_at(end);
-            let mut lost: Vec<u64> = Vec::new();
-            if let Some(chain) = ep.loss.as_mut() {
-                for seq in s0..s1 {
-                    let u = self.link_rng.uniform();
-                    if chain.classify(u) {
-                        lost.push(seq);
-                    }
-                }
-            }
             LinkLosses {
                 frames: s1.saturating_sub(s0),
-                lost,
+                lost: ep.lost_frames(&mut self.link_rng, s0..s1),
             }
         };
-        if losses.frames > 0 && obs.is_active() {
-            obs.count("chaos.link_frames", losses.frames);
-            obs.count("chaos.link_lost", losses.lost.len() as u64);
+        if losses.frames > 0 && cx.obs.is_active() {
+            cx.obs.count("chaos.link_frames", losses.frames);
+            cx.obs.count("chaos.link_lost", losses.lost.len() as u64);
         }
-        if !losses.lost.is_empty() && !tree.is_attached(member) {
+        if !losses.lost.is_empty() && !cx.tree.is_attached(member) {
             if let Some(stream) = self.members.get_mut(&member) {
                 stream.link_losses = Some(losses);
             }
             return;
         }
-        self.repair_link_losses(tree, oracle, live, member, losses, now, obs, invariants);
+        self.repair_link_losses(cx, member, losses, now);
     }
 
-    /// Repairs an ended episode's link losses from `member`'s recovery
-    /// group, books the outcome, then disarms the episode.
-    #[allow(clippy::too_many_arguments)]
+    /// Repairs an ended episode's link losses through [`Self::repair`],
+    /// each lost packet requestable [`LOSS_DETECTION_SECS`] after its
+    /// generation, then disarms the episode.
     fn repair_link_losses(
         &mut self,
-        tree: &MulticastTree,
-        oracle: &DelayOracle,
-        live: &[NodeId],
+        cx: &mut Ctx<'_>,
         member: NodeId,
         losses: LinkLosses,
         now: SimTime,
-        obs: &mut Obs,
-        invariants: Option<&mut InvariantRegistry>,
     ) {
         let LinkLosses { frames, lost } = losses;
-        let mut repaired_now = 0u64;
-        let mut starved_now = 0u64;
-        let mut new_holes: Vec<u64> = Vec::new();
         if !lost.is_empty() {
-            let _span = tree.prof().span("cer.link_repair");
-            let group = self.select_group(tree, oracle, live, member);
-            if let Some(registry) = invariants {
-                registry.signal(
-                    tree,
-                    now,
-                    &Signal::RecoveryGroupChosen {
-                        member,
-                        group: group.members(),
-                    },
-                    obs,
-                );
-            }
-            let available = self.available_helpers(tree, &group);
-            let (repaired, starved, holes) = self.serve_repairs(
-                tree,
-                member,
-                &available,
-                lost.iter().copied(),
-                lost.len() as u64,
-                &RepairTiming::PerPacket,
-                now,
-                obs,
-            );
-            repaired_now = repaired;
-            starved_now = starved;
-            new_holes = holes;
+            let _span = cx.tree.prof().span("cer.link_repair");
+            let gap = lost.len() as u64;
+            let timing = RepairTiming::PerPacket;
+            let (_, repaired, starved) =
+                self.repair(cx, member, lost.iter().copied(), gap, &timing, now);
+            let obs = &mut *cx.obs;
             if obs.is_active() {
                 obs.count("cer.link_repairs", 1);
-                obs.count("cer.packets_repaired", repaired_now);
-                obs.count("cer.packets_starved", starved_now);
+                obs.count("cer.packets_repaired", repaired);
+                obs.count("cer.packets_starved", starved);
                 obs.emit(
                     TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
                         .u64("member", member.0)
                         .u64("frames", frames)
                         .u64("lost", lost.len() as u64)
-                        .u64("repaired", repaired_now)
-                        .u64("starved", starved_now)
-                        .f64("starved_secs", starved_now as f64 / self.clock.rate_pps()),
+                        .u64("repaired", repaired)
+                        .u64("starved", starved)
+                        .f64("starved_secs", starved as f64 / self.clock.rate_pps()),
                 );
             }
         }
         self.pathology.remove(&member);
-        if now >= self.window_start && now <= self.window_end {
-            self.starved += starved_now;
-            self.repaired_on_time += repaired_now;
-        }
-        if let Some(stream) = self.members.get_mut(&member) {
-            stream.starved_packets += starved_now;
-            for seq in new_holes {
-                stream.holes.insert(seq);
-            }
-        }
     }
 
     /// Finalizes ratios of members still alive at the end of the run.
@@ -555,15 +430,10 @@ impl StreamingState {
     /// rebuild the partial tree from the view's root paths, run Algorithm
     /// 1 (or the random baseline) and order the result by network
     /// distance.
-    fn select_group(
-        &mut self,
-        tree: &MulticastTree,
-        oracle: &DelayOracle,
-        live: &[NodeId],
-        member: NodeId,
-    ) -> RecoveryGroup {
+    fn select_group(&mut self, cx: &Ctx<'_>, member: NodeId) -> RecoveryGroup {
+        let (tree, oracle) = (cx.tree, cx.oracle);
         let _span = tree.prof().span("cer.group_select");
-        let view = self.rng.sample(live, ViewSampler::PAPER_VIEW_SIZE);
+        let view = self.rng.sample(cx.live, ViewSampler::PAPER_VIEW_SIZE);
         // Gossip here is exact, so the fragment is the union of the view's
         // root paths, read straight off the arena.
         let partial = PartialTree::from_tree(tree, view.iter().copied().filter(|&v| v != member));
@@ -619,9 +489,9 @@ impl StreamingState {
     /// Serves the given missing packets from `available` under the
     /// configured strategy, returning `(repaired, starved, new_holes)`.
     ///
-    /// This is the shared core of outage repairs and link-episode
-    /// repairs. Every repair frame crosses `member`'s access link, so an
-    /// armed pathology episode applies to it exactly as to data: the
+    /// This is [`Self::repair`]'s serving step, for outage gaps and link
+    /// losses alike. Every repair frame crosses `member`'s access link, so
+    /// an armed pathology episode applies to it exactly as to data: the
     /// capacity factor scales the server's rate, active bloat spikes add
     /// latency, and the loss chain may drop the frame outright. Outside
     /// an episode the pathology terms are the exact identities
@@ -738,20 +608,11 @@ impl StreamingState {
         (repaired_now, starved_now, new_holes)
     }
 
-    /// Closes one outage `[t0, now)` for `member` and accounts the repair.
-    #[allow(clippy::too_many_arguments)]
-    fn repair_outage(
-        &mut self,
-        tree: &MulticastTree,
-        oracle: &DelayOracle,
-        live: &[NodeId],
-        member: NodeId,
-        t0: SimTime,
-        now: SimTime,
-        obs: &mut Obs,
-        invariants: Option<&mut InvariantRegistry>,
-    ) {
-        let _span = tree.prof().span("cer.repair");
+    /// Closes one outage `[t0, now)` for `member` and repairs the gap
+    /// through [`Self::repair`], all of it requestable
+    /// [`LOSS_DETECTION_SECS`] after the outage opened.
+    fn repair_outage(&mut self, cx: &mut Ctx<'_>, member: NodeId, t0: SimTime, now: SimTime) {
+        let _span = cx.tree.prof().span("cer.repair");
         let s0 = self.clock.seq_at(t0);
         let s1 = self.clock.seq_at(now);
         if s1 <= s0 {
@@ -760,51 +621,22 @@ impl StreamingState {
         if now >= self.window_start && now <= self.window_end {
             self.outages += 1;
         }
-        let t_repair = t0 + LOSS_DETECTION_SECS;
-        let group = self.select_group(tree, oracle, live, member);
-        if let Some(registry) = invariants {
-            registry.signal(
-                tree,
-                now,
-                &Signal::RecoveryGroupChosen {
-                    member,
-                    group: group.members(),
-                },
-                obs,
-            );
-        }
-
-        let available = self.available_helpers(tree, &group);
-
-        let in_window = now >= self.window_start && now <= self.window_end;
-        let (repaired_now, starved_now, new_holes) = self.serve_repairs(
-            tree,
-            member,
-            &available,
-            s0..s1,
-            s1 - s0,
-            &RepairTiming::Batch(t_repair),
-            now,
-            obs,
-        );
-
-        if in_window {
-            self.starved += starved_now;
-            self.repaired_on_time += repaired_now;
-        }
+        let timing = RepairTiming::Batch(t0 + LOSS_DETECTION_SECS);
+        let (helpers, repaired, starved) = self.repair(cx, member, s0..s1, s1 - s0, &timing, now);
+        let obs = &mut *cx.obs;
         if obs.is_active() {
             obs.count("cer.repairs", 1);
-            obs.count("cer.packets_repaired", repaired_now);
-            obs.count("cer.packets_starved", starved_now);
+            obs.count("cer.packets_repaired", repaired);
+            obs.count("cer.packets_starved", starved);
             obs.observe("cer.repair_latency_secs", now - t0);
             obs.emit(
                 TraceEvent::new(now.as_secs(), Subsystem::Cer, "repair")
                     .u64("member", member.0)
                     .u64("gap", s1 - s0)
-                    .u64("helpers", available.len() as u64)
-                    .u64("repaired", repaired_now)
-                    .u64("starved", starved_now)
-                    .f64("starved_secs", starved_now as f64 / self.clock.rate_pps())
+                    .u64("helpers", helpers as u64)
+                    .u64("repaired", repaired)
+                    .u64("starved", starved)
+                    .f64("starved_secs", starved as f64 / self.clock.rate_pps())
                     .f64("latency_secs", now - t0)
                     .str(
                         "strategy",
@@ -815,14 +647,45 @@ impl StreamingState {
                     ),
             );
         }
-        let stream = self
-            .members
-            .get_mut(&member)
-            .expect("repairing member exists");
-        stream.starved_packets += starved_now;
-        for seq in new_holes {
-            stream.holes.insert(seq);
+    }
+
+    /// The one recovery path of outage gaps and link losses: selects
+    /// `member`'s recovery group, reports it to the armed invariants,
+    /// serves the `gap` missing packets `seqs` through
+    /// [`Self::serve_repairs`], books the window totals and records the
+    /// member's starved packets and holes. Returns the number of
+    /// available helpers and the packets repaired and starved.
+    fn repair<I: Iterator<Item = u64>>(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        member: NodeId,
+        seqs: I,
+        gap: u64,
+        timing: &RepairTiming,
+        now: SimTime,
+    ) -> (usize, u64, u64) {
+        let group = self.select_group(cx, member);
+        if let Some(registry) = cx.invariants.as_deref_mut() {
+            let chosen = Signal::RecoveryGroupChosen {
+                member,
+                group: group.members(),
+            };
+            registry.signal(cx.tree, now, &chosen, cx.obs);
         }
+        let available = self.available_helpers(cx.tree, &group);
+        let (repaired, starved, holes) =
+            self.serve_repairs(cx.tree, member, &available, seqs, gap, timing, now, cx.obs);
+        if now >= self.window_start && now <= self.window_end {
+            self.starved += starved;
+            self.repaired_on_time += repaired;
+        }
+        if let Some(stream) = self.members.get_mut(&member) {
+            stream.starved_packets += starved;
+            for seq in holes {
+                stream.holes.insert(seq);
+            }
+        }
+        (available.len(), repaired, starved)
     }
 }
 

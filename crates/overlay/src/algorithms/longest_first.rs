@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn picks_oldest_with_capacity() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 2.0, 10.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 2.0, 5.0), NodeId(0)).unwrap(); // older than 1
         let joiner = profile(9, 1.0, 100.0);
@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn skips_full_members_even_if_oldest() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 1.0, 1.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 2.0, 50.0), NodeId(1)).unwrap(); // node 1 now full
         let joiner = profile(9, 1.0, 100.0);
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn skips_detached_and_unknown_candidates() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 2.0, 50.0), NodeId(0)).unwrap();
         tree.attach(profile(3, 3.0, 1.0), NodeId(0)).unwrap();
         tree.attach(profile(4, 3.0, 2.0), NodeId(3)).unwrap();
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn rejects_without_capacity() {
-        let tree = MulticastTree::new(profile(0, 0.0, 0.0), 1.0);
+        let tree = MulticastTree::new(profile(0, 0.0, 0.0));
         let joiner = profile(9, 1.0, 1.0);
         let candidates = vec![NodeId(0)];
         let ctx = JoinContext {

@@ -20,7 +20,7 @@ use crate::proximity::Proximity;
 /// use rom_sim::SimTime;
 ///
 /// let source = MemberProfile::new(NodeId::SOURCE, 100.0, SimTime::ZERO, 1e9, Location(0));
-/// let tree = MulticastTree::new(source, 1.0);
+/// let tree = MulticastTree::new(source);
 /// let joiner = MemberProfile::new(NodeId(1), 1.0, SimTime::ZERO, 600.0, Location(1));
 /// let candidates = [NodeId::SOURCE];
 ///
@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn attaches_at_shallowest_free_slot() {
-        let mut tree = MulticastTree::new(profile(0, 1.0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 1.0));
         tree.attach(profile(1, 2.0), NodeId(0)).unwrap(); // root full now
         tree.attach(profile(2, 2.0), NodeId(1)).unwrap();
         let joiner = profile(9, 0.5);
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn rejects_when_view_has_no_capacity() {
-        let tree = MulticastTree::new(profile(0, 0.0), 1.0);
+        let tree = MulticastTree::new(profile(0, 0.0));
         let joiner = profile(9, 1.0);
         let candidates = vec![NodeId(0)];
         let ctx = JoinContext {

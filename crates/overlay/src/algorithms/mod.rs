@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn min_depth_parent_prefers_shallow_then_near() {
-        let mut tree = MulticastTree::new(profile(0, 2.0, 0.0, 0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 2.0, 0.0, 0));
         tree.attach(profile(1, 2.0, 0.0, 10), NodeId(0)).unwrap();
         tree.attach(profile(2, 2.0, 0.0, 3), NodeId(0)).unwrap();
         tree.attach(profile(3, 2.0, 0.0, 1), NodeId(1)).unwrap();
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn min_depth_parent_skips_full_and_detached() {
-        let mut tree = MulticastTree::new(profile(0, 2.0, 0.0, 0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 2.0, 0.0, 0));
         tree.attach(profile(1, 1.0, 0.0, 1), NodeId(0)).unwrap();
         tree.attach(profile(2, 0.0, 0.0, 2), NodeId(1)).unwrap(); // free-rider; 1 now full
         tree.attach(profile(3, 3.0, 0.0, 3), NodeId(0)).unwrap();
@@ -252,7 +252,7 @@ mod tests {
     /// and depths repeat; six locations make delay ties common under
     /// [`IndexProximity`].
     fn grown_tree(members: &[(u64, u32, u32)], departures: &[u64]) -> MulticastTree {
-        let mut tree = MulticastTree::new(profile(0, 3.0, 0.0, 0), 1.0);
+        let mut tree = MulticastTree::new(profile(0, 3.0, 0.0, 0));
         for (id, &(pick, bw, loc)) in (1u64..).zip(members) {
             let open: Vec<NodeId> = tree
                 .attached_by_depth()

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn bo_evicts_shallowest_weaker_node() {
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 1.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(3, 0.5, 0.0), NodeId(1)).unwrap();
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn bo_picks_weakest_within_layer() {
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 2.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 1.0, 0.0), NodeId(0)).unwrap();
         let joiner = profile(9, 3.0, 10.0);
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn bo_falls_back_to_min_depth_when_nothing_weaker() {
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         let joiner = profile(9, 0.7, 10.0); // weaker than everyone
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn to_evicts_younger_node() {
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 10.0), NodeId(0)).unwrap(); // age 90 at t=100
         tree.attach(profile(2, 5.0, 80.0), NodeId(0)).unwrap(); // age 20
         let joiner = profile(9, 1.0, 50.0); // age 50: older than node 2 only
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn to_attaches_when_youngest() {
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 10.0), NodeId(0)).unwrap();
         let joiner = profile(9, 9.0, 95.0); // youngest member
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
@@ -238,7 +238,7 @@ mod tests {
         // Regression for the indexed eviction path: `set_bandwidth` must
         // re-key the member's index entry, or a later ordered join probes
         // stale bandwidths and picks the wrong victim.
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 0.0), NodeId(0)).unwrap();
         // Node 1 decays below node 2: the index must now rank it weakest.
@@ -259,7 +259,7 @@ mod tests {
         // eviction and free-slot indices must follow, so the next ordered
         // join neither evicts a detached member nor misses the weakened
         // survivor.
-        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 3.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(3, 1.0, 0.0), NodeId(1)).unwrap();
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn root_is_never_evicted() {
-        let tree = MulticastTree::with_order_index(profile(0, 0.1, 50.0), 1.0);
+        let tree = MulticastTree::with_order_index(profile(0, 0.1, 50.0));
         let joiner = profile(9, 99.0, 0.0);
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
         let c = ctx(&tree, &joiner, &all, 100.0);

@@ -29,7 +29,7 @@
 //! use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId, ZeroProximity};
 //! use rom_sim::SimTime;
 //!
-//! let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+//! let mut tree = MulticastTree::new(paper_source(Location(0)));
 //! for i in 1..=3u64 {
 //!     let joiner = MemberProfile::new(NodeId(i), 2.0, SimTime::ZERO, 600.0, Location(i as u32));
 //!     let candidates: Vec<NodeId> = tree.attached_by_depth().collect();

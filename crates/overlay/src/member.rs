@@ -19,7 +19,7 @@ use crate::id::{Location, NodeId};
 /// use rom_sim::SimTime;
 ///
 /// let m = MemberProfile::new(NodeId(7), 3.5, SimTime::from_secs(100.0), 600.0, Location(2));
-/// assert_eq!(m.out_capacity(1.0), 3);
+/// assert_eq!(m.out_capacity(), 3);
 /// assert_eq!(m.age(SimTime::from_secs(160.0)), 60.0);
 /// assert_eq!(m.btp(SimTime::from_secs(160.0)), 3.5 * 60.0);
 /// ```
@@ -66,15 +66,12 @@ impl MemberProfile {
         }
     }
 
-    /// Number of full streams this member can forward: ⌊bandwidth / rate⌋.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream_rate` is not positive.
+    /// Number of full streams this member can forward: ⌊bandwidth⌋, the
+    /// bandwidth being in units of the stream rate (§5 normalises the
+    /// rate to 1).
     #[must_use]
-    pub fn out_capacity(&self, stream_rate: f64) -> usize {
-        assert!(stream_rate > 0.0, "stream rate must be positive");
-        (self.bandwidth / stream_rate).floor() as usize
+    pub fn out_capacity(&self) -> usize {
+        self.bandwidth.floor() as usize
     }
 
     /// Seconds this member has been in the overlay at `now`; clamped at 0
@@ -108,12 +105,10 @@ mod tests {
 
     #[test]
     fn capacity_floors() {
-        assert_eq!(member(0.0).out_capacity(1.0), 0);
-        assert_eq!(member(0.99).out_capacity(1.0), 0);
-        assert_eq!(member(1.0).out_capacity(1.0), 1);
-        assert_eq!(member(7.9).out_capacity(1.0), 7);
-        // Non-unit stream rates scale the capacity.
-        assert_eq!(member(7.9).out_capacity(2.0), 3);
+        assert_eq!(member(0.0).out_capacity(), 0);
+        assert_eq!(member(0.99).out_capacity(), 0);
+        assert_eq!(member(1.0).out_capacity(), 1);
+        assert_eq!(member(7.9).out_capacity(), 7);
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub struct SwitchRecord {
 /// use rom_sim::SimTime;
 ///
 /// let source = MemberProfile::new(NodeId::SOURCE, 100.0, SimTime::ZERO, 1e9, Location(0));
-/// let mut tree = MulticastTree::new(source, 1.0);
+/// let mut tree = MulticastTree::new(source);
 ///
 /// let m = MemberProfile::new(NodeId(1), 2.0, SimTime::ZERO, 600.0, Location(1));
 /// tree.attach(m, NodeId::SOURCE)?;
@@ -238,7 +238,6 @@ pub struct SwitchRecord {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulticastTree {
-    stream_rate: f64,
     root: NodeId,
     root_ix: NodeIndex,
     /// The slab arena. Freed slots are recycled through `free`.
@@ -278,32 +277,23 @@ impl MulticastTree {
     /// tree every distributed algorithm uses. It keeps no order index, so
     /// the order queries ([`weakest_by_bandwidth`](Self::weakest_by_bandwidth)
     /// and the rest) panic on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream_rate` is not positive.
     #[must_use]
-    pub fn new(source: MemberProfile, stream_rate: f64) -> Self {
-        Self::build(source, stream_rate, None)
+    pub fn new(source: MemberProfile) -> Self {
+        Self::build(source, None)
     }
 
     /// Creates a tree containing only the multicast source that also
     /// keeps the per-depth eviction and free-slot indices the centralized
     /// algorithms query. Every attach, detach and subtree move then
     /// re-keys those indices for each node it touches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream_rate` is not positive.
     #[must_use]
-    pub fn with_order_index(source: MemberProfile, stream_rate: f64) -> Self {
-        Self::build(source, stream_rate, Some(OrderIndex::default()))
+    pub fn with_order_index(source: MemberProfile) -> Self {
+        Self::build(source, Some(OrderIndex::default()))
     }
 
-    fn build(source: MemberProfile, stream_rate: f64, order: Option<OrderIndex>) -> Self {
-        assert!(stream_rate > 0.0, "stream rate must be positive");
+    fn build(source: MemberProfile, order: Option<OrderIndex>) -> Self {
         let root = source.id;
-        let capacity = source.out_capacity(stream_rate);
+        let capacity = source.out_capacity();
         let root_ix = NodeIndex::mint(0, 0);
         let slots = vec![TreeSlot {
             profile: source,
@@ -318,7 +308,6 @@ impl MulticastTree {
         let mut ids = IdMap::new();
         ids.insert(root, root_ix);
         let mut tree = MulticastTree {
-            stream_rate,
             root,
             root_ix,
             slots,
@@ -470,12 +459,6 @@ impl MulticastTree {
     #[must_use]
     pub fn root(&self) -> NodeId {
         self.root
-    }
-
-    /// The stream rate capacities are measured against.
-    #[must_use]
-    pub fn stream_rate(&self) -> f64 {
-        self.stream_rate
     }
 
     /// Total members, attached or not (including the source).
@@ -1005,7 +988,7 @@ impl MulticastTree {
             return Err(TreeError::ParentFull(parent));
         }
         let depth = pslot.depth + 1;
-        let capacity = profile.out_capacity(self.stream_rate);
+        let capacity = profile.out_capacity();
         let ix = self.alloc(profile, capacity, pix, depth, true);
         self.sm(pix).children.push(ix);
         self.refresh_free_slot(pix);
@@ -1130,7 +1113,7 @@ impl MulticastTree {
         }
         let eix = self.attached_evictee(evict)?;
         let new_id = newcomer.id;
-        let capacity = newcomer.out_capacity(self.stream_rate);
+        let capacity = newcomer.out_capacity();
         let nix = self.alloc(newcomer, capacity, NodeIndex::NIL, 0, false);
         self.ids.insert(new_id, nix);
         Ok(self.take_over(eix, nix, keep_priority))
@@ -1448,13 +1431,12 @@ impl MulticastTree {
             "bandwidth must be finite and non-negative"
         );
         let ix = self.index_of(id).ok_or(TreeError::UnknownMember(id))?;
-        let rate = self.stream_rate;
         let slot = &mut self.slots[ix.index()];
         let attached = slot.attached;
         let depth = slot.depth;
         let old_bandwidth = slot.profile.bandwidth;
         slot.profile.bandwidth = bandwidth;
-        slot.capacity = slot.profile.out_capacity(rate);
+        slot.capacity = slot.profile.out_capacity();
         let mut shed_ix = Vec::new();
         while slot.children.len() > slot.capacity {
             if let Some(child) = slot.children.pop() {
@@ -1718,7 +1700,7 @@ mod tests {
     }
 
     fn tree_with_capacity(root_bw: f64) -> MulticastTree {
-        MulticastTree::new(profile(0, root_bw), 1.0)
+        MulticastTree::new(profile(0, root_bw))
     }
 
     fn children_of(t: &MulticastTree, id: u64) -> Vec<NodeId> {
@@ -1764,7 +1746,7 @@ mod tests {
         }
         assert!(NO_ORDER_INDEX.contains("MulticastTree::with_order_index"));
 
-        let t = MulticastTree::with_order_index(profile(0, 10.0), 1.0);
+        let t = MulticastTree::with_order_index(profile(0, 10.0));
         assert!(t.has_order_index() && !tree_with_capacity(10.0).has_order_index());
         assert_eq!(t.weakest_by_bandwidth(0), Some((10.0, NodeId(0))));
         assert_eq!(t.weakest_by_age(0, SimTime::ZERO), Some((0.0, NodeId(0))));
@@ -2192,7 +2174,7 @@ mod tests {
     #[test]
     fn paper_source_has_capacity_100() {
         let src = paper_source(Location(0));
-        assert_eq!(src.out_capacity(1.0), 100);
+        assert_eq!(src.out_capacity(), 100);
         assert_eq!(src.id, NodeId::SOURCE);
     }
 

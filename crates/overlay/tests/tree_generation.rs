@@ -21,7 +21,7 @@ fn profile(id: u64, bw: f64) -> MemberProfile {
 /// attaches node 3 so the LIFO free list hands node 2's slot to node 3.
 /// Returns the tree and the now-stale index.
 fn tree_with_resurrected_slot() -> (MulticastTree, NodeIndex) {
-    let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+    let mut tree = MulticastTree::new(paper_source(Location(0)));
     tree.attach(profile(1, 4.0), NodeId(0)).unwrap();
     tree.attach(profile(2, 2.0), NodeId(1)).unwrap();
     let stale = tree.index_of(NodeId(2)).unwrap();

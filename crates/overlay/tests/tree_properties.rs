@@ -87,8 +87,8 @@ fn profile(id: u64, bw: f64) -> MemberProfile {
 /// A fresh tree of each kind: plain, then with the order index.
 fn both_kinds() -> [MulticastTree; 2] {
     [
-        MulticastTree::new(profile(0, 4.0), 1.0),
-        MulticastTree::with_order_index(profile(0, 4.0), 1.0),
+        MulticastTree::new(profile(0, 4.0)),
+        MulticastTree::with_order_index(profile(0, 4.0)),
     ]
 }
 
@@ -261,7 +261,7 @@ proptest! {
     /// all exercised at both probe times.
     #[test]
     fn eviction_probes_match_exhaustive_scans(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut tree = MulticastTree::with_order_index(profile(0, 4.0), 1.0);
+        let mut tree = MulticastTree::with_order_index(profile(0, 4.0));
         let mut next_id = 1u64;
         for op in &ops {
             apply(&mut tree, op, &mut next_id);

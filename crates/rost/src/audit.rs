@@ -148,7 +148,7 @@ mod tests {
 
     /// source → 1 (bw 1, old) → 2 (bw 4, newer): a genuine inversion.
     fn setup() -> (MulticastTree, SwitchingProtocol, RefereeRegistry) {
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         tree.attach(profile(1, 1.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 100.0), NodeId(1)).unwrap();
         let protocol = SwitchingProtocol::new(RostConfig::paper());

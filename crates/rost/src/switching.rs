@@ -63,7 +63,7 @@ pub struct SwitchStats {
 /// use rom_rost::{RostConfig, SwitchOutcome, SwitchingProtocol};
 /// use rom_sim::SimTime;
 ///
-/// let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+/// let mut tree = MulticastTree::new(paper_source(Location(0)));
 /// // A weak early parent and a strong late child.
 /// let weak = MemberProfile::new(NodeId(1), 1.0, SimTime::ZERO, 1e6, Location(1));
 /// let strong = MemberProfile::new(NodeId(2), 5.0, SimTime::from_secs(60.0), 1e6, Location(2));
@@ -273,7 +273,7 @@ mod tests {
 
     /// root → 1 → 2, where 2 out-bandwidths 1.
     fn two_level_tree() -> MulticastTree {
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         tree.attach(profile(1, 1.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 100.0), NodeId(1)).unwrap();
         tree
@@ -300,7 +300,7 @@ mod tests {
     fn bandwidth_guard_blocks_weaker_children() {
         // §3.3: even with a larger BTP, a smaller-bandwidth child must not
         // switch (the parent would overtake it again).
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         tree.attach(profile(1, 2.0, 500.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 1.0, 0.0), NodeId(1)).unwrap();
         // t=600: BTP(1)=200, BTP(2)=600 — BTP condition holds, bandwidth
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn lock_set_covers_family() {
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         tree.attach(profile(1, 2.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 100.0), NodeId(1)).unwrap();
         tree.attach(profile(3, 0.5, 0.0), NodeId(1)).unwrap(); // sibling of 2
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn switch_overhead_is_2d_plus_1_shaped() {
         // Fig. 2's shape: parent with 2 children, child with 3.
-        let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
         tree.attach(profile(1, 2.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 3.0, 10.0), NodeId(1)).unwrap();
         tree.attach(profile(3, 0.5, 0.0), NodeId(1)).unwrap();

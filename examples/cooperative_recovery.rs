@@ -27,7 +27,7 @@ fn main() {
     //       /   |   \
     //      1    2    3
     //     ...  ...  ...
-    let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+    let mut tree = MulticastTree::new(paper_source(Location(0)));
     let mut next = 10u64;
     for branch in [1u64, 2, 3] {
         tree.attach(member(branch, 4.0), NodeId::SOURCE).unwrap();

@@ -13,7 +13,7 @@ use rom::stats::BoundedPareto;
 fn grown_tree(n: u64, seed: u64) -> MulticastTree {
     let mut rng = SimRng::seed_from(seed);
     let bw = BoundedPareto::paper_bandwidth();
-    let mut tree = MulticastTree::new(paper_source(Location(0)), 1.0);
+    let mut tree = MulticastTree::new(paper_source(Location(0)));
     for id in 1..=n {
         let profile = MemberProfile::new(
             NodeId(id),

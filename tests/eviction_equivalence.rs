@@ -188,7 +188,7 @@ fn run_wall(
     locations: &[Location],
 ) {
     let source = MemberProfile::new(NodeId(0), 6.0, SimTime::ZERO, 1e12, Location(0));
-    let mut tree = MulticastTree::with_order_index(source, 1.0);
+    let mut tree = MulticastTree::with_order_index(source);
     let mut rng = Rng::new(seed);
     let mut next_id = 1u64;
     let mut switches = 0usize;

@@ -52,15 +52,11 @@ fn profile_for(id: u64, bw: f64) -> MemberProfile {
 /// (depths are assigned non-decreasing in id) and a filled node never
 /// regains capacity during the build, so the shallowest free parent only
 /// ever moves forward through the attach order.
-fn build_cursor(
-    n: u64,
-    seed: u64,
-    build: fn(MemberProfile, f64) -> MulticastTree,
-) -> MulticastTree {
+fn build_cursor(n: u64, seed: u64, build: fn(MemberProfile) -> MulticastTree) -> MulticastTree {
     let mut rng = SimRng::seed_from(seed);
     let bw = BoundedPareto::paper_bandwidth();
     let source = MemberProfile::new(NodeId::SOURCE, 8.0, SimTime::ZERO, 1e9, Location(0));
-    let mut tree = build(source, 1.0);
+    let mut tree = build(source);
     let mut order: Vec<NodeId> = vec![NodeId::SOURCE];
     let mut cursor = 0usize;
     for id in 1..=n {
@@ -81,7 +77,7 @@ fn build_scan(n: u64, seed: u64) -> MulticastTree {
     let mut rng = SimRng::seed_from(seed);
     let bw = BoundedPareto::paper_bandwidth();
     let source = MemberProfile::new(NodeId::SOURCE, 8.0, SimTime::ZERO, 1e9, Location(0));
-    let mut tree = MulticastTree::new(source, 1.0);
+    let mut tree = MulticastTree::new(source);
     for id in 1..=n {
         let profile = profile_for(id, bw.sample(&mut rng));
         let parent = tree

@@ -23,7 +23,7 @@ impl RefereedOverlay {
         // deep enough to exercise switching; the paper's capacity-100
         // source would absorb these small test populations at depth 1.
         let source = MemberProfile::new(NodeId(0), 3.0, SimTime::ZERO, 1e12, Location(0));
-        let tree = MulticastTree::new(source, 1.0);
+        let tree = MulticastTree::new(source);
         let mut live = HashSet::new();
         live.insert(NodeId(0));
         RefereedOverlay {

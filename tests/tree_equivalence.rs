@@ -41,6 +41,12 @@ mod old_model {
         }
     }
 
+    /// The capacity rule the model was frozen with, ⌊bandwidth / rate⌋
+    /// (`MemberProfile::out_capacity` no longer takes a rate).
+    fn out_capacity(profile: &MemberProfile, stream_rate: f64) -> usize {
+        (profile.bandwidth / stream_rate).floor() as usize
+    }
+
 
 #[derive(Debug, Clone)]
 struct TreeSlot {
@@ -106,7 +112,7 @@ pub struct SwitchRecord {
 /// use rom_sim::SimTime;
 ///
 /// let source = MemberProfile::new(NodeId::SOURCE, 100.0, SimTime::ZERO, 1e9, Location(0));
-/// let mut tree = MulticastTree::new(source, 1.0);
+/// let mut tree = MulticastTree::new(source);
 ///
 /// let m = MemberProfile::new(NodeId(1), 2.0, SimTime::ZERO, 600.0, Location(1));
 /// tree.attach(m, NodeId::SOURCE)?;
@@ -135,7 +141,7 @@ impl MulticastTree {
     pub fn new(source: MemberProfile, stream_rate: f64) -> Self {
         assert!(stream_rate > 0.0, "stream rate must be positive");
         let root = source.id;
-        let capacity = source.out_capacity(stream_rate);
+        let capacity = out_capacity(&source, stream_rate);
         let mut nodes = BTreeMap::new();
         nodes.insert(
             root,
@@ -410,7 +416,7 @@ impl MulticastTree {
             return Err(TreeError::ParentFull(parent));
         }
         let depth = parent_slot.depth + 1;
-        let capacity = profile.out_capacity(self.stream_rate);
+        let capacity = out_capacity(&profile, self.stream_rate);
         self.nodes
             .get_mut(&parent)
             .expect("checked")
@@ -549,7 +555,7 @@ impl MulticastTree {
         let mut former_children = evict_slot.children.clone();
 
         let new_id = newcomer.id;
-        let new_capacity = newcomer.out_capacity(self.stream_rate);
+        let new_capacity = out_capacity(&newcomer, self.stream_rate);
 
         // Swap the parent's child pointer.
         let siblings = &mut self.nodes.get_mut(&parent).expect("parent exists").children;
@@ -869,7 +875,7 @@ impl MulticastTree {
         );
         let slot = self.nodes.get_mut(&id).ok_or(TreeError::UnknownMember(id))?;
         slot.profile.bandwidth = bandwidth;
-        slot.capacity = slot.profile.out_capacity(self.stream_rate);
+        slot.capacity = out_capacity(&slot.profile, self.stream_rate);
         let mut shed = Vec::new();
         while slot.children.len() > slot.capacity {
             if let Some(child) = slot.children.pop() {
@@ -1296,8 +1302,8 @@ proptest! {
     #[test]
     fn arena_matches_btreemap_model(ops in prop::collection::vec(op_strategy(), 1..140)) {
         let mut news = [
-            MulticastTree::new(profile(0, 4.0), 1.0),
-            MulticastTree::with_order_index(profile(0, 4.0), 1.0),
+            MulticastTree::new(profile(0, 4.0)),
+            MulticastTree::with_order_index(profile(0, 4.0)),
         ];
         let mut old = old_model::MulticastTree::new(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
