@@ -5,29 +5,13 @@
 //! order of magnitude at each group size; ROST+CER at K=1 already beats
 //! the baseline at K=2.
 
-use rom_bench::{banner, churn_config, fmt, product, row, run_grid, Scale};
-use rom_engine::{AlgorithmKind, RecoveryStrategy, StreamingConfig, StreamingReport};
+use rom_bench::{banner_text, churn_config, product, run_grid, table, Scale};
+use rom_engine::{AlgorithmKind, RecoveryStrategy, StreamingConfig};
 use rom_stats::Summary;
 
 fn main() {
     let scale = Scale::from_args();
-    banner(
-        "Figure 14",
-        "ROST+CER vs MinDepth+SingleSource: starving ratio (%) with 95% CI",
-        scale,
-    );
     let size = scale.focus_size();
-    println!("# focus size: {size} members");
-    println!(
-        "{}",
-        row([
-            "group_size".into(),
-            "mindepth_single_mean".into(),
-            "mindepth_single_ci95".into(),
-            "rost_cer_mean".into(),
-            "rost_cer_ci95".into(),
-        ])
-    );
     // Two points per K, the baseline before ROST+CER; --trace/--profile
     // capture the flagship configuration: ROST+CER at K=1.
     let schemes = [
@@ -48,26 +32,28 @@ fn main() {
         },
         scale,
     );
-    for (k, pair) in (1..).zip(grid.chunks(2)) {
-        let (baseline, rost_cer) = (pooled(&pair[0]), pooled(&pair[1]));
-        println!(
-            "{}",
-            row([
-                k.to_string(),
-                fmt(baseline.mean()),
-                fmt(baseline.ci95_half_width()),
-                fmt(rost_cer.mean()),
-                fmt(rost_cer.ci95_half_width()),
-            ])
-        );
-    }
-}
-
-/// Pools the per-member ratio summaries of replicated runs.
-fn pooled(reports: &[StreamingReport]) -> Summary {
-    let mut pooled = Summary::new();
-    for r in reports {
-        pooled.merge(&r.starving_ratio_percent);
-    }
-    pooled
+    let lines = table(
+        vec![
+            banner_text(
+                "Figure 14",
+                "ROST+CER vs MinDepth+SingleSource: starving ratio (%) with 95% CI",
+                scale,
+            ),
+            format!("# focus size: {size} members"),
+        ],
+        "group_size,mindepth_single_mean,mindepth_single_ci95,rost_cer_mean,rost_cer_ci95",
+        (1..).zip(grid.chunks(2)).map(|(k, pair)| {
+            // Each scheme's per-member ratio summaries, pooled over seeds.
+            let [baseline, rost_cer] = [&pair[0], &pair[1]].map(|reports| {
+                let mut pooled = Summary::new();
+                for r in reports {
+                    pooled.merge(&r.starving_ratio_percent);
+                }
+                pooled
+            });
+            let values = [&baseline, &rost_cer].map(|s| [s.mean(), s.ci95_half_width()]);
+            (k.to_string(), values.concat())
+        }),
+    );
+    println!("{}", lines.join("\n"));
 }

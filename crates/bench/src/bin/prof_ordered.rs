@@ -5,24 +5,11 @@
 //! indices that span was the sweep's dominant cost — an O(M) layer scan
 //! per placement. Not a paper figure; a perf-observability bin.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, row, run_grid, Scale};
+use rom_bench::{banner_text, churn_config, mean_over, run_grid, table, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
     let scale = Scale::from_args();
-    banner(
-        "Relaxed-BO profile",
-        "one profiled relaxed-bw-ordered churn cell (perf observability)",
-        scale,
-    );
-    println!(
-        "{}",
-        row(vec![
-            "size".to_string(),
-            "avg_population".to_string(),
-            "disruptions".to_string(),
-        ])
-    );
     let size = scale.focus_size();
     let grid = run_grid(
         "prof_relaxed_bw",
@@ -32,12 +19,20 @@ fn main() {
         scale,
     );
     let reports = &grid[0];
-    println!(
-        "{}",
-        row(vec![
+    let lines = table(
+        vec![banner_text(
+            "Relaxed-BO profile",
+            "one profiled relaxed-bw-ordered churn cell (perf observability)",
+            scale,
+        )],
+        "size,avg_population,disruptions",
+        [(
             size.to_string(),
-            fmt(mean_over(reports, |r| r.population.mean())),
-            fmt(mean_over(reports, |r| r.disruptions_per_mean_lifetime())),
-        ])
+            vec![
+                mean_over(reports, |r| r.population.mean()),
+                mean_over(reports, |r| r.disruptions_per_mean_lifetime()),
+            ],
+        )],
     );
+    println!("{}", lines.join("\n"));
 }

@@ -1,16 +1,18 @@
 //! # rom-bench: figure regeneration and benchmark harness
 //!
-//! One binary per evaluation figure of the paper (`fig06_member_disruptions`
-//! … `fig14_rost_cer`), each printing the same series the paper plots as
-//! CSV rows, except `churn_figures`, which writes Figs. 4, 5, 7, 8 and 10
-//! and the headline claims from one run of their shared churn grid into
-//! the required `--out DIR` (no other binary accepts `--out`); plus
-//! criterion micro-benchmarks. Each binary runs its whole grid of
-//! configurations × seeds as one [`run_grid`] sweep. No binary or bench
-//! here writes files other than the ones its flags name; performance
-//! baselines live in the `perfbench` package.
+//! Two table writers, `churn_figures` (Figs. 4–11, the headline claims
+//! and ablations A2 and A3) and `cer_figures` (Figs. 12 and 13 and
+//! ablation A1), each run the distinct configurations of their tables as
+//! one sweep, so that a cell two tables share runs once per seed, and
+//! write one CSV file per table into the required `--out DIR` (no other
+//! binary accepts `--out`). `fig14_rost_cer` prints Fig. 14's series as
+//! CSV rows; plus scale, chaos and profiling harnesses and criterion
+//! micro-benchmarks. Each binary runs its whole grid of configurations ×
+//! seeds as one [`run_grid`] sweep. No binary or bench here writes files
+//! other than the ones its flags name; performance baselines live in the
+//! `perfbench` package.
 //!
-//! Every binary accepts:
+//! Every figure binary accepts:
 //!
 //! - `--paper` — run at the paper's §5 scale (network sizes up to 14 000
 //!   members over the 15 600-node topology). The default is a reduced
@@ -22,8 +24,8 @@
 //!   available parallelism). Output is byte-identical for any `N`;
 //!   `--jobs 1` runs the cells inline on the calling thread.
 //! - `--trace PATH` — write a structured JSONL trace of one designated
-//!   run (binary-specific; typically the flagship configuration at seed
-//!   1) to `PATH`, with the aggregate [`rom_obs::SweepManifest`] at
+//!   run (binary-specific; typically the flagship configuration at
+//!   seed 1) to `PATH`, with the aggregate [`rom_obs::SweepManifest`] at
 //!   `PATH.manifest.json`, the metrics snapshots at `PATH.metrics.json`
 //!   and the per-member health timelines at `PATH.health.jsonl`. Traces
 //!   are deterministic: same seed, same bytes — regardless of `--jobs`.
@@ -75,13 +77,20 @@ impl Scale {
         Self::parse(false).0
     }
 
-    /// [`from_args`](Self::from_args) plus the `--out DIR` that
-    /// `churn_figures` requires: the scale and the output directory.
-    /// A missing `--out` aborts with the usage message.
+    /// [`from_args`](Self::from_args) plus the `--out DIR` that the
+    /// table writers require: the scale and the output directory, created
+    /// if missing. A missing `--out` aborts with the usage message, a
+    /// directory that cannot be created with exit code 2, both before
+    /// anything is simulated.
     #[must_use]
     pub fn from_args_with_out() -> (Self, String) {
         let (scale, out) = Self::parse(true);
-        (scale, out.unwrap_or_else(|| usage()))
+        let dir = out.unwrap_or_else(|| usage());
+        if let Err(err) = std::fs::create_dir_all(&dir) {
+            eprintln!("error: cannot create {dir}: {err}");
+            std::process::exit(2)
+        }
+        (scale, dir)
     }
 
     /// The shared parser; `--out` is a usage error unless `accept_out`.
@@ -164,10 +173,16 @@ impl Scale {
 
     /// The scale the member-trace figures (Figs. 6, 9) run at: this one
     /// at a single seed, because each observer trace is one seed-1 run
-    /// per algorithm (see [`observer_traces`]).
+    /// per algorithm (see [`observer_traces`]), and without sidecars,
+    /// which belong to the designated cell of the writer's grid.
     #[must_use]
     pub fn observer(self) -> Self {
-        Scale { seeds: 1, ..self }
+        Scale {
+            seeds: 1,
+            trace: None,
+            profile: None,
+            ..self
+        }
     }
 
     /// The observer horizon for the member-trace figures (Figs. 6, 9):
@@ -211,7 +226,7 @@ pub fn calibration_spin_ns() -> f64 {
 fn usage() -> ! {
     eprintln!(
         "usage: <figure-binary> [--paper] [--seeds N] [--jobs N] [--trace PATH] [--profile PATH]\n       \
-         churn_figures --out DIR [same options]"
+         churn_figures|cer_figures --out DIR [same options]"
     );
     std::process::exit(2)
 }
@@ -252,6 +267,31 @@ pub fn product<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
         .collect()
 }
 
+/// The index of `cfg` in `points`, appended unless an equal configuration
+/// is listed already. A table writer lists its tables' configurations
+/// this way, so that one [`run_grid`] over `points` runs a configuration
+/// two tables share once per seed, and each table reads its reports by
+/// index.
+pub fn point_of<C: PartialEq>(points: &mut Vec<C>, cfg: C) -> usize {
+    points.iter().position(|p| *p == cfg).unwrap_or_else(|| {
+        points.push(cfg);
+        points.len() - 1
+    })
+}
+
+/// Writes each `(file, lines)` table to `dir/file`, one line per entry
+/// and a newline after the last. A table that cannot be written aborts
+/// with exit code 2.
+pub fn write_tables<'a>(dir: &str, tables: impl IntoIterator<Item = (&'a str, Vec<String>)>) {
+    for (file, lines) in tables {
+        let path = format!("{dir}/{file}");
+        if let Err(err) = std::fs::write(&path, lines.join("\n") + "\n") {
+            eprintln!("error: cannot write {path}: {err}");
+            std::process::exit(2)
+        }
+    }
+}
+
 /// A configuration one sweep cell runs: the churn and the streaming
 /// simulators' configs, so that one grid function and one instrumented
 /// cell serve both.
@@ -276,7 +316,7 @@ impl CellConfig for ChurnConfig {
     }
 
     fn run_observed(self, obs: Obs) -> (ChurnReport, Obs, InvariantRegistry) {
-        ChurnSim::new(self).run_observed(obs, None)
+        set_up(&obs, || ChurnSim::new(self)).run_observed(obs, None)
     }
 }
 
@@ -288,8 +328,18 @@ impl CellConfig for StreamingConfig {
     }
 
     fn run_observed(self, obs: Obs) -> (StreamingReport, Obs, InvariantRegistry) {
-        StreamingSim::new(self).run_observed(obs, None)
+        set_up(&obs, || StreamingSim::new(self)).run_observed(obs, None)
     }
+}
+
+/// Builds a simulator inside a root `engine.setup` span of `obs`'s
+/// profiler, so that a profile counts the underlay, the delay oracle,
+/// the seeded workload and the tree as set-up rather than as time
+/// outside every span. The engine closes the run with its own
+/// `engine.teardown` span.
+fn set_up<S>(obs: &Obs, build: impl FnOnce() -> S) -> S {
+    let _span = obs.prof().span("engine.setup");
+    build()
 }
 
 /// Runs a binary's whole grid — every point of `points` × seeds
@@ -345,15 +395,11 @@ fn sweep_grid<P: Sync, C: CellConfig>(
 /// [`AlgorithmKind::ALL`] order, for the member-trace figures (Figs. 6
 /// and 9): one seed-1 run per algorithm at the focus size, in which a
 /// member of moderate bandwidth and long lifetime is observed for
-/// [`Scale::observer_minutes`]. `--trace`/`--profile` capture the ROST
-/// run; `name` labels it.
+/// [`Scale::observer_minutes`]. The runs are one sweep at
+/// [`Scale::observer`], so no sidecar is written.
 #[must_use]
-pub fn observer_traces(name: &str, scale: Scale) -> Vec<ObserverTrace> {
+pub fn observer_traces(scale: Scale) -> Vec<ObserverTrace> {
     let horizon_secs = scale.observer_minutes() * 60.0;
-    let rost = AlgorithmKind::ALL
-        .iter()
-        .position(|&alg| alg == AlgorithmKind::Rost)
-        .expect("ROST is one of the algorithms");
     let make = |&alg: &AlgorithmKind, seed| {
         let mut cfg = churn_config(alg, scale.focus_size(), seed);
         cfg.measure_secs = horizon_secs;
@@ -363,7 +409,8 @@ pub fn observer_traces(name: &str, scale: Scale) -> Vec<ObserverTrace> {
         });
         cfg
     };
-    let grid = run_grid(name, &AlgorithmKind::ALL, rost, make, scale.observer());
+    let observer = scale.observer();
+    let grid = run_grid("churn_observer", &AlgorithmKind::ALL, 0, make, observer);
     grid.into_iter()
         .flatten()
         .map(|report| report.observer.expect("observer configured"))
@@ -467,7 +514,8 @@ impl ChaosRun {
             churn.chaos = Some(scenarios[cell.point].clone());
             let cfg = StreamingConfig::paper(churn, 2);
             observed_cell(name, cfg, self.seed, self.sidecars, |cfg, obs| {
-                StreamingSim::new(cfg).run_observed(obs, Some(InvariantRegistry::with_all()))
+                set_up(&obs, || StreamingSim::new(cfg))
+                    .run_observed(obs, Some(InvariantRegistry::with_all()))
             })
         });
         for (id, _) in &mut out.traces {
@@ -621,11 +669,6 @@ pub fn mean_over<R>(reports: &[R], f: impl Fn(&R) -> f64) -> f64 {
     s.mean()
 }
 
-/// Prints the standard figure banner.
-pub fn banner(figure: &str, caption: &str, scale: Scale) {
-    println!("{}", banner_text(figure, caption, scale));
-}
-
 /// The text of the standard figure banner: two `#` lines, without a
 /// trailing newline.
 #[must_use]
@@ -673,6 +716,23 @@ pub fn row<I: IntoIterator<Item = String>>(cells: I) -> String {
     cells.into_iter().collect::<Vec<_>>().join(",")
 }
 
+/// A table's lines: the `head` lines (banner and notes), the `header`
+/// row, then one row per `(label, values)`, each value through [`fmt`].
+#[must_use]
+pub fn table(
+    head: Vec<String>,
+    header: &str,
+    rows: impl IntoIterator<Item = (String, Vec<f64>)>,
+) -> Vec<String> {
+    let mut lines = head;
+    lines.push(header.to_string());
+    lines.extend(
+        rows.into_iter()
+            .map(|(label, values)| row(std::iter::once(label).chain(values.into_iter().map(fmt)))),
+    );
+    lines
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,6 +750,13 @@ mod tests {
         assert_eq!(s.focus_size(), 2_000);
         assert!(s.sizes().contains(&s.focus_size()));
         assert_eq!(s.sidecars(), Sidecars::none());
+        // The observer runs take neither the seeds nor the sidecars.
+        let traced = Scale {
+            trace: Some("t.jsonl"),
+            profile: Some("p.json"),
+            ..s
+        };
+        assert_eq!(traced.observer(), Scale { seeds: 1, ..s });
         let p = Scale {
             paper: true,
             seeds: 3,
@@ -734,6 +801,10 @@ mod tests {
         assert_eq!(fmt(12.3456), "12.346");
         assert_eq!(fmt(1234.5), "1234.5");
         assert_eq!(row(["a".into(), "b".into()]), "a,b");
+        assert_eq!(
+            table(vec!["# t".into()], "x,y", [("1".into(), vec![0.5])]),
+            ["# t", "x,y", "1,0.5000"]
+        );
     }
 
     #[test]

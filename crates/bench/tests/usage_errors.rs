@@ -1,9 +1,9 @@
 //! A zero count is a usage error, not an empty experiment: `--seeds 0`
 //! would print a table of zeros and `fig_mega --sizes …,0` would panic
-//! inside the engine. So is `churn_figures` without the `--out DIR` it
-//! writes its tables to, and `--out` given to any other binary. Each must
-//! exit 2 with the usage message before anything is simulated, printed
-//! or written.
+//! inside the engine. So is a table writer (`churn_figures`,
+//! `cer_figures`) without the `--out DIR` it writes its tables to, and
+//! `--out` given to any other binary. Each must exit 2 with the usage
+//! message before anything is simulated, printed or written.
 
 use std::process::Command;
 
@@ -41,8 +41,14 @@ fn churn_figures_requires_out() {
 }
 
 #[test]
-fn only_churn_figures_takes_out() {
-    let bin = env!("CARGO_BIN_EXE_fig12_starving_vs_size");
+fn cer_figures_requires_out() {
+    let bin = env!("CARGO_BIN_EXE_cer_figures");
+    assert_usage_error("cer-out", bin, &["--seeds", "1"]);
+}
+
+#[test]
+fn only_churn_and_cer_figures_take_out() {
+    let bin = env!("CARGO_BIN_EXE_fig14_rost_cer");
     assert_usage_error("stray-out", bin, &["--out", "x"]);
 }
 

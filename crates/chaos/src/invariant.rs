@@ -153,39 +153,18 @@ pub trait Invariant: fmt::Debug + Send {
 /// and [`after_event`](Self::after_event) once per dispatched event.
 /// Every violation is recorded here, counted under the
 /// `chaos.violations` metric and emitted as a `Warn` trace event under
-/// [`Subsystem::Chaos`].
-#[derive(Debug)]
+/// [`Subsystem::Chaos`]. The default registry arms nothing.
+#[derive(Debug, Default)]
 pub struct InvariantRegistry {
     invariants: Vec<Box<dyn Invariant>>,
     violations: Vec<Violation>,
-    stride: u64,
-    events_seen: u64,
-}
-
-impl Default for InvariantRegistry {
-    /// Same as [`InvariantRegistry::new`] (a derived default would set a
-    /// zero stride, which `after_event` rejects).
-    fn default() -> Self {
-        InvariantRegistry::new()
-    }
 }
 
 impl InvariantRegistry {
-    /// An empty registry (stride 1).
-    #[must_use]
-    pub fn new() -> Self {
-        InvariantRegistry {
-            invariants: Vec::new(),
-            violations: Vec::new(),
-            stride: 1,
-            events_seen: 0,
-        }
-    }
-
     /// A registry armed with every built-in invariant.
     #[must_use]
     pub fn with_all() -> Self {
-        let mut registry = InvariantRegistry::new();
+        let mut registry = InvariantRegistry::default();
         registry.register(Box::new(TreeStructure));
         registry.register(Box::new(DegreeBudget));
         registry.register(Box::new(BtpMonotonic::default()));
@@ -193,19 +172,6 @@ impl InvariantRegistry {
         registry.register(Box::new(RecoveryGroupConsistent));
         registry.register(Box::new(CausalScheduling::default()));
         registry
-    }
-
-    /// Runs the (possibly expensive) per-event tree checks only every
-    /// `stride` events. Signals are always checked. Builder style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    #[must_use]
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        assert!(stride >= 1, "stride must be at least 1");
-        self.stride = stride;
-        self
     }
 
     /// Arms one more invariant.
@@ -245,12 +211,8 @@ impl InvariantRegistry {
         }
     }
 
-    /// Runs the post-dispatch tree checks (honouring the stride).
+    /// Runs the post-dispatch tree checks.
     pub fn after_event(&mut self, tree: &MulticastTree, now: SimTime, obs: &mut Obs) {
-        self.events_seen += 1;
-        if self.events_seen % self.stride != 0 {
-            return;
-        }
         for invariant in &mut self.invariants {
             let found = invariant.on_event(tree, now);
             record(&mut self.violations, found, obs);
@@ -698,29 +660,5 @@ mod tests {
         assert!(orphans.is_empty());
         assert!(inv.on_event(&tree, SimTime::from_secs(21.0)).is_empty());
         assert!(inv.on_event(&tree, SimTime::from_secs(30.0)).is_empty());
-    }
-
-    #[test]
-    fn stride_skips_expensive_checks_between_marks() {
-        let tree = small_tree();
-        let mut registry = InvariantRegistry::new().with_stride(3);
-        #[derive(Debug, Default)]
-        struct Counter(std::sync::Arc<std::sync::atomic::AtomicU64>);
-        impl Invariant for Counter {
-            fn name(&self) -> &'static str {
-                "counter"
-            }
-            fn on_event(&mut self, _t: &MulticastTree, _n: SimTime) -> Vec<Violation> {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Vec::new()
-            }
-        }
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        registry.register(Box::new(Counter(std::sync::Arc::clone(&calls))));
-        let mut obs = Obs::disabled();
-        for step in 1..=9 {
-            registry.after_event(&tree, SimTime::from_secs(step as f64), &mut obs);
-        }
-        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 }

@@ -371,44 +371,51 @@ impl ChurnSim {
         obs: Obs,
         invariants: Option<InvariantRegistry>,
     ) -> (ChurnReport, Obs, InvariantRegistry) {
-        let (report, _streaming, obs, invariants) = self.run_inner(obs, invariants);
-        (report, obs, invariants)
+        self.run_inner(obs, invariants, |report, _streaming| report)
     }
 
     /// Like [`run`](Self::run), but calls `inspect` with the final tree
     /// and simulation end time before returning — for tooling that wants
     /// to examine the converged structure.
     pub fn run_inspect(mut self, inspect: impl FnOnce(&MulticastTree, SimTime)) -> ChurnReport {
-        self.simulate();
+        drop(self.simulate());
         inspect(&self.tree, self.window_end);
         self.finish()
     }
 
     /// The run behind [`run_observed`](Self::run_observed) and
-    /// [`StreamingSim::run_observed`](crate::StreamingSim::run_observed),
-    /// which also hands back the streaming layer.
-    pub(crate) fn run_inner(
+    /// [`StreamingSim::run_observed`](crate::StreamingSim::run_observed):
+    /// `report` builds the returned report from the churn report and the
+    /// streaming layer.
+    ///
+    /// Everything after the event loop runs in one root
+    /// `engine.teardown` span: the metrics fold, `report` and the drop of
+    /// the queue, the tree and the maps.
+    pub(crate) fn run_inner<R>(
         mut self,
         obs: Obs,
         invariants: Option<InvariantRegistry>,
-    ) -> (ChurnReport, Option<StreamingState>, Obs, InvariantRegistry) {
+        report: impl FnOnce(ChurnReport, Option<StreamingState>) -> R,
+    ) -> (R, Obs, InvariantRegistry) {
         self.obs = obs;
         self.invariants = invariants;
-        self.simulate();
+        let sim = self.simulate();
+        let _teardown = self.obs.prof().span("engine.teardown");
+        drop(sim);
         if self.obs.is_active() {
             self.fold_protocol_metrics();
         }
         let streaming = self.streaming.take();
         let obs = std::mem::take(&mut self.obs);
         let invariants = self.invariants.take().unwrap_or_default();
-        (self.finish(), streaming, obs, invariants)
+        (report(self.finish(), streaming), obs, invariants)
     }
 
     /// The one event loop every run variant shares: seeds the population,
     /// runs to the measurement window's end (or the event budget), and
     /// records the kernel's outcome, event count and queue peaks in the
-    /// report.
-    fn simulate(&mut self) {
+    /// report. Returns the drained kernel, for the caller to drop.
+    fn simulate(&mut self) -> Simulation<Event> {
         let mut sim: Simulation<Event> = Simulation::new();
         if let Some(budget) = self.cfg.max_events {
             sim = sim.with_max_events(budget);
@@ -422,6 +429,7 @@ impl ChurnSim {
         self.report.events_processed = sim.processed();
         self.report.queue_high_water = sim.queue_high_water_mark() as u64;
         self.report.queue_bytes_high_water = sim.queue_bytes_high_water();
+        sim
     }
 
     /// Pre-run instrumentation hookup: shares the run's span profiler with

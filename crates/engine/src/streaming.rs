@@ -738,11 +738,11 @@ impl StreamingSim {
         obs: Obs,
         invariants: Option<InvariantRegistry>,
     ) -> (StreamingReport, Obs, InvariantRegistry) {
-        let (churn, streaming, obs, invariants) = self.inner.run_inner(obs, invariants);
-        let report = streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn);
-        (report, obs, invariants)
+        self.inner.run_inner(obs, invariants, |churn, streaming| {
+            streaming
+                .expect("built with new_with_streaming")
+                .into_report(churn)
+        })
     }
 }
 
@@ -911,8 +911,9 @@ mod behavior_tests {
     /// MLC and random group selection are in the same performance range
     /// at small scale — the loss-correlation benefit only separates them
     /// when deep subtrees make correlated recovery-node failures likely
-    /// (see the `ablation_group_selection` binary for the quantitative
-    /// comparison at realistic sizes).
+    /// (see ablation A1, `ablation_group_selection.csv` of the
+    /// `cer_figures` binary, for the quantitative comparison at realistic
+    /// sizes).
     #[test]
     fn mlc_selection_comparable_to_random_at_small_scale() {
         let run = |selection: GroupSelection| {

@@ -1,14 +1,15 @@
 #!/bin/sh
-# Regenerates every figure and the headline table at reduced scale with
-# 3 seeds. churn_figures writes Figs. 4, 5, 7, 8 and 10 and
-# headline_claims.csv from one run of the churn grid.
+# Regenerates every reduced-scale table of results/ with 3 seeds:
+# churn_figures writes Figs. 4-11, headline_claims.csv and ablations A2
+# and A3 from one sweep of the churn configurations, cer_figures writes
+# Figs. 12 and 13 and ablation A1 from one sweep of the CER streaming
+# configurations, and fig14_rost_cer prints Fig. 14.
 set -e
 cd "$(dirname "$0")/.."
-echo "== churn_figures =="
-cargo run --release -p rom-bench --bin churn_figures -- --seeds 3 --out results 2>/dev/null
-for fig in fig06_member_disruptions fig09_member_delay fig11_switching_interval \
-           fig12_starving_vs_size fig13_starving_vs_buffer fig14_rost_cer; do
-  echo "== $fig =="
-  cargo run --release -p rom-bench --bin "$fig" -- --seeds 3 > "results/$fig.csv" 2>/dev/null
+for writer in churn_figures cer_figures; do
+  echo "== $writer =="
+  cargo run --release -p rom-bench --bin "$writer" -- --seeds 3 --out results 2>/dev/null
 done
+echo "== fig14_rost_cer =="
+cargo run --release -p rom-bench --bin fig14_rost_cer -- --seeds 3 > results/fig14_rost_cer.csv 2>/dev/null
 echo ALL_FIGURES_DONE
