@@ -10,7 +10,7 @@ use rom_engine::{AlgorithmKind, ChurnConfig, OracleProximity, Workload};
 use rom_net::{DelayOracle, TransitStubConfig, TransitStubNetwork, UnderlayId};
 use rom_overlay::algorithms::{min_depth_parent, JoinContext};
 use rom_overlay::{
-    paper_source, Location, MemberProfile, MulticastTree, NodeId, Proximity, ViewSampler,
+    paper_source, sample_excluding_at, Location, MemberProfile, MulticastTree, NodeId, Proximity,
 };
 use rom_sim::{SimRng, SimTime};
 use std::hint::black_box;
@@ -133,12 +133,11 @@ fn bench_join_path(c: &mut Criterion) {
         &net,
         rng.fork("workload"),
     );
-    let sampler = ViewSampler::paper();
     let mut tree = MulticastTree::new(paper_source(workload.random_location()));
     let mut live = vec![tree.root()];
     for _ in 0..MEMBERS {
         let member = workload.arrival(SimTime::ZERO);
-        let view = sampler.sample(&live, &mut rng);
+        let view = sample_excluding_at(&live, None, &mut rng);
         let ctx = JoinContext {
             tree: &tree,
             joiner: &member,
@@ -161,14 +160,14 @@ fn bench_join_path(c: &mut Criterion) {
     group.bench_function("view_sample_100_of_100k", |b| {
         b.iter(|| {
             pos = (pos + 7_919) % live.len();
-            black_box(sampler.sample_excluding_at(&live, Some(pos), &mut rng))
+            black_box(sample_excluding_at(&live, Some(pos), &mut rng))
         });
     });
     // Pre-drawn views, each scanned about once over the run, so its
     // members' id pages and arena slots are as cold as between the
     // engine's joins.
     let views: Vec<Vec<NodeId>> = (0..4_096)
-        .map(|_| sampler.sample(&live, &mut rng))
+        .map(|_| sample_excluding_at(&live, None, &mut rng))
         .collect();
     let joiners: Vec<MemberProfile> = (0..4_096)
         .map(|_| workload.arrival(SimTime::ZERO))

@@ -23,7 +23,7 @@ use rom_sim::SimTime;
 /// set.insert_range(150, 200);
 /// assert!(set.contains(99));
 /// assert!(!set.contains(100));
-/// assert_eq!(set.missing_in(90, 160), vec![(100, 150)]);
+/// assert_eq!(set.len(), 150);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SeqRangeSet {
@@ -65,32 +65,6 @@ impl SeqRangeSet {
     pub fn contains(&self, seq: u64) -> bool {
         let i = self.ranges.partition_point(|&(_, h)| h <= seq);
         self.ranges.get(i).is_some_and(|&(l, _)| l <= seq)
-    }
-
-    /// The gaps within `[lo, hi)` as half-open ranges.
-    #[must_use]
-    pub fn missing_in(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cursor = lo;
-        for &(l, h) in &self.ranges {
-            if h <= cursor {
-                continue;
-            }
-            if l >= hi {
-                break;
-            }
-            if l > cursor {
-                out.push((cursor, l.min(hi)));
-            }
-            cursor = cursor.max(h);
-            if cursor >= hi {
-                break;
-            }
-        }
-        if cursor < hi {
-            out.push((cursor, hi));
-        }
-        out
     }
 
     /// Number of distinct sequence numbers in the set.
@@ -190,14 +164,6 @@ impl StreamClock {
     pub fn playback_deadline(&self, seq: u64) -> SimTime {
         self.generation_time(seq) + self.buffer_secs
     }
-
-    /// A copy with a different buffer (Fig. 13's sweep).
-    #[must_use]
-    pub fn with_buffer_secs(mut self, buffer_secs: f64) -> Self {
-        assert!(buffer_secs > 0.0, "buffer must be positive");
-        self.buffer_secs = buffer_secs;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -238,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_in_reports_gaps() {
-        let s: SeqRangeSet = [0, 1, 2, 5, 6, 10].into_iter().collect();
-        assert_eq!(s.missing_in(0, 12), vec![(3, 5), (7, 10), (11, 12)]);
-        assert_eq!(s.missing_in(0, 3), vec![]);
-        assert_eq!(s.missing_in(20, 25), vec![(20, 25)]);
-        assert_eq!(s.missing_in(1, 6), vec![(3, 5)]);
-    }
-
-    #[test]
-    fn missing_in_empty_set() {
-        let s = SeqRangeSet::new();
-        assert_eq!(s.missing_in(3, 7), vec![(3, 7)]);
-    }
-
-    #[test]
     fn random_inserts_match_naive_model() {
         // Cross-check the range set against a HashSet on a pseudo-random
         // workload.
@@ -289,13 +240,6 @@ mod tests {
         assert_eq!(c.generation_time(123).as_secs(), 12.3);
         assert_eq!(c.playback_deadline(0).as_secs(), 5.0);
         assert_eq!(c.playback_deadline(100).as_secs(), 15.0);
-    }
-
-    #[test]
-    fn clock_buffer_override() {
-        let c = StreamClock::paper().with_buffer_secs(27.0);
-        assert_eq!(c.buffer_packets(), 270);
-        assert_eq!(c.playback_deadline(0).as_secs(), 27.0);
     }
 
     #[test]

@@ -9,17 +9,16 @@
 
 use rom_overlay::{MulticastTree, NodeId};
 
-/// The number of common edges on the root paths of `a` and `b` — the
-/// paper's `w(v1, v2)`. Returns `None` when either member is detached or
-/// unknown (it has no root path).
-///
-/// The shared prefix of two root paths ends at the pair's lowest common
-/// ancestor, so `w(a, b)` equals the LCA's depth.
+/// Total pairwise loss correlation of a candidate recovery group — the
+/// objective Algorithm 1 minimizes (`Σ_{vi,vj∈K} w(vi, vj)` over unordered
+/// pairs). The shared prefix of two root paths ends at the pair's lowest
+/// common ancestor, so `w(a, b)` is [`MulticastTree::lca_depth`].
+/// Detached or unknown members have no root path and contribute nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use rom_cer::loss_correlation;
+/// use rom_cer::group_correlation;
 /// use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 /// use rom_sim::SimTime;
 ///
@@ -31,26 +30,17 @@ use rom_overlay::{MulticastTree, NodeId};
 /// tree.attach(m(4), NodeId(0))?;
 ///
 /// // Siblings under node 1 share the root→1 edge.
-/// assert_eq!(loss_correlation(&tree, NodeId(2), NodeId(3)), Some(1));
+/// assert_eq!(group_correlation(&tree, &[NodeId(2), NodeId(3)]), 1);
 /// // Members in different root subtrees share nothing.
-/// assert_eq!(loss_correlation(&tree, NodeId(2), NodeId(4)), Some(0));
+/// assert_eq!(group_correlation(&tree, &[NodeId(2), NodeId(4)]), 0);
 /// # Ok::<(), rom_overlay::TreeError>(())
 /// ```
-#[must_use]
-pub fn loss_correlation(tree: &MulticastTree, a: NodeId, b: NodeId) -> Option<usize> {
-    // Two id→index lookups, then the walk follows arena parent links.
-    tree.lca_depth(a, b)
-}
-
-/// Total pairwise loss correlation of a candidate recovery group — the
-/// objective Algorithm 1 minimizes (`Σ_{vi,vj∈K} w(vi, vj)` over unordered
-/// pairs). Detached or unknown members contribute nothing.
 #[must_use]
 pub fn group_correlation(tree: &MulticastTree, group: &[NodeId]) -> usize {
     let mut total = 0;
     for (i, &a) in group.iter().enumerate() {
         for &b in &group[i + 1..] {
-            total += loss_correlation(tree, a, b).unwrap_or(0);
+            total += tree.lca_depth(a, b).unwrap_or(0);
         }
     }
     total
@@ -81,41 +71,22 @@ mod tests {
     }
 
     #[test]
-    fn correlation_equals_lca_depth() {
+    fn pair_correlation_is_the_lca_depth() {
         let t = sample_tree();
-        assert_eq!(loss_correlation(&t, NodeId(4), NodeId(5)), Some(2)); // LCA 2
-        assert_eq!(loss_correlation(&t, NodeId(4), NodeId(2)), Some(2)); // LCA 2 (ancestor)
-        assert_eq!(loss_correlation(&t, NodeId(4), NodeId(1)), Some(1));
-        assert_eq!(loss_correlation(&t, NodeId(4), NodeId(6)), Some(0)); // LCA root
-        assert_eq!(loss_correlation(&t, NodeId(1), NodeId(3)), Some(0));
+        let pair = |a: u64, b: u64| group_correlation(&t, &[NodeId(a), NodeId(b)]);
+        assert_eq!(pair(4, 5), 2); // LCA 2
+        assert_eq!(pair(4, 2), 2); // LCA 2 (ancestor)
+        assert_eq!(pair(4, 1), 1);
+        assert_eq!(pair(4, 6), 0); // LCA root
+        assert_eq!(pair(1, 3), 0);
     }
 
     #[test]
-    fn self_correlation_is_own_depth() {
-        let t = sample_tree();
-        assert_eq!(loss_correlation(&t, NodeId(4), NodeId(4)), Some(3));
-        assert_eq!(loss_correlation(&t, NodeId(0), NodeId(0)), Some(0));
-    }
-
-    #[test]
-    fn symmetric() {
-        let t = sample_tree();
-        for a in 0..7u64 {
-            for b in 0..7u64 {
-                assert_eq!(
-                    loss_correlation(&t, NodeId(a), NodeId(b)),
-                    loss_correlation(&t, NodeId(b), NodeId(a))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn detached_members_have_no_correlation() {
+    fn detached_members_contribute_nothing() {
         let mut t = sample_tree();
         t.remove(NodeId(1)).unwrap(); // 2's subtree orphaned
-        assert_eq!(loss_correlation(&t, NodeId(2), NodeId(6)), None);
-        assert_eq!(loss_correlation(&t, NodeId(99), NodeId(6)), None);
+        assert_eq!(group_correlation(&t, &[NodeId(2), NodeId(4), NodeId(6)]), 0);
+        assert_eq!(group_correlation(&t, &[NodeId(99), NodeId(6)]), 0);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! A single recovery parent rarely has the residual bandwidth for a full
 //! stream; CER therefore:
 //!
-//! - reconstructs a **partial tree** from gossiped ancestor lists
-//!   ([`PartialTree`], Fig. 3),
+//! - reconstructs a **partial tree** from the root paths of the members
+//!   it knows ([`PartialTree::from_tree`], Fig. 3),
 //! - selects a **minimum-loss-correlation group** of recovery nodes in
-//!   (near-)disjoint subtrees ([`find_mlc_group`], Algorithm 1),
-//! - orders the group by network distance ([`RecoveryGroup`]) and
+//!   (near-)disjoint subtrees ([`find_mlc_group`], Algorithm 1; the
+//!   objective is [`group_correlation`]),
+//! - orders the group by network distance ([`order_by_distance`]) and
 //!   repairs outages by **striping** sequence numbers across the group's
 //!   residual bandwidths ([`StripePlan`], the `(n mod 100)` rule),
 //! - accounts packet timeliness against **playback deadlines**
@@ -30,7 +31,7 @@ mod partial_tree;
 mod recovery;
 
 pub use buffer::{SeqRangeSet, StreamClock};
-pub use correlation::{group_correlation, loss_correlation};
-pub use mlc::{find_mlc_group, partial_group_correlation, random_group, MlcOptions};
-pub use partial_tree::{AncestorRecord, PartialTree};
-pub use recovery::{RecoveryGroup, StripePlan, StripeSegment, STRIPE_MODULO};
+pub use correlation::group_correlation;
+pub use mlc::{find_mlc_group, random_group};
+pub use partial_tree::PartialTree;
+pub use recovery::{order_by_distance, StripePlan, StripeSegment, STRIPE_MODULO};

@@ -17,28 +17,21 @@ use rom_sim::SimRng;
 
 use crate::partial_tree::PartialTree;
 
-/// Options for [`find_mlc_group`].
-#[derive(Debug, Clone, Default)]
-pub struct MlcOptions {
-    /// Members that must not appear in the group — typically the
-    /// requesting member itself and its own ancestors (they fail together
-    /// with it).
-    pub exclude: Vec<NodeId>,
-}
-
 /// Runs Algorithm 1 over `tree`, returning up to `k` recovery members.
 ///
-/// The result can be smaller than `k` when the fragment simply does not
-/// contain `k` admissible members; callers treat that as "use what there
-/// is". The fragment root (the multicast source) is never selected.
+/// No member of `exclude` is selected: typically the requesting member
+/// itself and its own ancestors, which fail together with it. The result
+/// can be smaller than `k` when the fragment simply does not contain `k`
+/// admissible members; callers treat that as "use what there is". The
+/// fragment root (the multicast source) is never selected.
 ///
 /// The random draws follow a fixed order, so a seed fixes the group: the
-/// subtree roots are drawn level member by level member in
-/// [`PartialTree::level`] order, each from that member's remaining
-/// children (ascending, with the drawn child swap-removed); each subtree's
-/// member is drawn from its admissible [`PartialTree::descendants`] in
-/// that order; the backfill draws from the admissible known members in id
-/// order, again by swap-remove.
+/// subtree roots are drawn level member by level member in BFS order,
+/// each from that member's remaining children (ascending, with the drawn
+/// child swap-removed); each subtree's member is drawn from its admissible
+/// descendants in the order a stack-driven walk lists them; the backfill
+/// draws from the admissible known members in id order, again by
+/// swap-remove.
 ///
 /// # Panics
 ///
@@ -47,14 +40,14 @@ pub struct MlcOptions {
 pub fn find_mlc_group(
     tree: &PartialTree,
     k: usize,
-    options: &MlcOptions,
+    exclude: &[NodeId],
     rng: &mut SimRng,
 ) -> Vec<NodeId> {
     assert!(k > 0, "recovery group size must be positive");
     let Some(root) = tree.root() else {
         return Vec::new();
     };
-    let admissible = |n: NodeId| n != root && !options.exclude.contains(&n);
+    let admissible = |n: NodeId| n != root && !exclude.contains(&n);
 
     // Step 2: the first level Li with |Li| < K ≤ |Li+1|. For K = 1 the
     // condition is unsatisfiable (|L0| = 1); the root level is the natural
@@ -162,13 +155,13 @@ pub fn find_mlc_group(
     group
 }
 
-/// Baseline for comparison: `k` uniformly random known members, ignoring
-/// loss correlation entirely.
+/// Baseline for comparison: `k` uniformly random known members outside
+/// `exclude`, ignoring loss correlation entirely.
 #[must_use]
 pub fn random_group(
     tree: &PartialTree,
     k: usize,
-    options: &MlcOptions,
+    exclude: &[NodeId],
     rng: &mut SimRng,
 ) -> Vec<NodeId> {
     let root = tree.root();
@@ -176,59 +169,60 @@ pub fn random_group(
         .known()
         .iter()
         .copied()
-        .filter(|&n| Some(n) != root && !options.exclude.contains(&n))
+        .filter(|&n| Some(n) != root && !exclude.contains(&n))
         .collect();
     rng.sample(&pool, k)
-}
-
-/// Total pairwise loss correlation of `group` within the fragment
-/// (the objective Algorithm 1 minimizes). Pairs that cannot be traced to
-/// the root contribute nothing.
-#[must_use]
-pub fn partial_group_correlation(tree: &PartialTree, group: &[NodeId]) -> usize {
-    let mut total = 0;
-    for (i, &a) in group.iter().enumerate() {
-        for &b in &group[i + 1..] {
-            total += tree.loss_correlation(a, b).unwrap_or(0);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partial_tree::AncestorRecord;
+    use crate::correlation::group_correlation;
+    use rom_overlay::{paper_source, Location, MemberProfile, MulticastTree};
+    use rom_sim::SimTime;
 
-    fn record(node: u64, ancestors: &[u64]) -> AncestorRecord {
-        AncestorRecord {
-            node: NodeId(node),
-            ancestors: ancestors.iter().map(|&a| NodeId(a)).collect(),
+    /// A tree under the source (id 0) from `(child, parent)` pairs in
+    /// attach order; every member has room for four children.
+    fn tree(edges: &[(u64, u64)]) -> MulticastTree {
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
+        for &(child, parent) in edges {
+            let profile = MemberProfile::new(NodeId(child), 4.0, SimTime::ZERO, 1e6, Location(0));
+            tree.attach(profile, NodeId(parent)).unwrap();
         }
+        tree
     }
 
-    /// A three-subtree fragment: root 0 with children 1, 2, 3; each child
-    /// has two known descendants.
-    fn wide_fragment() -> PartialTree {
-        PartialTree::from_records(&[
-            record(11, &[0, 1]),
-            record(12, &[0, 1]),
-            record(21, &[0, 2]),
-            record(22, &[0, 2]),
-            record(31, &[0, 3]),
-            record(32, &[0, 3]),
-        ])
+    fn ids(raw: &[u64]) -> Vec<NodeId> {
+        raw.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    /// A three-subtree tree: root 0 with children 1, 2, 3; each child has
+    /// two members below it, all six known.
+    fn wide_tree() -> (MulticastTree, PartialTree) {
+        let t = tree(&[
+            (1, 0),
+            (2, 0),
+            (3, 0),
+            (11, 1),
+            (12, 1),
+            (21, 2),
+            (22, 2),
+            (31, 3),
+            (32, 3),
+        ]);
+        let fragment = PartialTree::from_tree(&t, ids(&[11, 12, 21, 22, 31, 32]));
+        (t, fragment)
     }
 
     #[test]
     fn disjoint_subtrees_give_zero_correlation() {
-        let tree = wide_fragment();
+        let (t, fragment) = wide_tree();
         let mut rng = SimRng::seed_from(1);
         for _ in 0..50 {
-            let group = find_mlc_group(&tree, 3, &MlcOptions::default(), &mut rng);
+            let group = find_mlc_group(&fragment, 3, &[], &mut rng);
             assert_eq!(group.len(), 3);
             assert_eq!(
-                partial_group_correlation(&tree, &group),
+                group_correlation(&t, &group),
                 0,
                 "K ≤ root fan-out must yield fully uncorrelated groups: {group:?}"
             );
@@ -237,16 +231,16 @@ mod tests {
 
     #[test]
     fn mlc_beats_random_on_average() {
-        let tree = wide_fragment();
+        let (t, fragment) = wide_tree();
         let mut rng = SimRng::seed_from(2);
         let rounds = 200;
         let mut mlc_total = 0usize;
         let mut random_total = 0usize;
         for _ in 0..rounds {
-            let g = find_mlc_group(&tree, 3, &MlcOptions::default(), &mut rng);
-            mlc_total += partial_group_correlation(&tree, &g);
-            let r = random_group(&tree, 3, &MlcOptions::default(), &mut rng);
-            random_total += partial_group_correlation(&tree, &r);
+            let g = find_mlc_group(&fragment, 3, &[], &mut rng);
+            mlc_total += group_correlation(&t, &g);
+            let r = random_group(&fragment, 3, &[], &mut rng);
+            random_total += group_correlation(&t, &r);
         }
         assert!(
             mlc_total < random_total,
@@ -256,13 +250,11 @@ mod tests {
 
     #[test]
     fn group_never_contains_root_or_excluded() {
-        let tree = wide_fragment();
+        let (_, fragment) = wide_tree();
         let mut rng = SimRng::seed_from(3);
-        let options = MlcOptions {
-            exclude: vec![NodeId(11), NodeId(21)],
-        };
+        let exclude = ids(&[11, 21]);
         for _ in 0..50 {
-            let group = find_mlc_group(&tree, 3, &options, &mut rng);
+            let group = find_mlc_group(&fragment, 3, &exclude, &mut rng);
             assert!(!group.contains(&NodeId(0)));
             assert!(!group.contains(&NodeId(11)));
             assert!(!group.contains(&NodeId(21)));
@@ -271,10 +263,10 @@ mod tests {
 
     #[test]
     fn group_members_are_distinct() {
-        let tree = wide_fragment();
+        let (_, fragment) = wide_tree();
         let mut rng = SimRng::seed_from(4);
         for k in 1..=6 {
-            let group = find_mlc_group(&tree, k, &MlcOptions::default(), &mut rng);
+            let group = find_mlc_group(&fragment, k, &[], &mut rng);
             let mut sorted = group.clone();
             sorted.sort();
             sorted.dedup();
@@ -284,37 +276,40 @@ mod tests {
 
     #[test]
     fn k_larger_than_fragment_degrades_gracefully() {
-        let tree = PartialTree::from_records(&[record(1, &[0]), record(2, &[0])]);
+        let t = tree(&[(1, 0), (2, 0)]);
+        let fragment = PartialTree::from_tree(&t, ids(&[1, 2]));
         let mut rng = SimRng::seed_from(5);
-        let group = find_mlc_group(&tree, 10, &MlcOptions::default(), &mut rng);
+        let group = find_mlc_group(&fragment, 10, &[], &mut rng);
         assert!(!group.is_empty());
         assert!(group.len() <= 10);
     }
 
     #[test]
     fn k_equals_one_works() {
-        let tree = wide_fragment();
+        let (_, fragment) = wide_tree();
         let mut rng = SimRng::seed_from(6);
-        let group = find_mlc_group(&tree, 1, &MlcOptions::default(), &mut rng);
+        let group = find_mlc_group(&fragment, 1, &[], &mut rng);
         assert_eq!(group.len(), 1);
         assert_ne!(group[0], NodeId(0));
     }
 
     #[test]
     fn empty_fragment_yields_empty_group() {
-        let tree = PartialTree::from_records(&[]);
+        let t = tree(&[]);
+        let fragment = PartialTree::from_tree(&t, ids(&[9]));
         let mut rng = SimRng::seed_from(7);
-        assert!(find_mlc_group(&tree, 3, &MlcOptions::default(), &mut rng).is_empty());
-        assert!(random_group(&tree, 3, &MlcOptions::default(), &mut rng).is_empty());
+        assert!(find_mlc_group(&fragment, 3, &[], &mut rng).is_empty());
+        assert!(random_group(&fragment, 3, &[], &mut rng).is_empty());
     }
 
     #[test]
     fn deep_chain_fragment() {
         // A pure chain never widens: the algorithm falls back and still
         // returns somebody rather than failing.
-        let tree = PartialTree::from_records(&[record(3, &[0, 1, 2])]);
+        let t = tree(&[(1, 0), (2, 1), (3, 2)]);
+        let fragment = PartialTree::from_tree(&t, ids(&[3]));
         let mut rng = SimRng::seed_from(8);
-        let group = find_mlc_group(&tree, 2, &MlcOptions::default(), &mut rng);
+        let group = find_mlc_group(&fragment, 2, &[], &mut rng);
         assert!(!group.is_empty());
     }
 }

@@ -17,53 +17,22 @@ use rom_overlay::NodeId;
 /// The modulo base of the paper's striping rule (`n mod 100`).
 pub const STRIPE_MODULO: u64 = 100;
 
-/// An ordered recovery group: members sorted by network distance from the
-/// owner, nearest first.
+/// Orders a recovery group by network distance from its owner, nearest
+/// first (ties by id for determinism), from `(member, distance)` pairs.
 ///
 /// # Examples
 ///
 /// ```
-/// use rom_cer::RecoveryGroup;
+/// use rom_cer::order_by_distance;
 /// use rom_overlay::NodeId;
 ///
-/// let group = RecoveryGroup::ordered_by_distance(
-///     vec![(NodeId(5), 40.0), (NodeId(2), 10.0), (NodeId(9), 25.0)],
-/// );
-/// assert_eq!(group.members(), &[NodeId(2), NodeId(9), NodeId(5)]);
+/// let group = order_by_distance(vec![(NodeId(5), 40.0), (NodeId(2), 10.0), (NodeId(9), 25.0)]);
+/// assert_eq!(group, [NodeId(2), NodeId(9), NodeId(5)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecoveryGroup {
-    members: Vec<NodeId>,
-}
-
-impl RecoveryGroup {
-    /// Builds a group from `(member, distance)` pairs, sorting nearest
-    /// first (ties by id for determinism).
-    #[must_use]
-    pub fn ordered_by_distance(mut members: Vec<(NodeId, f64)>) -> Self {
-        members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        RecoveryGroup {
-            members: members.into_iter().map(|(n, _)| n).collect(),
-        }
-    }
-
-    /// Members, nearest first.
-    #[must_use]
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Group size.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no recovery node is known.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
+#[must_use]
+pub fn order_by_distance(mut members: Vec<(NodeId, f64)>) -> Vec<NodeId> {
+    members.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    members.into_iter().map(|(n, _)| n).collect()
 }
 
 /// One member's stripe in a full-rate recovery: it repairs sequence
@@ -179,16 +148,6 @@ impl StripePlan {
             .find(|s| s.lo <= slot && slot < s.hi)
             .map(|s| s.member_index)
     }
-
-    /// Fraction of an arbitrary long packet range the plan repairs — the
-    /// repaired share of a failure gap.
-    #[must_use]
-    pub fn covered_fraction(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| (s.hi - s.lo) as f64 / STRIPE_MODULO as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -197,14 +156,13 @@ mod tests {
 
     #[test]
     fn ordering_by_distance() {
-        let g = RecoveryGroup::ordered_by_distance(vec![
+        let g = order_by_distance(vec![
             (NodeId(1), 30.0),
             (NodeId(2), 10.0),
             (NodeId(3), 10.0),
         ]);
-        assert_eq!(g.members(), &[NodeId(2), NodeId(3), NodeId(1)]);
-        assert_eq!(g.len(), 3);
-        assert!(!g.is_empty());
+        assert_eq!(g, [NodeId(2), NodeId(3), NodeId(1)]);
+        assert!(order_by_distance(Vec::new()).is_empty());
     }
 
     #[test]
@@ -249,15 +207,6 @@ mod tests {
         assert!(plan.segments().is_empty());
         assert_eq!(plan.coverage(), 0.0);
         assert_eq!(plan.assigned_member(7), None);
-        assert_eq!(plan.covered_fraction(), 0.0);
-    }
-
-    #[test]
-    fn covered_fraction_matches_coverage() {
-        for residuals in [vec![0.3], vec![0.2, 0.2, 0.2], vec![0.9, 0.9]] {
-            let plan = StripePlan::plan(&residuals);
-            assert!((plan.covered_fraction() - plan.coverage()).abs() < 0.011);
-        }
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Property tests for the CER substrate: the sequence range set against a
 //! naive model, stripe-plan invariants, and Algorithm 1's guarantees on
-//! arbitrary fragments.
+//! the fragments of arbitrary trees.
 
 use proptest::prelude::*;
-use rom_cer::{
-    find_mlc_group, AncestorRecord, MlcOptions, PartialTree, SeqRangeSet, StripePlan, STRIPE_MODULO,
-};
-use rom_overlay::NodeId;
-use rom_sim::SimRng;
+use rom_cer::{find_mlc_group, PartialTree, SeqRangeSet, StripePlan, STRIPE_MODULO};
+use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId};
+use rom_sim::{SimRng, SimTime};
 use std::collections::HashSet;
 
 proptest! {
@@ -33,10 +31,6 @@ proptest! {
         for w in set.ranges().windows(2) {
             prop_assert!(w[0].1 < w[1].0);
         }
-        // missing_in is the complement within any window.
-        let missing = set.missing_in(0, 320);
-        let missing_count: u64 = missing.iter().map(|&(l, h)| h - l).sum();
-        prop_assert_eq!(missing_count, 320 - set.len());
     }
 
     /// Stripe plans cover disjoint, ordered slot ranges and their coverage
@@ -62,44 +56,28 @@ proptest! {
         }
     }
 
-    /// Algorithm 1 on arbitrary fragments: members are distinct, never the
-    /// root, never excluded, and at most k.
+    /// Algorithm 1 on the fragments of arbitrary trees: members are
+    /// distinct, never the root, never excluded, and at most k.
     #[test]
     fn mlc_group_guarantees(
         parents in prop::collection::vec(0usize..20, 2..40),
         k in 1usize..6,
         seed in any::<u64>(),
     ) {
-        // Build a random tree over ids 0..n (0 = root): node i+1 attaches
-        // under a previous node.
+        // Build a random tree over ids 0..=n (0 = root): node i+1 attaches
+        // under a previous node. Every member has room for all the others.
         let n = parents.len();
-        let parent_of = |i: usize| -> usize { parents[i] % (i + 1) };
-        let mut records = Vec::new();
-        for i in 0..n {
-            // Ancestor chain of node i+1, root-first.
-            let mut chain = vec![i + 1];
-            let mut cur = i;
-            loop {
-                let p = parent_of(cur);
-                chain.push(p);
-                if p == 0 {
-                    break;
-                }
-                cur = p - 1;
-            }
-            chain.reverse();
-            let node = NodeId(chain[chain.len() - 1] as u64);
-            let ancestors = chain[..chain.len() - 1]
-                .iter()
-                .map(|&x| NodeId(x as u64))
-                .collect();
-            records.push(AncestorRecord { node, ancestors });
+        let profile = |id: usize| {
+            MemberProfile::new(NodeId(id as u64), 64.0, SimTime::ZERO, 1e6, Location(0))
+        };
+        let mut tree = MulticastTree::new(profile(0));
+        for (i, &pick) in parents.iter().enumerate() {
+            tree.attach(profile(i + 1), NodeId((pick % (i + 1)) as u64)).unwrap();
         }
-        let tree = PartialTree::from_records(&records);
+        let fragment = PartialTree::from_tree(&tree, (1..=n as u64).map(NodeId));
         let exclude = vec![NodeId(1), NodeId(2)];
-        let options = MlcOptions { exclude: exclude.clone() };
         let mut rng = SimRng::seed_from(seed);
-        let group = find_mlc_group(&tree, k, &options, &mut rng);
+        let group = find_mlc_group(&fragment, k, &exclude, &mut rng);
         prop_assert!(group.len() <= k);
         let distinct: HashSet<&NodeId> = group.iter().collect();
         prop_assert_eq!(distinct.len(), group.len(), "duplicates in {:?}", group);

@@ -1,18 +1,18 @@
 //! Equivalence of the allocation-free LCA-walk loss correlation against
 //! the root-path-prefix definition.
 //!
-//! PR 5 rewrote both `rom_cer::loss_correlation` (now delegating to the
-//! arena tree's `lca_depth`) and `PartialTree::loss_correlation` (a
-//! depth-equalizing parent walk) to stop materializing root-path `Vec`s in
-//! the O(k²) group-objective pair loop. The paper defines `w(v1, v2)` as
-//! the number of common edges on the root paths, so the reference
-//! implementations below compute exactly that — build both paths, count
-//! the shared prefix — and the property tests assert the walk-based
-//! versions agree on every pair, including detached members, unknown ids,
-//! and fragment nodes that cannot be traced to the root.
+//! §4.1's loss correlation is `MulticastTree::lca_depth`, a walk up the
+//! arena's parent links that the group objective
+//! `rom_cer::group_correlation` sums over pairs without materializing
+//! root-path `Vec`s in its O(k²) pair loop. The paper
+//! defines `w(v1, v2)` as the number of common edges on the root paths,
+//! so the reference implementation below computes exactly that — build
+//! both paths, count the shared prefix — and the property tests assert
+//! the walk agrees on every pair, including detached members and unknown
+//! ids.
 
 use proptest::prelude::*;
-use rom_cer::{group_correlation, loss_correlation, AncestorRecord, PartialTree};
+use rom_cer::group_correlation;
 use rom_overlay::{Location, MemberProfile, MulticastTree, NodeId};
 use rom_sim::SimTime;
 
@@ -62,27 +62,6 @@ fn reference_full(tree: &MulticastTree, a: NodeId, b: NodeId) -> Option<usize> {
     Some(shared.saturating_sub(1))
 }
 
-/// Reference for the fragment: the pre-PR-5 implementation, verbatim.
-fn reference_partial(tree: &PartialTree, a: NodeId, b: NodeId) -> Option<usize> {
-    let node_count = tree.node_count();
-    let path = |mut n: NodeId| -> Option<Vec<NodeId>> {
-        let mut p = vec![n];
-        while Some(n) != tree.root() {
-            n = tree.parent(n)?;
-            p.push(n);
-            if p.len() > node_count + 2 {
-                return None;
-            }
-        }
-        p.reverse();
-        Some(p)
-    };
-    let pa = path(a)?;
-    let pb = path(b)?;
-    let shared = pa.iter().zip(pb.iter()).take_while(|(x, y)| x == y).count();
-    Some(shared.saturating_sub(1))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -99,7 +78,7 @@ proptest! {
         for &a in &ids {
             for &b in &ids {
                 prop_assert_eq!(
-                    loss_correlation(&tree, a, b),
+                    tree.lca_depth(a, b),
                     reference_full(&tree, a, b),
                     "pair ({:?}, {:?})", a, b
                 );
@@ -128,33 +107,5 @@ proptest! {
             }
         }
         prop_assert_eq!(group_correlation(&tree, &group), naive);
-    }
-
-    /// Fragment correlation: the depth-equalizing walk agrees with the
-    /// pre-PR-5 path-materializing implementation on every pair of the
-    /// fragment built from gossiped records of a random tree.
-    #[test]
-    fn partial_tree_walk_matches_old_implementation(
-        attach_picks in prop::collection::vec((any::<u8>(), any::<u8>()), 1..40),
-        record_picks in prop::collection::vec(any::<u8>(), 1..20),
-    ) {
-        let tree = build_tree(&attach_picks, &[]);
-        let ids: Vec<NodeId> = tree.member_ids().collect();
-        let records: Vec<AncestorRecord> = record_picks
-            .iter()
-            .filter_map(|&p| AncestorRecord::from_tree(&tree, ids[p as usize % ids.len()]))
-            .collect();
-        let fragment = PartialTree::from_records(&records);
-        let mut probes: Vec<NodeId> = ids.clone();
-        probes.push(NodeId(9_999)); // outside the fragment
-        for &a in &probes {
-            for &b in &probes {
-                prop_assert_eq!(
-                    fragment.loss_correlation(a, b),
-                    reference_partial(&fragment, a, b),
-                    "fragment pair ({:?}, {:?})", a, b
-                );
-            }
-        }
     }
 }

@@ -22,7 +22,7 @@ use rom_net::{DelayOracle, TransitStubNetwork, UnderlayId};
 use rom_overlay::algorithms::{JoinContext, JoinDecision};
 use rom_obs::{Level, Obs, Subsystem, TraceEvent};
 use rom_overlay::{
-    paper_source, IdMap, Location, MemberProfile, MulticastTree, NodeId, ViewSampler,
+    paper_source, sample_excluding_at, IdMap, Location, MemberProfile, MulticastTree, NodeId,
 };
 use rom_rost::{OpId, SwitchOutcome, SwitchingProtocol};
 use rom_sim::{RunOutcome, Schedule, SimRng, SimTime, Simulation};
@@ -176,7 +176,6 @@ pub struct ChurnSim {
     oracle: DelayOracle,
     workload: Workload,
     tree: MulticastTree,
-    sampler: ViewSampler,
     rng: SimRng,
     rost: SwitchingProtocol,
 
@@ -281,7 +280,6 @@ impl ChurnSim {
         } else {
             MulticastTree::new(source)
         };
-        let sampler = ViewSampler::paper();
         let rng = root_rng.fork("decisions");
         let chaos = cfg.chaos.clone().map(|scenario| ChaosState {
             scenario,
@@ -320,7 +318,6 @@ impl ChurnSim {
             oracle,
             workload,
             tree,
-            sampler,
             rng,
             rost,
             live: Vec::new(),
@@ -577,8 +574,7 @@ impl ChurnSim {
             // costs O(view size), not an O(live) filter-and-copy.
             let _span = self.obs.prof().span("engine.view");
             let pos = self.live_pos.get(joiner).copied();
-            self.sampler
-                .sample_excluding_at(&self.live, pos, &mut self.rng)
+            sample_excluding_at(&self.live, pos, &mut self.rng)
         }
     }
 

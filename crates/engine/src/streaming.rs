@@ -24,13 +24,13 @@
 use std::collections::BTreeMap;
 
 use rom_cer::{
-    find_mlc_group, random_group, MlcOptions, PartialTree, RecoveryGroup, SeqRangeSet, StreamClock,
+    find_mlc_group, order_by_distance, random_group, PartialTree, SeqRangeSet, StreamClock,
     StripePlan,
 };
 use rom_chaos::{InvariantRegistry, LinkEpisode, Signal};
 use rom_net::{DelayOracle, UnderlayId};
 use rom_obs::{Obs, Subsystem, TraceEvent};
-use rom_overlay::{MulticastTree, NodeId, ViewSampler};
+use rom_overlay::{MulticastTree, NodeId, PAPER_VIEW_SIZE};
 use rom_sim::{RunOutcome, SimRng, SimTime};
 use rom_stats::Summary;
 
@@ -429,23 +429,22 @@ impl StreamingState {
     /// Selects the member's recovery group at repair time: gather a view,
     /// rebuild the partial tree from the view's root paths, run Algorithm
     /// 1 (or the random baseline) and order the result by network
-    /// distance.
-    fn select_group(&mut self, cx: &Ctx<'_>, member: NodeId) -> RecoveryGroup {
+    /// distance, nearest first.
+    fn select_group(&mut self, cx: &Ctx<'_>, member: NodeId) -> Vec<NodeId> {
         let (tree, oracle) = (cx.tree, cx.oracle);
         let _span = tree.prof().span("cer.group_select");
-        let view = self.rng.sample(cx.live, ViewSampler::PAPER_VIEW_SIZE);
+        let view = self.rng.sample(cx.live, PAPER_VIEW_SIZE);
         // Gossip here is exact, so the fragment is the union of the view's
         // root paths, read straight off the arena.
         let partial = PartialTree::from_tree(tree, view.iter().copied().filter(|&v| v != member));
         let mut exclude = tree.ancestors(member);
         exclude.push(member);
-        let options = MlcOptions { exclude };
         let chosen = match self.selection {
             GroupSelection::MinimumLossCorrelation => {
-                find_mlc_group(&partial, self.group_size, &options, &mut self.rng)
+                find_mlc_group(&partial, self.group_size, &exclude, &mut self.rng)
             }
             GroupSelection::Random => {
-                random_group(&partial, self.group_size, &options, &mut self.rng)
+                random_group(&partial, self.group_size, &exclude, &mut self.rng)
             }
         };
         let member_loc = tree
@@ -462,7 +461,7 @@ impl StreamingState {
                 ))
             })
             .collect();
-        RecoveryGroup::ordered_by_distance(with_distance)
+        order_by_distance(with_distance)
     }
 
     /// The group members able to serve repairs right now, with their
@@ -470,10 +469,9 @@ impl StreamingState {
     fn available_helpers(
         &self,
         tree: &MulticastTree,
-        group: &RecoveryGroup,
+        group: &[NodeId],
     ) -> Vec<(NodeId, f64, usize)> {
         group
-            .members()
             .iter()
             .enumerate()
             .filter_map(|(hop, &g)| {
@@ -668,7 +666,7 @@ impl StreamingState {
         if let Some(registry) = cx.invariants.as_deref_mut() {
             let chosen = Signal::RecoveryGroupChosen {
                 member,
-                group: group.members(),
+                group: &group,
             };
             registry.signal(cx.tree, now, &chosen, cx.obs);
         }

@@ -12,8 +12,8 @@
 //!   that also answers the centralized baselines' order queries,
 //! - [`IdMap`] — the id-keyed table behind the tree's id→slot map and the
 //!   engine's per-member state, paged by id and iterated in id order,
-//! - [`ViewSampler`] — bounded partial membership views (gossip in steady
-//!   state),
+//! - [`sample_excluding_at`] — bounded partial membership views of
+//!   [`PAPER_VIEW_SIZE`] members (gossip in steady state),
 //! - [`Proximity`] — the underlay-distance hook (wired to `rom-net` by the
 //!   engine),
 //! - [`algorithms`] — the four baseline construction algorithms the paper
@@ -63,4 +63,4 @@ pub use member::MemberProfile;
 pub use order_index::FreeEntry;
 pub use proximity::{nearest_by, IndexProximity, Proximity, ZeroProximity};
 pub use tree::{paper_source, MulticastTree, NodeIndex, RemovedMember, ReplaceOutcome, SwitchRecord};
-pub use view::ViewSampler;
+pub use view::{sample_excluding_at, PAPER_VIEW_SIZE};

@@ -8,101 +8,62 @@
 //! subset of other nodes" (§4.1).
 //!
 //! In the simulation we model the *steady state* of that gossip process:
-//! whenever a member needs a view, [`ViewSampler`] draws a uniform random
-//! subset of the current membership of the configured size. Centralized
-//! baselines (the relaxed ordered algorithms) bypass the sampler and see
-//! everything.
+//! whenever a member needs a view, it draws a uniform random subset of
+//! [`PAPER_VIEW_SIZE`] members of the current membership
+//! ([`sample_excluding_at`] for a joiner). Centralized baselines (the
+//! relaxed ordered algorithms) skip the draw and see everything.
 
 use rom_sim::SimRng;
 
 use crate::id::NodeId;
 
-/// Draws bounded random membership views, modelling gossip in steady state.
+/// The paper's view size: 100 known members (§3.3, §4.1).
+pub const PAPER_VIEW_SIZE: usize = 100;
+
+/// Samples a view of [`PAPER_VIEW_SIZE`] distinct members (uniform
+/// without replacement; the whole rest when fewer remain) from
+/// `membership`, excluding the member at `exclude_pos` (`None` when the
+/// member is not in `membership`): a joiner never discovers itself; a
+/// rejoining member's own descendants may still appear — they are
+/// detached, and the join algorithms skip detached candidates.
+/// `membership` must be duplicate-free, as a live-member list is.
+///
+/// Instead of materializing the filtered membership — an O(M) copy per
+/// join, which at 10^6 live members dwarfed the decision it fed — this
+/// samples *indices* of the virtual sequence with the excluded slot
+/// spliced out and shifts them past the hole. The index stream and the
+/// returned view are bitwise identical to filtering first.
 ///
 /// # Examples
 ///
 /// ```
-/// use rom_overlay::{NodeId, ViewSampler};
+/// use rom_overlay::{sample_excluding_at, NodeId, PAPER_VIEW_SIZE};
 /// use rom_sim::SimRng;
 ///
-/// let sampler = ViewSampler::new(3);
-/// let live: Vec<NodeId> = (0..10).map(NodeId).collect();
+/// let live: Vec<NodeId> = (0..1_000).map(NodeId).collect();
 /// let mut rng = SimRng::seed_from(1);
-/// let view = sampler.sample(&live, &mut rng);
-/// assert_eq!(view.len(), 3);
+/// let view = sample_excluding_at(&live, Some(7), &mut rng);
+/// assert_eq!(view.len(), PAPER_VIEW_SIZE);
+/// assert!(!view.contains(&NodeId(7)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ViewSampler {
-    view_size: usize,
-}
-
-impl ViewSampler {
-    /// The paper's default view size of 100 known members.
-    pub const PAPER_VIEW_SIZE: usize = 100;
-
-    /// Creates a sampler producing views of at most `view_size` members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view_size` is zero.
-    #[must_use]
-    pub fn new(view_size: usize) -> Self {
-        assert!(view_size > 0, "view size must be positive");
-        ViewSampler { view_size }
-    }
-
-    /// The paper's configuration (100 members).
-    #[must_use]
-    pub fn paper() -> Self {
-        ViewSampler::new(Self::PAPER_VIEW_SIZE)
-    }
-
-    /// Maximum view size.
-    #[must_use]
-    pub fn view_size(&self) -> usize {
-        self.view_size
-    }
-
-    /// Samples a view from `membership` (distinct members, uniform without
-    /// replacement). Returns the whole membership when it is smaller than
-    /// the view size.
-    #[must_use]
-    pub fn sample(&self, membership: &[NodeId], rng: &mut SimRng) -> Vec<NodeId> {
-        rng.sample(membership, self.view_size)
-    }
-
-    /// Samples a view excluding the member at `exclude_pos` (`None` when
-    /// the member is not in `membership`): a joiner never discovers
-    /// itself; a rejoining member's own descendants may still appear —
-    /// they are detached, and the join algorithms skip detached
-    /// candidates. `membership` must be duplicate-free, as a live-member
-    /// list is.
-    ///
-    /// Instead of materializing the filtered membership — an O(M) copy
-    /// per join, which at 10^6 live members dwarfed the decision it fed —
-    /// this samples *indices* of the virtual sequence with the excluded
-    /// slot spliced out and shifts them past the hole. The index stream
-    /// and the returned view are bitwise identical to filtering first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exclude_pos` is out of range for `membership`.
-    #[must_use]
-    pub fn sample_excluding_at(
-        &self,
-        membership: &[NodeId],
-        exclude_pos: Option<usize>,
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        let Some(hole) = exclude_pos else {
-            return rng.sample(membership, self.view_size);
-        };
-        assert!(hole < membership.len(), "exclude position out of range");
-        rng.sample_indices(membership.len() - 1, self.view_size)
-            .into_iter()
-            .map(|i| membership[if i < hole { i } else { i + 1 }])
-            .collect()
-    }
+///
+/// # Panics
+///
+/// Panics if `exclude_pos` is out of range for `membership`.
+#[must_use]
+pub fn sample_excluding_at(
+    membership: &[NodeId],
+    exclude_pos: Option<usize>,
+    rng: &mut SimRng,
+) -> Vec<NodeId> {
+    let Some(hole) = exclude_pos else {
+        return rng.sample(membership, PAPER_VIEW_SIZE);
+    };
+    assert!(hole < membership.len(), "exclude position out of range");
+    rng.sample_indices(membership.len() - 1, PAPER_VIEW_SIZE)
+        .into_iter()
+        .map(|i| membership[if i < hole { i } else { i + 1 }])
+        .collect()
 }
 
 #[cfg(test)]
@@ -115,33 +76,31 @@ mod tests {
 
     #[test]
     fn view_is_bounded_and_distinct() {
-        let sampler = ViewSampler::new(10);
-        let live = members(100);
+        // 1 000 members: the sampler's dense path.
+        let live = members(1_000);
         let mut rng = SimRng::seed_from(2);
-        let view = sampler.sample(&live, &mut rng);
-        assert_eq!(view.len(), 10);
+        let view = sample_excluding_at(&live, None, &mut rng);
+        assert_eq!(view.len(), PAPER_VIEW_SIZE);
         let mut sorted = view.clone();
         sorted.sort();
         sorted.dedup();
-        assert_eq!(sorted.len(), 10);
+        assert_eq!(sorted.len(), PAPER_VIEW_SIZE);
     }
 
     #[test]
     fn small_membership_returned_whole() {
-        let sampler = ViewSampler::new(10);
         let live = members(4);
         let mut rng = SimRng::seed_from(3);
-        let mut view = sampler.sample(&live, &mut rng);
+        let mut view = sample_excluding_at(&live, None, &mut rng);
         view.sort();
         assert_eq!(view, live);
     }
 
     #[test]
     fn exclusion_respected() {
-        let sampler = ViewSampler::new(50);
         let live = members(30);
         let mut rng = SimRng::seed_from(4);
-        let view = sampler.sample_excluding_at(&live, Some(7), &mut rng);
+        let view = sample_excluding_at(&live, Some(7), &mut rng);
         assert_eq!(view.len(), 29);
         assert!(!view.contains(&NodeId(7)));
     }
@@ -151,26 +110,30 @@ mod tests {
         // `sample_excluding_at` must be bitwise-equivalent to filtering
         // the membership first (the pre-PR-10 implementation): identical
         // RNG consumption, identical view. Covers hole-at-ends,
-        // hole-in-middle, absent member and both sampler code paths.
-        for (n, view, hole) in [
-            (30u64, 50, Some(0usize)),
-            (30, 50, Some(29)),
-            (500, 10, Some(250)),
-            (5000, 100, Some(4321)),
-            (5000, 100, None),
-            (20000, 100, Some(12345)),
+        // hole-in-middle, absent member, a membership smaller than the
+        // view, and both paths of `SimRng::sample_indices`: dense up to
+        // 64 × 100 = 6 400 members, sparse above.
+        for (n, hole) in [
+            (30u64, Some(0usize)),
+            (30, Some(29)),
+            (500, Some(250)),
+            (5000, Some(4321)),
+            (5000, None),
+            (6401, Some(6400)),
+            (6402, Some(0)),
+            (20000, Some(12345)),
+            (20000, None),
         ] {
-            let sampler = ViewSampler::new(view);
             let live = members(n);
             let exclude = hole.map_or(NodeId(n + 1), |p| live[p]);
 
             let mut rng = SimRng::seed_from(6);
-            let got = sampler.sample_excluding_at(&live, hole, &mut rng);
+            let got = sample_excluding_at(&live, hole, &mut rng);
 
             let mut reference_rng = SimRng::seed_from(6);
             let filtered: Vec<NodeId> = live.iter().copied().filter(|&m| m != exclude).collect();
-            let want = reference_rng.sample(&filtered, view);
-            assert_eq!(got, want, "n={n} view={view} hole={hole:?}");
+            let want = reference_rng.sample(&filtered, PAPER_VIEW_SIZE);
+            assert_eq!(got, want, "n={n} hole={hole:?}");
             assert_eq!(rng.uniform().to_bits(), reference_rng.uniform().to_bits());
         }
     }
@@ -178,24 +141,12 @@ mod tests {
     #[test]
     fn views_cover_membership_over_time() {
         // Uniformity smoke test: over many draws every member appears.
-        let sampler = ViewSampler::new(5);
-        let live = members(20);
+        let live = members(500);
         let mut rng = SimRng::seed_from(5);
         let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            seen.extend(sampler.sample(&live, &mut rng));
+        for _ in 0..100 {
+            seen.extend(sample_excluding_at(&live, None, &mut rng));
         }
-        assert_eq!(seen.len(), 20);
-    }
-
-    #[test]
-    fn paper_default() {
-        assert_eq!(ViewSampler::paper().view_size(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_view_rejected() {
-        let _ = ViewSampler::new(0);
+        assert_eq!(seen.len(), 500);
     }
 }

@@ -152,7 +152,7 @@ mod tests {
         tree.attach(profile(1, 1.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 100.0), NodeId(1)).unwrap();
         let protocol = SwitchingProtocol::new(RostConfig::paper());
-        let mut registry = RefereeRegistry::new(2, 2, 5.0);
+        let mut registry = RefereeRegistry::new();
         for (member, join, bw) in [(NodeId(1), 0.0, 1.0), (NodeId(2), 100.0, 4.0)] {
             registry
                 .register_join(member, SimTime::from_secs(join), &[NodeId(90), NodeId(91)])
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn unregistered_member_is_unverifiable() {
         let (mut tree, mut protocol, _) = setup();
-        let empty = RefereeRegistry::new(2, 2, 5.0);
+        let empty = RefereeRegistry::new();
         let now = SimTime::from_secs(500.0);
         let claim = ResourceClaim::honest(&tree, NodeId(2), now).unwrap();
         let outcome = attempt_audited(

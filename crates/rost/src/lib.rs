@@ -25,7 +25,9 @@
 //! - [`SwitchingProtocol`] / [`SwitchOutcome`] — the switching state
 //!   machine over a `rom_overlay::MulticastTree`,
 //! - [`LockTable`] / [`OpId`] — the all-or-nothing family locks,
-//! - [`RefereeRegistry`] / [`Verification`] — the anti-cheating mechanism.
+//! - [`RefereeRegistry`] / [`Verification`] — the anti-cheating mechanism,
+//!   with §3.4's redundancy ([`AGE_REFEREES`], [`BANDWIDTH_REFEREES`]) and
+//!   heartbeat ([`HEARTBEAT_SECS`]).
 
 mod audit;
 mod btp;
@@ -38,5 +40,8 @@ pub use audit::{attempt_audited, AuditRefusal, AuditedOutcome, ResourceClaim};
 pub use btp::Btp;
 pub use config::RostConfig;
 pub use locks::{LockTable, OpId};
-pub use referee::{RefereeError, RefereeRegistry, Verification, VerificationStats};
+pub use referee::{
+    RefereeError, RefereeRegistry, Verification, VerificationStats, AGE_REFEREES,
+    BANDWIDTH_REFEREES, HEARTBEAT_SECS,
+};
 pub use switching::{SwitchOutcome, SwitchStats, SwitchingProtocol};

@@ -32,6 +32,19 @@ use rom_sim::SimTime;
 
 use crate::btp::Btp;
 
+/// Age witnesses per member, `r_age`: the smallest redundancy §3.4 allows
+/// ("r_age > 1"), so one referee failure leaves a witness.
+pub const AGE_REFEREES: usize = 2;
+
+/// Bandwidth witnesses per member, `r_bw`: the smallest redundancy §3.4
+/// allows ("r_bw > 1").
+pub const BANDWIDTH_REFEREES: usize = 2;
+
+/// The referees' heartbeat interval in seconds. §3.4 bounds the
+/// disagreement between age records by "a heartbeat interval", so an age
+/// claim may exceed the witnessed age by this much.
+pub const HEARTBEAT_SECS: f64 = 5.0;
+
 /// Why a referee operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefereeError {
@@ -129,7 +142,7 @@ struct MemberRecord {
 /// use rom_rost::{RefereeRegistry, Verification};
 /// use rom_sim::SimTime;
 ///
-/// let mut reg = RefereeRegistry::new(2, 2, 5.0);
+/// let mut reg = RefereeRegistry::new();
 /// // The parent (not the subject) appoints referees at join time.
 /// reg.register_join(NodeId(9), SimTime::from_secs(100.0), &[NodeId(1), NodeId(2)])?;
 /// reg.record_bandwidth(NodeId(9), &[1.5, 1.0, 0.5], &[NodeId(3), NodeId(4)])?;
@@ -144,11 +157,8 @@ struct MemberRecord {
 /// assert!(!reg.verify_bandwidth(NodeId(9), 50.0, live).is_confirmed());
 /// # Ok::<(), rom_rost::RefereeError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RefereeRegistry {
-    age_referees: usize,
-    bandwidth_referees: usize,
-    heartbeat_secs: f64,
     records: BTreeMap<NodeId, MemberRecord>,
     // Cells because verification is logically read-only (&self) but the
     // audit tally must still accumulate.
@@ -158,29 +168,12 @@ pub struct RefereeRegistry {
 }
 
 impl RefereeRegistry {
-    /// Creates a registry requiring `age_referees` age witnesses and
-    /// `bandwidth_referees` bandwidth witnesses per member, with the given
-    /// heartbeat interval bounding age-record skew.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both redundancy counts are at least 2 (§3.4: both
-    /// `r_age` and `r_bw` are greater than 1) and the heartbeat is
-    /// positive.
+    /// Creates an empty registry requiring [`AGE_REFEREES`] age witnesses
+    /// and [`BANDWIDTH_REFEREES`] bandwidth witnesses per member, with
+    /// [`HEARTBEAT_SECS`] bounding age-record skew.
     #[must_use]
-    pub fn new(age_referees: usize, bandwidth_referees: usize, heartbeat_secs: f64) -> Self {
-        assert!(age_referees >= 2, "r_age must be > 1 (§3.4)");
-        assert!(bandwidth_referees >= 2, "r_bw must be > 1 (§3.4)");
-        assert!(heartbeat_secs > 0.0, "heartbeat must be positive");
-        RefereeRegistry {
-            age_referees,
-            bandwidth_referees,
-            heartbeat_secs,
-            records: BTreeMap::new(),
-            confirmed: Cell::new(0),
-            rejected: Cell::new(0),
-            unverifiable: Cell::new(0),
-        }
+    pub fn new() -> Self {
+        RefereeRegistry::default()
     }
 
     /// Lifetime verdict counters over every
@@ -219,9 +212,9 @@ impl RefereeRegistry {
         join_time: SimTime,
         referees: &[NodeId],
     ) -> Result<(), RefereeError> {
-        if referees.len() < self.age_referees {
+        if referees.len() < AGE_REFEREES {
             return Err(RefereeError::NotEnoughReferees {
-                required: self.age_referees,
+                required: AGE_REFEREES,
                 supplied: referees.len(),
             });
         }
@@ -256,9 +249,9 @@ impl RefereeRegistry {
         partial_measurements: &[f64],
         referees: &[NodeId],
     ) -> Result<f64, RefereeError> {
-        if referees.len() < self.bandwidth_referees {
+        if referees.len() < BANDWIDTH_REFEREES {
             return Err(RefereeError::NotEnoughReferees {
-                required: self.bandwidth_referees,
+                required: BANDWIDTH_REFEREES,
                 supplied: referees.len(),
             });
         }
@@ -300,7 +293,7 @@ impl RefereeRegistry {
         let Some(&max_witnessed) = witnessed.iter().max_by(|a, b| a.total_cmp(b)) else {
             return self.tally(Verification::Unverifiable);
         };
-        self.tally(if claimed_age_secs <= max_witnessed + self.heartbeat_secs {
+        self.tally(if claimed_age_secs <= max_witnessed + HEARTBEAT_SECS {
             Verification::Confirmed {
                 witnessed: max_witnessed,
             }
@@ -470,7 +463,7 @@ mod tests {
     use super::*;
 
     fn registry() -> RefereeRegistry {
-        RefereeRegistry::new(2, 2, 5.0)
+        RefereeRegistry::new()
     }
 
     fn all_live(_: NodeId) -> bool {

@@ -10,8 +10,7 @@
 //! ```
 
 use rom::cer::{
-    find_mlc_group, group_correlation, AncestorRecord, MlcOptions, PartialTree, SeqRangeSet,
-    StreamClock, StripePlan,
+    find_mlc_group, group_correlation, PartialTree, SeqRangeSet, StreamClock, StripePlan,
 };
 use rom::overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 use rom::sim::{SimRng, SimTime};
@@ -46,18 +45,17 @@ fn main() {
     );
 
     // The member at the bottom of branch 1 assembles its partial view of
-    // the tree from gossiped ancestor records (§4.1, Fig. 3)...
+    // the tree from the root paths the other members gossip (§4.1,
+    // Fig. 3)...
     let me = NodeId(11);
-    let records: Vec<AncestorRecord> = tree
+    let known: Vec<NodeId> = tree
         .member_ids()
         .filter(|&m| m != me && m != NodeId::SOURCE)
-        .filter_map(|m| AncestorRecord::from_tree(&tree, m))
         .collect();
-    let partial = PartialTree::from_records(&records);
+    let partial = PartialTree::from_tree(&tree, known.iter().copied());
     println!(
-        "partial tree reconstructed from {} gossiped records ({} nodes)",
-        records.len(),
-        partial.node_count()
+        "partial tree reconstructed from the root paths of {} known members",
+        known.len()
     );
 
     // ...and runs Algorithm 1 to pick a minimum-loss-correlation recovery
@@ -65,7 +63,7 @@ fn main() {
     let mut rng = SimRng::seed_from(7).fork("mlc-demo");
     let mut exclude = tree.ancestors(me);
     exclude.push(me);
-    let group_members = find_mlc_group(&partial, 3, &MlcOptions { exclude }, &mut rng);
+    let group_members = find_mlc_group(&partial, 3, &exclude, &mut rng);
     println!(
         "MLC recovery group: {group_members:?} (pairwise loss correlation {})",
         group_correlation(&tree, &group_members)

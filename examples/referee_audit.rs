@@ -28,7 +28,7 @@ fn show(name: &str, v: Verification) {
 
 fn main() {
     // r_age = r_bw = 2 referees per member, 5-second heartbeats.
-    let mut registry = RefereeRegistry::new(2, 2, 5.0);
+    let mut registry = RefereeRegistry::new();
     let mut dead: HashSet<NodeId> = HashSet::new();
 
     // An honest member joins at t=100 s. Its PARENT appoints the age

@@ -1,10 +1,7 @@
-//! Cross-crate integration of the CER pipeline: full tree → gossiped
-//! ancestor records → partial tree → Algorithm 1 → repair planning.
+//! Cross-crate integration of the CER pipeline: full tree → the known
+//! members' root paths → partial tree → Algorithm 1 → repair planning.
 
-use rom::cer::{
-    find_mlc_group, group_correlation, loss_correlation, partial_group_correlation, random_group,
-    AncestorRecord, MlcOptions, PartialTree, StripePlan,
-};
+use rom::cer::{find_mlc_group, group_correlation, random_group, PartialTree, StripePlan};
 use rom::overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
 use rom::sim::{SimRng, SimTime};
 use rom::stats::BoundedPareto;
@@ -32,8 +29,12 @@ fn grown_tree(n: u64, seed: u64) -> MulticastTree {
     tree
 }
 
-/// The partial tree built from gossiped records reports the same loss
-/// correlations as the ground-truth tree, for every pair it knows.
+/// The partial tree rebuilt from a view's root paths has the ground-truth
+/// tree's shape: every subtree root Algorithm 1 draws from the fragment's
+/// root is a distinct child of the source, so while K does not exceed the
+/// number of the source's children the view reaches, each group has zero
+/// ground-truth correlation and lies on the view's root paths. The
+/// fragment depends on the view as a set, not on its order.
 #[test]
 fn partial_tree_correlations_match_ground_truth() {
     let tree = grown_tree(300, 1);
@@ -43,18 +44,37 @@ fn partial_tree_correlations_match_ground_truth() {
         .filter(|&m| m != tree.root())
         .collect();
     let view = rng.sample(&members, 80);
-    let records: Vec<AncestorRecord> = view
+    let partial = PartialTree::from_tree(&tree, view.iter().copied());
+    let mut reversed = view.clone();
+    reversed.reverse();
+    let shuffled = PartialTree::from_tree(&tree, reversed);
+    // The ground truth: the nodes on the view's root paths, and the
+    // source's children among them.
+    let mut on_paths: Vec<NodeId> = view
         .iter()
-        .filter_map(|&m| AncestorRecord::from_tree(&tree, m))
+        .flat_map(|&m| tree.overlay_path(m).expect("attached"))
         .collect();
-    let partial = PartialTree::from_records(&records);
-    for (i, &a) in view.iter().enumerate() {
-        for &b in &view[i + 1..] {
-            assert_eq!(
-                partial.loss_correlation(a, b),
-                loss_correlation(&tree, a, b),
-                "pair ({a}, {b})"
-            );
+    on_paths.sort();
+    on_paths.dedup();
+    let fan_out = on_paths
+        .iter()
+        .filter(|&&n| tree.parent(n) == Some(tree.root()))
+        .count();
+    assert!(fan_out >= 6, "the view reaches {fan_out} source children");
+    for k in 1..=6 {
+        for round in 0..20 {
+            let mut rng = SimRng::seed_from(round);
+            let group = find_mlc_group(&partial, k, &[], &mut rng);
+            assert_eq!(group.len(), k);
+            assert_eq!(group_correlation(&tree, &group), 0, "K = {k}: {group:?}");
+            for g in &group {
+                assert!(
+                    on_paths.binary_search(g).is_ok(),
+                    "{g} is off the view's paths"
+                );
+            }
+            let mut again = SimRng::seed_from(round);
+            assert_eq!(find_mlc_group(&shuffled, k, &[], &mut again), group);
         }
     }
 }
@@ -75,21 +95,14 @@ fn mlc_groups_beat_random_on_ground_truth_correlation() {
     for round in 0..60 {
         let requester = members[round * 5 % members.len()];
         let view = rng.sample(&members, 80);
-        let records: Vec<AncestorRecord> = view
-            .iter()
-            .filter(|&&m| m != requester)
-            .filter_map(|&m| AncestorRecord::from_tree(&tree, m))
-            .collect();
-        let partial = PartialTree::from_records(&records);
+        let partial =
+            PartialTree::from_tree(&tree, view.iter().copied().filter(|&m| m != requester));
         let mut exclude = tree.ancestors(requester);
         exclude.push(requester);
-        let options = MlcOptions { exclude };
-        let mlc = find_mlc_group(&partial, 3, &options, &mut rng);
-        let rnd = random_group(&partial, 3, &options, &mut rng);
+        let mlc = find_mlc_group(&partial, 3, &exclude, &mut rng);
+        let rnd = random_group(&partial, 3, &exclude, &mut rng);
         mlc_total += group_correlation(&tree, &mlc);
         random_total += group_correlation(&tree, &rnd);
-        // The fragment's own estimate agrees in direction.
-        assert!(partial_group_correlation(&partial, &mlc) <= group_correlation(&tree, &mlc));
     }
     assert!(
         mlc_total < random_total,
@@ -108,22 +121,11 @@ fn groups_exclude_fate_sharing_members() {
         .filter(|&m| m != tree.root())
         .collect();
     for &requester in members.iter().take(40) {
-        let records: Vec<AncestorRecord> = members
-            .iter()
-            .filter(|&&m| m != requester)
-            .filter_map(|&m| AncestorRecord::from_tree(&tree, m))
-            .collect();
-        let partial = PartialTree::from_records(&records);
+        let partial =
+            PartialTree::from_tree(&tree, members.iter().copied().filter(|&m| m != requester));
         let mut exclude = tree.ancestors(requester);
         exclude.push(requester);
-        let group = find_mlc_group(
-            &partial,
-            4,
-            &MlcOptions {
-                exclude: exclude.clone(),
-            },
-            &mut rng,
-        );
+        let group = find_mlc_group(&partial, 4, &exclude, &mut rng);
         for g in &group {
             assert!(!exclude.contains(g), "{g} fate-shares with {requester}");
             assert_ne!(*g, tree.root());

@@ -84,40 +84,35 @@ fn streaming_reports_are_bitwise_reproducible() {
 
 #[test]
 fn cer_recovery_is_bitwise_reproducible() {
-    use rom::cer::{
-        find_mlc_group, AncestorRecord, MlcOptions, PartialTree, RecoveryGroup, StripePlan,
-    };
-    use rom::overlay::NodeId;
-    use rom::sim::SimRng;
+    use rom::cer::{find_mlc_group, order_by_distance, PartialTree, StripePlan};
+    use rom::overlay::{paper_source, Location, MemberProfile, MulticastTree, NodeId};
+    use rom::sim::{SimRng, SimTime};
 
     // One full CER recovery pass — partial-tree reconstruction, MLC group
     // selection, distance ordering and stripe planning — must come out
     // identical for the same seed.
     let run = || {
-        let records: Vec<AncestorRecord> = (2u64..40)
-            .map(|n| AncestorRecord {
-                node: NodeId(n),
-                // A comb: even nodes hang off NodeId(1), odd ones chain
-                // one level deeper, giving MLC real correlations to avoid.
-                ancestors: if n % 2 == 0 {
-                    vec![NodeId(0), NodeId(1)]
-                } else {
-                    vec![NodeId(0), NodeId(1), NodeId(n - 1)]
-                },
-            })
-            .collect();
-        let partial = PartialTree::from_records(&records);
-        let mut rng = SimRng::seed_from(42);
-        let options = MlcOptions {
-            exclude: vec![NodeId(0), NodeId(1)],
+        // A comb: even nodes hang off NodeId(1), odd ones chain one level
+        // deeper under their even predecessor, giving MLC real
+        // correlations to avoid.
+        let member = |id: u64, bw: f64| {
+            MemberProfile::new(NodeId(id), bw, SimTime::ZERO, 1e9, Location(id as u32))
         };
-        let chosen = find_mlc_group(&partial, 3, &options, &mut rng);
+        let mut tree = MulticastTree::new(paper_source(Location(0)));
+        tree.attach(member(1, 40.0), NodeId(0)).unwrap();
+        for n in 2u64..40 {
+            let parent = if n % 2 == 0 { NodeId(1) } else { NodeId(n - 1) };
+            tree.attach(member(n, 1.0), parent).unwrap();
+        }
+        let partial = PartialTree::from_tree(&tree, (2u64..40).map(NodeId));
+        let mut rng = SimRng::seed_from(42);
+        let chosen = find_mlc_group(&partial, 3, &[NodeId(0), NodeId(1)], &mut rng);
         // Deterministic synthetic distances stand in for the delay oracle.
         let with_distance: Vec<(NodeId, f64)> = chosen
             .iter()
             .map(|&n| (n, (n.0 % 7) as f64 * 3.5 + 1.0))
             .collect();
-        let group = RecoveryGroup::ordered_by_distance(with_distance);
+        let group = order_by_distance(with_distance);
         let plan = StripePlan::plan_full_coverage(&[0.25, 0.4, 0.2]);
         (chosen, group, plan)
     };

@@ -28,7 +28,7 @@ impl RefereedOverlay {
         live.insert(NodeId(0));
         RefereedOverlay {
             tree,
-            registry: RefereeRegistry::new(2, 2, 5.0),
+            registry: RefereeRegistry::new(),
             live,
             rng: SimRng::seed_from(seed),
         }
