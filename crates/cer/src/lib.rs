@@ -7,7 +7,7 @@
 //! stream; CER therefore:
 //!
 //! - reconstructs a **partial tree** from the root paths of the members
-//!   it knows ([`PartialTree::from_tree`], Fig. 3),
+//!   it knows ([`PartialTree::rebuild`], Fig. 3),
 //! - selects a **minimum-loss-correlation group** of recovery nodes in
 //!   (near-)disjoint subtrees ([`find_mlc_group`], Algorithm 1; the
 //!   objective is [`group_correlation`]),

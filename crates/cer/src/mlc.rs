@@ -53,7 +53,7 @@ pub fn find_mlc_group(
     // condition is unsatisfiable (|L0| = 1); the root level is the natural
     // choice. If the tree never widens to K, fall back to the widest
     // level — the algorithm then degrades gracefully to fewer subtrees.
-    let level_len = |depth: usize| tree.level_indices(depth).len();
+    let level_len = |depth: usize| tree.level_width(depth);
     let mut li = 0usize;
     if k > 1 {
         let mut widest = (0usize, level_len(0));
@@ -78,12 +78,14 @@ pub fn find_mlc_group(
     // random remaining child per member per round. The remaining children
     // of all Li members sit back to back in one buffer, one
     // `(start, len)` range per member.
+    let mut level: Vec<u32> = Vec::new();
+    tree.level_into(li, &mut level);
     let mut remaining: Vec<u32> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::new();
-    for &v in tree.level_indices(li) {
-        let children = tree.child_indices(v);
-        ranges.push((remaining.len(), children.len()));
-        remaining.extend_from_slice(children);
+    for &v in &level {
+        let start = remaining.len();
+        tree.children_into(v, &mut remaining);
+        ranges.push((start, remaining.len() - start));
     }
     let mut g0: Vec<u32> = Vec::new();
     loop {
@@ -139,13 +141,7 @@ pub fn find_mlc_group(
     // Backfill from any admissible fragment node if the subtree walk came
     // up short (tiny fragments).
     if group.len() < k {
-        pool.clear();
-        pool.extend(
-            tree.known()
-                .iter()
-                .copied()
-                .filter(|&n| admissible(n) && !group.contains(&n)),
-        );
+        tree.known_into(|n| admissible(n) && !group.contains(&n), &mut pool);
         while group.len() < k && !pool.is_empty() {
             let idx = rng.index(pool.len());
             group.push(pool.swap_remove(idx));
@@ -165,12 +161,8 @@ pub fn random_group(
     rng: &mut SimRng,
 ) -> Vec<NodeId> {
     let root = tree.root();
-    let pool: Vec<NodeId> = tree
-        .known()
-        .iter()
-        .copied()
-        .filter(|&n| Some(n) != root && !exclude.contains(&n))
-        .collect();
+    let mut pool = Vec::new();
+    tree.known_into(|n| Some(n) != root && !exclude.contains(&n), &mut pool);
     rng.sample(&pool, k)
 }
 

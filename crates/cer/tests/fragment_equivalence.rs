@@ -1,13 +1,15 @@
 //! Equivalence wall for CER's group selection.
 //!
-//! `PartialTree` stores its fragment as id-sorted nodes with CSR child
-//! ranges, and the streaming engine builds it with
-//! `PartialTree::from_tree`, one walk up the arena's parent links per
-//! view member, instead of merging gossiped records. The `BTreeMap`
-//! fragment built from records, and the Algorithm 1 / random-baseline
-//! code that ran over it, are kept below as a reference model. On exact
-//! fragments of random arena trees both implementations return the same
-//! group and leave the RNG at the same next draw.
+//! `PartialTree` stores its fragment in discovery order with linked child
+//! lists that the reads sort by id, and the streaming engine rebuilds one
+//! fragment in place per selection (`PartialTree::rebuild`, which
+//! `from_tree` runs too), one walk up the arena's parent links per view
+//! member, instead of merging gossiped records. The `BTreeMap` fragment
+//! built from records, and the Algorithm 1 / random-baseline code that
+//! ran over it, are kept below as a reference model. On exact fragments
+//! of random arena trees both implementations return the same group and
+//! leave the RNG at the same next draw, for a fresh fragment and for one
+//! rebuilt over a tree that changes between builds.
 
 use proptest::prelude::*;
 use rom_cer::{find_mlc_group, random_group, PartialTree};
@@ -231,11 +233,10 @@ fn profile(id: u64, bw: f64) -> MemberProfile {
     MemberProfile::new(NodeId(id), bw, SimTime::ZERO, 1e6, Location(id as u32))
 }
 
-/// A tree shaped by a random mix of attaches, removals (which orphan the
-/// victim's children) and reattaches of orphaned subtrees.
-fn build_tree(ops: &[(u8, u8, u8)]) -> MulticastTree {
-    let mut tree = MulticastTree::new(profile(0, 4.0));
-    let mut next_id = 1u64;
+/// Applies a random mix of attaches, removals (which orphan the victim's
+/// children and free its arena slot for a later attach) and reattaches of
+/// orphaned subtrees to `tree`, numbering new members from `next_id`.
+fn mutate(tree: &mut MulticastTree, next_id: &mut u64, ops: &[(u8, u8, u8)]) {
     for &(op, pick, bw_tenths) in ops {
         let parents: Vec<NodeId> = tree
             .member_ids()
@@ -248,9 +249,9 @@ fn build_tree(ops: &[(u8, u8, u8)]) -> MulticastTree {
                 }
                 let parent = parents[pick as usize % parents.len()];
                 let bw = 1.0 + f64::from(bw_tenths % 30) / 10.0;
-                tree.attach(profile(next_id, bw), parent)
+                tree.attach(profile(*next_id, bw), parent)
                     .expect("free slot");
-                next_id += 1;
+                *next_id += 1;
             }
             2 => {
                 let victims: Vec<NodeId> =
@@ -273,7 +274,42 @@ fn build_tree(ops: &[(u8, u8, u8)]) -> MulticastTree {
             }
         }
     }
+}
+
+/// A tree under the source (id 0) shaped by [`mutate`].
+fn build_tree(ops: &[(u8, u8, u8)]) -> MulticastTree {
+    let mut tree = MulticastTree::new(profile(0, 4.0));
+    mutate(&mut tree, &mut 1, ops);
     tree
+}
+
+/// A view of `tree` drawn by `view_picks`, without the requester that
+/// `requester_pick` draws, and the members the engine excludes for that
+/// requester (itself and its ancestors).
+fn view_and_exclude(
+    tree: &MulticastTree,
+    view_picks: &[u16],
+    requester_pick: u16,
+) -> (Vec<NodeId>, Vec<NodeId>) {
+    let members: Vec<NodeId> = tree.member_ids().collect();
+    let requester = members[requester_pick as usize % members.len()];
+    let view = view_picks
+        .iter()
+        .map(|&p| members[p as usize % members.len()])
+        .filter(|&v| v != requester)
+        .collect();
+    let mut exclude = tree.ancestors(requester);
+    exclude.push(requester);
+    (view, exclude)
+}
+
+/// The model fragment that `view`'s gossip records give.
+fn model_fragment(tree: &MulticastTree, view: &[NodeId]) -> model::PartialTree {
+    let records: Vec<model::Record> = view
+        .iter()
+        .filter_map(|&v| model::Record::from_tree(tree, v))
+        .collect();
+    model::PartialTree::from_records(&records)
 }
 
 proptest! {
@@ -292,21 +328,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let tree = build_tree(&ops);
-        let members: Vec<NodeId> = tree.member_ids().collect();
-        let requester = members[requester_pick as usize % members.len()];
-        let view: Vec<NodeId> = view_picks
-            .iter()
-            .map(|&p| members[p as usize % members.len()])
-            .filter(|&v| v != requester)
-            .collect();
-        let records: Vec<model::Record> = view
-            .iter()
-            .filter_map(|&v| model::Record::from_tree(&tree, v))
-            .collect();
+        let (view, exclude) = view_and_exclude(&tree, &view_picks, requester_pick);
         let got_tree = PartialTree::from_tree(&tree, view.iter().copied());
-        let want_tree = model::PartialTree::from_records(&records);
-        let mut exclude = tree.ancestors(requester);
-        exclude.push(requester);
+        let want_tree = model_fragment(&tree, &view);
 
         let (mut got_rng, mut want_rng) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
         prop_assert_eq!(
@@ -319,5 +343,49 @@ proptest! {
             model::random_group(&want_tree, k, &exclude, &mut want_rng)
         );
         prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+    }
+
+    /// One fragment rebuilt in place, as the engine rebuilds it, over a
+    /// tree that changes between builds: attaches grow the arena, removals
+    /// free slots that later attaches reuse for other ids, and reattaches
+    /// move orphaned subtrees. After every rebuild both selections draw
+    /// what the model draws for each K in 1..=6, so no mark, level width,
+    /// child link or known member of an earlier build leaks into a later
+    /// one.
+    #[test]
+    fn rebuilt_fragment_matches_model_at_every_step(
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..24),
+                prop::collection::vec(any::<u16>(), 0..40),
+                any::<u16>(),
+                any::<u64>(),
+            ),
+            1..8,
+        ),
+    ) {
+        let mut tree = MulticastTree::new(profile(0, 4.0));
+        let mut next_id = 1;
+        let mut fragment = PartialTree::default();
+        for (ops, view_picks, requester_pick, seed) in steps {
+            mutate(&mut tree, &mut next_id, &ops);
+            let (view, exclude) = view_and_exclude(&tree, &view_picks, requester_pick);
+            fragment.rebuild(&tree, view.iter().copied());
+            let want_tree = model_fragment(&tree, &view);
+            for k in 1..=6 {
+                let (mut got_rng, mut want_rng) =
+                    (SimRng::seed_from(seed), SimRng::seed_from(seed));
+                prop_assert_eq!(
+                    find_mlc_group(&fragment, k, &exclude, &mut got_rng),
+                    model::find_mlc_group(&want_tree, k, &exclude, &mut want_rng)
+                );
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+                prop_assert_eq!(
+                    random_group(&fragment, k, &exclude, &mut got_rng),
+                    model::random_group(&want_tree, k, &exclude, &mut want_rng)
+                );
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+            }
+        }
     }
 }

@@ -173,6 +173,8 @@ pub(crate) struct StreamingState {
     outages: u64,
     repaired_on_time: u64,
     starved: u64,
+    /// The recovery fragment, rebuilt in place by every selection.
+    fragment: PartialTree,
 }
 
 impl StreamingState {
@@ -195,6 +197,7 @@ impl StreamingState {
             outages: 0,
             repaired_on_time: 0,
             starved: 0,
+            fragment: PartialTree::default(),
         }
     }
 
@@ -436,15 +439,16 @@ impl StreamingState {
         let view = self.rng.sample(cx.live, PAPER_VIEW_SIZE);
         // Gossip here is exact, so the fragment is the union of the view's
         // root paths, read straight off the arena.
-        let partial = PartialTree::from_tree(tree, view.iter().copied().filter(|&v| v != member));
+        self.fragment
+            .rebuild(tree, view.iter().copied().filter(|&v| v != member));
         let mut exclude = tree.ancestors(member);
         exclude.push(member);
         let chosen = match self.selection {
             GroupSelection::MinimumLossCorrelation => {
-                find_mlc_group(&partial, self.group_size, &exclude, &mut self.rng)
+                find_mlc_group(&self.fragment, self.group_size, &exclude, &mut self.rng)
             }
             GroupSelection::Random => {
-                random_group(&partial, self.group_size, &exclude, &mut self.rng)
+                random_group(&self.fragment, self.group_size, &exclude, &mut self.rng)
             }
         };
         let member_loc = tree
